@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lo_core import BitString
+from .lo_core import BitString, set_bits
 
 
 # -- information measure -------------------------------------------------------
@@ -249,41 +249,29 @@ def onebit_simulation(
         step_start = len(out_queries)
         original_outcome = _outcome_of_flips(flipped, pmask, next_bit)
 
-        base = 0
-        rest = flipped
-        while rest:
-            chunk = rest & 0xFFFFFFFFFFFFFFFF
-            while chunk:
-                low = chunk & -chunk
-                q = base + low.bit_length() - 1
-                chunk ^= low
-                if q in asked:
-                    continue
-                asked.add(q)
-                one = start.flip(q)
-                outcome = _outcome_of_flips(1 << q, pmask, next_bit)
-                out_queries.append(one)
-                out_outcomes.append(outcome)
-                if check_information:
-                    if outcome == DROP:
-                        compat_replay = {s for s in compat_replay if (s[0] >> q) & 1}
-                    elif outcome == STAY:
-                        compat_replay = {
-                            s for s in compat_replay
-                            if not (s[0] >> q) & 1 and s[1] != q
-                        }
-                    else:
-                        compat_replay = {
-                            s for s in compat_replay
-                            if not (s[0] >> q) & 1 and s[1] == q
-                        }
-                if outcome in (DROP, LEAVE):
-                    break
-            else:
-                rest >>= 64
-                base += 64
+        for q in set_bits(flipped):
+            if q in asked:
                 continue
-            break
+            asked.add(q)
+            one = start.flip(q)
+            outcome = _outcome_of_flips(1 << q, pmask, next_bit)
+            out_queries.append(one)
+            out_outcomes.append(outcome)
+            if check_information:
+                if outcome == DROP:
+                    compat_replay = {s for s in compat_replay if (s[0] >> q) & 1}
+                elif outcome == STAY:
+                    compat_replay = {
+                        s for s in compat_replay
+                        if not (s[0] >> q) & 1 and s[1] != q
+                    }
+                else:
+                    compat_replay = {
+                        s for s in compat_replay
+                        if not (s[0] >> q) & 1 and s[1] == q
+                    }
+            if outcome in (DROP, LEAVE):
+                break
         step_slices.append((step_start, len(out_queries)))
 
         if out_outcomes and out_outcomes[-1] == LEAVE:
@@ -509,21 +497,14 @@ class LevelGameSolver:
     def _canonical_key(u: int, masks: tuple[int, ...]):
         if u <= 1:
             return (u, masks)
+        # one bit list per mask, reused by every candidate relabeling below
+        bit_lists = [set_bits(P) for P in masks]
         deg = [0] * u
-        for P in masks:
-            rest = P
-            while rest:
-                low = rest & -rest
-                deg[low.bit_length() - 1] += 1
-                rest ^= low
+        for bits in bit_lists:
+            for q in bits:
+                deg[q] += 1
         members: list[list[int]] = [[] for _ in range(u)]
-        for P in masks:
-            bits = []
-            rest = P
-            while rest:
-                low = rest & -rest
-                bits.append(low.bit_length() - 1)
-                rest ^= low
+        for bits in bit_lists:
             for qq in bits:
                 members[qq].append(tuple(sorted(deg[r] for r in bits if r != qq)))
         sig = [(deg[q], tuple(sorted(members[q]))) for q in range(u)]
@@ -548,13 +529,10 @@ class LevelGameSolver:
                 for offset, old in enumerate(part):
                     relabel[old] = base + offset
             enc = []
-            for P in masks:
+            for bits in bit_lists:
                 out = 0
-                rest = P
-                while rest:
-                    low = rest & -rest
-                    out |= 1 << relabel[low.bit_length() - 1]
-                    rest ^= low
+                for q in bits:
+                    out |= 1 << relabel[q]
                 enc.append(out)
             enc_t = tuple(sorted(enc))
             if best is None or enc_t < best:
@@ -593,44 +571,23 @@ def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], 
 
     total = 1 << ns
     lo_bits = ns // 2
-    hi_bits = ns - lo_bits
     lo_mask = (1 << lo_bits) - 1
     all_masks = np.arange(total, dtype=np.uint32)
     orbit_min = all_masks.copy()
     for mapping in induced:
-        t_lo = np.zeros(1 << lo_bits, dtype=np.uint32)
-        for w in range(1 << lo_bits):
-            out = 0
-            ww = w
-            while ww:
-                low = ww & -ww
-                out |= 1 << mapping[low.bit_length() - 1]
-                ww ^= low
-            t_lo[w] = out
-        t_hi = np.zeros(1 << hi_bits, dtype=np.uint32)
-        for w in range(1 << hi_bits):
-            out = 0
-            ww = w
-            while ww:
-                low = ww & -ww
-                out |= 1 << mapping[lo_bits + low.bit_length() - 1]
-                ww ^= low
-            t_hi[w] = out
+        # table[w] is the image of the half-mask w, built by doubling: the
+        # entries with the next source bit set are the old ones plus its target
+        tables = []
+        for targets in (mapping[:lo_bits], mapping[lo_bits:]):
+            table = np.zeros(1, dtype=np.uint32)
+            for target in targets:
+                table = np.concatenate((table, table | (1 << target)))
+            tables.append(table)
+        t_lo, t_hi = tables
         transformed = t_lo[all_masks & lo_mask] | t_hi[all_masks >> lo_bits]
         np.minimum(orbit_min, transformed, out=orbit_min)
     reps = np.nonzero(orbit_min == all_masks)[0]
-    out = []
-    for fm in reps.tolist():
-        if fm == 0:
-            continue
-        fam = []
-        ww = fm
-        while ww:
-            low = ww & -ww
-            fam.append(sets[low.bit_length() - 1])
-            ww ^= low
-        out.append(tuple(fam))
-    return out
+    return [tuple(sets[i] for i in set_bits(fm)) for fm in reps.tolist() if fm]
 
 
 # -- closed-form bound and the induction-step sweep ----------------------------

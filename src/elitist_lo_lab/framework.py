@@ -10,6 +10,7 @@ objects.  (strategy, instance, seed, budget) fully determine a run.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -36,14 +37,13 @@ class Strategy(Protocol):
     The runner calls `fresh_state` once per run, then alternates `step`
     (propose an offspring from the incumbent) and `learn` (receive the
     three-way comparison of the offspring against the incumbent).  Strategies
-    never see numeric fitness values.
+    never see numeric fitness values: the runner keeps the oracle and passes
+    on comparison outcomes only.
 
     Optional extras:
       * state_budget_bits(n): declared bound on the packed state size; when
         not None the runner enforces it after every step.
       * pack_state(state): serialize the state to bytes for enforcement.
-      * peeks_fitness / peek(value): test-only leak, see
-        `verify_ranking_invariance`.
     """
 
     name: str
@@ -152,7 +152,7 @@ def run_one_plus_one(
     budget: int | None = None,
     *,
     accept_equal: bool = True,
-    fitness_transform: Callable[[int], int] | None = None,
+    oracle: Callable[..., CountingOracle] | None = None,
     initial: BitString | None = None,
     observer: Callable | None = None,
     record_queries: bool = False,
@@ -164,27 +164,26 @@ def run_one_plus_one(
     or EQUAL when accept_equal (the default; the protocol permits either tie
     rule).  The initial point is uniform unless `initial` is given.
 
+    `oracle`, when set, replaces the `CountingOracle` class: it is called as
+    oracle(inst, record_queries=...) and must return a CountingOracle.
+
     `observer`, when set, receives ("init", point) once and then
     ("step", incumbent, offspring, outcome, accepted) per step; used by
     white-box tests.
     """
     n = inst.n
     rng = random.Random(seed)
-    oracle = CountingOracle(inst, fitness_transform=fitness_transform,
-                            record_queries=record_queries)
+    oracle = (oracle or CountingOracle)(inst, record_queries=record_queries)
     budget_bits = None
     if hasattr(strategy, "state_budget_bits"):
         budget_bits = strategy.state_budget_bits(n)
     state = strategy.fresh_state(n, rng)
-    peeks = getattr(strategy, "peeks_fitness", False)
 
     if budget is not None and budget < 1:
         return _finish_record(strategy.name, inst, seed, oracle, True)
 
     incumbent = initial if initial is not None else BitString.random(n, rng)
     oracle.submit(incumbent)
-    if peeks:
-        strategy.peek(oracle.last_query_value)
     if observer is not None:
         observer(("init", incumbent))
 
@@ -198,8 +197,6 @@ def run_one_plus_one(
             raise ValueError(f"strategy {strategy.name} emitted a wrong-length offspring")
         outcome = oracle.compare(incumbent, offspring)
         strategy.learn(outcome, state)
-        if peeks:
-            strategy.peek(oracle.last_query_value)
         accepted = outcome == GREATER or (accept_equal and outcome == EQUAL)
         if observer is not None:
             observer(("step", incumbent, offspring, outcome, accepted))
@@ -350,6 +347,22 @@ def make_monotone_transform(n: int, rng: random.Random) -> Callable[[int], int]:
     return lambda v: values[v]
 
 
+class MonotoneOracle(CountingOracle):
+    """The oracle for transform(f): `submit` returns the transformed value.
+
+    `transform` must be strictly increasing, so comparisons and the level
+    accounting, which use raw LO values, are those of the oracle for f.
+    """
+
+    def __init__(self, instance: LoInstance, transform: Callable[[int], int],
+                 record_queries: bool = False):
+        super().__init__(instance, record_queries=record_queries)
+        self.transform = transform
+
+    def submit(self, x: BitString) -> int:
+        return self.transform(super().submit(x))
+
+
 def verify_ranking_invariance(
     strategy: Strategy | Callable[[], Strategy],
     inst: LoInstance,
@@ -361,8 +374,8 @@ def verify_ranking_invariance(
     transform(f) with the same seed; True iff the query sequences coincide.
 
     Any strategy that consults only comparison outcomes passes for every
-    strictly increasing transform.  The runner's test-only `peek` leak exists
-    so that a deliberately fitness-peeking strategy fails (negative control).
+    strictly increasing transform; one that learns numeric values through
+    some other channel can fail (the tests' negative control does).
 
     Accepts a strategy instance or a zero-argument factory; the factory form
     gives each of the two runs a fresh object, which matters for test
@@ -377,7 +390,7 @@ def verify_ranking_invariance(
         first, second = strategy, strategy
     rec_plain = run_one_plus_one(first, inst, seed, budget, record_queries=True)
     rec_mapped = run_one_plus_one(
-        second, inst, seed, budget,
-        fitness_transform=monotone_transform, record_queries=True,
+        second, inst, seed, budget, record_queries=True,
+        oracle=functools.partial(MonotoneOracle, transform=monotone_transform),
     )
     return rec_plain.queries == rec_mapped.queries

@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if not self.n_values:
             raise ValueError("need at least one n value")
+        if min(self.n_values) < 1:
+            raise ValueError("n values must be >= 1")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
         if any(b >= a for a, b in zip(self.n_values[1:], self.n_values)):
             raise ValueError("n values must be strictly increasing")
         if self.fmt not in ("csv", "json"):

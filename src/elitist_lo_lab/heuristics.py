@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .framework import run_one_plus_one, RunRecord
-from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering
+from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering, set_bits
 
 
 def rls_step(x: BitString, rng: random.Random) -> BitString:
@@ -102,23 +102,8 @@ def lowest_set_bits(mask: int, count: int) -> int:
         keep = bits & (np.cumsum(bits) <= count)
         return int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little")
     out = 0
-    base = 0
-    while mask and count > 0:
-        chunk = mask & 0xFFFFFFFFFFFFFFFF
-        c = chunk.bit_count()
-        if c <= count:
-            out |= chunk << base
-            count -= c
-        else:
-            taken = 0
-            while count > 0:
-                low = chunk & -chunk
-                taken |= low
-                chunk ^= low
-                count -= 1
-            out |= taken << base
-        mask >>= 64
-        base += 64
+    for pos in set_bits(mask)[:count]:
+        out |= 1 << pos
     return out
 
 

@@ -17,6 +17,26 @@ import numpy as np
 _WIDE_DELTA = 48
 
 
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative int, ascending."""
+    out: list[int] = []
+    base = 0
+    while mask:
+        chunk = mask & 0xFFFFFFFFFFFFFFFF
+        while chunk:
+            low = chunk & -chunk
+            out.append(base + low.bit_length() - 1)
+            chunk ^= low
+        mask >>= 64
+        base += 64
+    return out
+
+
+def trailing_ones(word: int) -> int:
+    """Number of trailing one bits of a non-negative int."""
+    return ((word + 1) & ~word).bit_length() - 1
+
+
 class Ordering(IntEnum):
     """Three-way comparison outcome; the only fitness signal a strategy sees."""
 
@@ -213,136 +233,57 @@ class CountingOracle:
         time; the very first query is charged to INIT_LEVEL, and the query
         that enters a new level is charged to the level being left.
 
-    A strictly increasing `fitness_transform` may be installed; it changes
-    the numeric values (visible only through the test-only leak
-    `last_query_value`) but never the comparisons or the level accounting,
-    which always use raw LO values.
+    Fitness is evaluated through one primitive, `_translate`: a point's
+    agreement word has bit j set iff the point agrees with z at sigma[j],
+    so fitness is the number of trailing ones, and flipping the positions
+    in a mask XORs their significance ranks into the word.  The oracle keeps
+    the agreement words of the incumbent and of the last offspring, so a
+    query costs one translation by its flip mask.  `_translate` picks its
+    method from the mask weight alone: a Python loop over the set bits below
+    `_WIDE_DELTA` bits, a numpy gather by sigma from there on.
 
     Owned by exactly one run at a time; concurrent runs need disjoint oracles.
     """
 
-    def __init__(self, instance: LoInstance, fitness_transform=None,
-                 record_queries: bool = False):
+    def __init__(self, instance: LoInstance, record_queries: bool = False):
         self.instance = instance
         self.query_count = 0
         self.best_fitness_seen: int | None = None
         self.per_level_counts: dict[int, int] = {}
         self.optimum_found = False
-        self.last_query_value = None
         self.queries: list[BitString] | None = [] if record_queries else None
-        self._transform = fitness_transform
-        self._rank_of = list(invert_permutation(instance.sigma))
-        self._rank_arr = np.array(self._rank_of, dtype=np.int64)
+        self._rank_of = invert_permutation(instance.sigma)
+        self._sigma = np.array(instance.sigma, dtype=np.intp)
         self._nbytes = (instance.n + 7) // 8
-        # last materialized agreement word (usually the incumbent's)
-        self._last_word: int | None = None
+        # the complement of z agrees with z nowhere: its agreement word is 0
+        self._last_word = instance.z.word ^ ((1 << instance.n) - 1)
         self._last_norm = 0
-        self._zword = instance.z.word
-
-    # -- fitness fast path -------------------------------------------------
-
-    def _delta_ranks(self, delta: int) -> np.ndarray:
-        """Significance ranks of the positions set in delta (vectorized)."""
-        raw = np.frombuffer(delta.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little", count=self.instance.n)
-        return self._rank_arr[np.nonzero(bits)[0]]
+        # the last offspring compared, accepted or not
+        self._offspring = (None, 0)
 
     def _translate(self, norm: int, delta: int) -> int:
-        """XOR the significance-ranked image of delta into an agreement word."""
-        if delta.bit_count() >= _WIDE_DELTA:
-            perm = np.zeros(self.instance.n, dtype=np.uint8)
-            perm[self._delta_ranks(delta)] = 1
-            mask = int.from_bytes(np.packbits(perm, bitorder="little").tobytes(), "little")
-            return norm ^ mask
-        rank_of = self._rank_of
-        base = 0
-        while delta:
-            chunk = delta & 0xFFFFFFFFFFFFFFFF
-            while chunk:
-                low = chunk & -chunk
-                norm ^= 1 << rank_of[base + low.bit_length() - 1]
-                chunk ^= low
-            delta >>= 64
-            base += 64
-        return norm
+        """XOR the significance-rank image of flip mask delta into norm."""
+        if delta.bit_count() < _WIDE_DELTA:
+            rank_of = self._rank_of
+            for pos in set_bits(delta):
+                norm ^= 1 << rank_of[pos]
+            return norm
+        raw = np.frombuffer(delta.to_bytes(self._nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, bitorder="little", count=self.instance.n)
+        ranked = np.packbits(bits[self._sigma], bitorder="little")
+        return norm ^ int.from_bytes(ranked.tobytes(), "little")
 
     def _normalize(self, word: int) -> int:
-        """Map x to its agreement word: bit j set iff x agrees with z at
-        sigma[j].  Fitness is then the number of trailing ones.
-
-        Translates from the last materialized point, so successive incumbents
-        cost work proportional to the accepted flip mask only.
-        """
-        if word == self._last_word:
-            return self._last_norm
-        if self._last_word is not None:
-            norm = self._translate(self._last_norm, word ^ self._last_word)
-        else:
-            agree = ~(word ^ self._zword)
-            norm = 0
-            for j, pos in enumerate(self.instance.sigma):
-                norm |= ((agree >> pos) & 1) << j
-        self._last_word = word
-        self._last_norm = norm
-        return norm
-
-    def _fitness_of_delta(self, norm_x: int, fx: int, delta: int) -> int:
-        """Fitness of y = x ^ delta, given x's agreement word and fitness.
-
-        Avoids materializing y's agreement word: only the significance ranks
-        of the flipped positions matter.
-        """
-        n = self.instance.n
-        if delta.bit_count() >= _WIDE_DELTA:
-            ranks = self._delta_ranks(delta)
-            lowest = int(ranks.min())
-            if lowest < fx:
-                return lowest
-            # all flipped ranks are >= fx here; walk them in order
-            ordered = np.sort(ranks).tolist()
-            idx = 0
-            total = len(ordered)
-            j = fx
-            while j < n:
-                flip = idx < total and ordered[idx] == j
-                if flip:
-                    idx += 1
-                if not (((norm_x >> j) & 1) ^ flip):
-                    return j
-                j += 1
-            return n
-        rank_of = self._rank_of
-        ranks_list: list[int] = []
-        append = ranks_list.append
-        base = 0
-        while delta:
-            chunk = delta & 0xFFFFFFFFFFFFFFFF
-            while chunk:
-                low = chunk & -chunk
-                append(rank_of[base + low.bit_length() - 1])
-                chunk ^= low
-            delta >>= 64
-            base += 64
-        if not ranks_list:
-            return fx
-        lowest = min(ranks_list)
-        if lowest < fx:
-            return lowest
-        flipped = frozenset(ranks_list)
-        j = fx
-        while j < n:
-            bit = (norm_x >> j) & 1
-            if j in flipped:
-                bit ^= 1
-            if not bit:
-                return j
-            j += 1
-        return n
-
-    def _raw_fitness(self, x: BitString) -> int:
-        norm = self._normalize(x.word)
-        # number of trailing ones of norm
-        return ((norm + 1) & ~norm).bit_length() - 1
+        """Agreement word of the point `word`: the last offspring's when it
+        is that point, else translated from the last materialized point."""
+        if word != self._last_word:
+            offspring_word, offspring_norm = self._offspring
+            if word == offspring_word:
+                self._last_norm = offspring_norm
+            else:
+                self._last_norm = self._translate(self._last_norm, word ^ self._last_word)
+            self._last_word = word
+        return self._last_norm
 
     def _count(self, x: BitString, f: int) -> None:
         """Charge one query with known fitness f: update all counters."""
@@ -355,14 +296,8 @@ class CountingOracle:
             self.best_fitness_seen = f
         if f == self.instance.n:
             self.optimum_found = True
-        self.last_query_value = f if self._transform is None else self._transform(f)
         if self.queries is not None:
             self.queries.append(x)
-
-    def _charge(self, x: BitString) -> int:
-        f = self._raw_fitness(x)
-        self._count(x, f)
-        return f
 
     # -- public API ----------------------------------------------------------
 
@@ -374,7 +309,9 @@ class CountingOracle:
         """
         if x.n != self.instance.n:
             raise ValueError(f"point has length {x.n}, instance has n={self.instance.n}")
-        return self._charge(x)
+        f = trailing_ones(self._normalize(x.word))
+        self._count(x, f)
+        return f
 
     def compare(self, x: BitString, y: BitString) -> Ordering:
         """Three-way order of f(y) versus f(x), charging one query for y.
@@ -386,11 +323,11 @@ class CountingOracle:
         if x.n != n or y.n != n:
             raise ValueError("dimension mismatch in compare")
         norm_x = self._normalize(x.word)
-        fx = ((norm_x + 1) & ~norm_x).bit_length() - 1
-        fy = self._fitness_of_delta(norm_x, fx, x.word ^ y.word)
+        fx = trailing_ones(norm_x)
+        norm_y = self._translate(norm_x, x.word ^ y.word)
+        self._offspring = (y.word, norm_y)
+        fy = trailing_ones(norm_y)
         self._count(y, fy)
-        # The transform is strictly increasing, so the raw order is the
-        # transformed order; comparing raw keeps the fast path exact.
         if fy < fx:
             return LESS
         if fy > fx:

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from elitist_lo_lab import framework
 from elitist_lo_lab.framework import (
     OnePlusOneAdapter,
     RunRecord,
@@ -44,26 +45,34 @@ class CheatStrategy:
 
 
 class PeekingStrategy:
-    """Negative control: reads the numeric fitness through the test-only
-    runner leak and lets it steer the proposals."""
+    """Negative control: lets the last numeric value an oracle published on
+    `channel` steer the proposals."""
 
     name = "peeker"
-    peeks_fitness = True
 
-    def __init__(self):
-        self._seen = 0
-
-    def peek(self, value):
-        self._seen = value
+    def __init__(self, channel):
+        self._channel = channel
 
     def fresh_state(self, n, rng):
         return None
 
     def step(self, incumbent, state, rng):
-        return incumbent.flip(self._seen % incumbent.n)
+        return incumbent.flip(self._channel["value"] % incumbent.n)
 
     def learn(self, outcome, state):
         pass
+
+
+def leaky_oracle(base, channel):
+    """A subclass of oracle class `base` that publishes every value its
+    `submit` returns on `channel`: a fitness leak outside the runner."""
+
+    class LeakyOracle(base):
+        def submit(self, x):
+            channel["value"] = super().submit(x)
+            return channel["value"]
+
+    return LeakyOracle
 
 
 class OverweightStrategy:
@@ -354,10 +363,15 @@ def test_ranking_invariance_random_transforms_all_strategies():
                                              seed=trial)
 
 
-def test_ranking_invariance_detects_peeking():
+def test_ranking_invariance_detects_peeking(monkeypatch):
+    channel = {"value": 0}
+    for name in ("CountingOracle", "MonotoneOracle"):
+        monkeypatch.setattr(framework, name,
+                            leaky_oracle(getattr(framework, name), channel))
     inst = random_instance(16, random.Random(34))
     assert not verify_ranking_invariance(
-        PeekingStrategy, inst, lambda v: 3 * v + 2, seed=3, budget=5000
+        lambda: PeekingStrategy(channel), inst, lambda v: 3 * v + 2, seed=3,
+        budget=5000,
     )
 
 

@@ -256,12 +256,16 @@ def test_cli_run_json_records(tmp_path):
                                "hit_optimum", "budget_exhausted", "per_level"}
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert _run_cli(["run", "--algo", "rls", "--n", "zap", "--reps", "1"]) == 1
     assert _run_cli(["run", "--algo", "rls", "--n", "8", "--reps", "0"]) == 1
     assert _run_cli(["run", "--algo", "rls", "--n", "8", "--reps", "1",
                      "--budget", str(10**10)]) == 1
     assert _run_cli(["phi", "--kmax", "10", "--mmax", "10"]) == 1
+    for extra in (["--n", "0"], ["--n", "0,8"], ["--n", "8", "--budget", "-3"],
+                  ["--n", "8", "--budget", "0"]):
+        assert _run_cli(["run", "--algo", "rls", "--reps", "1"] + extra) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_io_error():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elitist_lo_lab.lo_core import (
+    _WIDE_DELTA,
     EQUAL,
     GREATER,
     INIT_LEVEL,
@@ -17,6 +18,7 @@ from elitist_lo_lab.lo_core import (
     lo_value,
     parse_instance,
     random_instance,
+    set_bits,
     significant_prefix,
 )
 
@@ -110,6 +112,29 @@ def test_oracle_fast_path_at_word_boundaries():
             assert oracle.compare(x, y) == expected
             if fy >= fx:
                 x = y
+    # flip masks on either side of the wide-path threshold, after a first
+    # submit whose translation from the complement of z is wide
+    for n in (96, 130):
+        inst = random_instance(n, rng)
+        oracle = CountingOracle(inst)
+        x = inst.z.flip_mask(sum(1 << i for i in rng.sample(range(n), n // 3)))
+        assert (x.word ^ inst.z.word ^ ((1 << n) - 1)).bit_count() >= _WIDE_DELTA
+        assert oracle.submit(x) == lo_value(inst, x)
+        for width in (_WIDE_DELTA - 1, _WIDE_DELTA) * 15:
+            y = x.flip_mask(sum(1 << i for i in rng.sample(range(n), width)))
+            fx, fy = lo_value(inst, x), lo_value(inst, y)
+            expected = GREATER if fy > fx else LESS if fy < fx else EQUAL
+            assert oracle.compare(x, y) == expected
+            if fy >= fx:
+                x = y
+
+
+def test_set_bits_matches_naive_scan():
+    rng = random.Random(29)
+    masks = [0, 1 << 63, 1 << 64, 1 << 65]
+    masks += [rng.getrandbits(rng.randrange(1, 301)) for _ in range(300)]
+    for mask in masks:
+        assert set_bits(mask) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 # -- random_instance ------------------------------------------------------------
