@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from elitist_lo_lab.harness import ExperimentConfig, cmd_scaling, emit_lines
+from elitist_lo_lab.harness import ExperimentConfig, cmd_scaling, emit
 
 
 STUDIES = {
@@ -36,7 +36,7 @@ def main() -> int:
         config = ExperimentConfig(algo, ns, args.reps or reps, seed=args.seed)
         report = cmd_scaling(config)
         path = outdir / f"scaling_{algo}.csv"
-        emit_lines(report.csv_lines(), str(path))
+        emit(report.csv_lines(), str(path))
         print(f"{algo:7s} alpha={report.alpha:.3f} coeff={report.coeff:.4g} "
               f"r2={report.r_squared:.4f} -> {path}")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -669,19 +669,6 @@ class InductionCell:
     skipped: bool
     reason: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "log2_B": self.log2_B,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "max_r": self.max_r,
-            "argmax_p": self.argmax_p,
-            "skipped": self.skipped,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class InductionReport:
@@ -692,13 +679,9 @@ class InductionReport:
     cells: list[InductionCell] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "p_resolution": self.p_resolution,
-            "pass": self.passed,
-            "max_r": self.max_r,
-            "cells": [c.to_json_dict() for c in self.cells],
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
 
 def verify_induction_step(
@@ -715,6 +698,7 @@ def verify_induction_step(
     m < 2 or log2 B >= 2m are reported as skipped (the closed form is trivial
     or handled separately there).  Every sweep includes both endpoints
     p_min and p_max.  Numeric evidence at the chosen eps, not a proof.
+    A grid with no swept cell raises ValueError rather than pass vacuously.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -722,7 +706,6 @@ def verify_induction_step(
         raise ValueError("p_resolution must be >= 2 to include both endpoints")
     cells: list[InductionCell] = []
     global_max = -math.inf
-    passed = True
     for k in k_grid:
         for m in m_grid:
             if k + m > max_total:
@@ -755,12 +738,13 @@ def verify_induction_step(
                 ))
                 if max_r > global_max:
                     global_max = max_r
-                if max_r > 1.0:
-                    passed = False
+    if all(c.skipped for c in cells):
+        raise ValueError("no cell swept: every grid cell is trivial or has "
+                         f"k+m > max_total={max_total}")
     return InductionReport(
         eps=eps,
         p_resolution=p_resolution,
-        passed=passed,
+        passed=global_max <= 1.0,
         max_r=global_max,
         cells=cells,
     )

@@ -6,16 +6,19 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 verification failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 
 from . import harness
+from .bounds import verify_induction_step
 from .heuristics import STRATEGIES
 
 CLI_BUDGET_CAP = 10 ** 9
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad command-line input; like every ValueError, it exits with code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,24 +36,20 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _experiment_config(args, default_budget=None) -> harness.ExperimentConfig:
-    budget = args.budget if args.budget is not None else default_budget
-    if budget is not None and budget > CLI_BUDGET_CAP:
+def _experiment_config(args) -> harness.ExperimentConfig:
+    if args.budget is not None and args.budget > CLI_BUDGET_CAP:
         raise UsageError(f"budget exceeds the CLI cap {CLI_BUDGET_CAP}")
-    if budget is None:
-        budget = CLI_BUDGET_CAP
-    try:
-        return harness.ExperimentConfig(
-            algo=args.algo,
-            n_values=_parse_n_list(args.n),
-            reps=args.reps,
-            seed=args.seed,
-            budget=budget,
-            out=args.out,
-            fmt=args.format,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return harness.ExperimentConfig(
+        algo=args.algo,
+        n_values=_parse_n_list(args.n),
+        reps=args.reps,
+        seed=args.seed,
+        budget=CLI_BUDGET_CAP if args.budget is None else args.budget,
+    )
+
+
+def _json_lines(obj: dict) -> list[str]:
+    return [json.dumps(obj, indent=2, sort_keys=True)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="elitist LeadingOnes simulation and bound laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p, reps_default):
+    def add_run_flags(p, reps_default, formats=("csv", "json")):
         p.add_argument("--algo", required=True, choices=sorted(STRATEGIES))
         p.add_argument("--n", required=True, help="comma-separated list of sizes")
         p.add_argument("--reps", type=int, default=reps_default)
@@ -66,11 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None,
                        help=f"query budget per run (cap {CLI_BUDGET_CAP})")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=formats, default="csv")
 
     add_run_flags(sub.add_parser("run", help="emit one record per run"), 1)
     add_run_flags(sub.add_parser("scaling", help="fit the scaling exponent"), 200)
-    add_run_flags(sub.add_parser("level-profile", help="per-level query means"), 500)
+    add_run_flags(sub.add_parser("level-profile", help="per-level query means"), 500, ("csv",))
 
     p_phi = sub.add_parser("phi", help="cardinality DP table as CSV")
     p_phi.add_argument("--kmax", type=int, required=True)
@@ -92,64 +91,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
-            config = _experiment_config(args)
-            fh = harness.open_output(config.out)
-            try:
-                harness.write_records(harness.run_experiment(config), fh, config.fmt)
-            finally:
-                if fh is not sys.stdout:
-                    fh.close()
+            records = harness.run_experiment(_experiment_config(args))
+            harness.emit(harness.record_lines(records, args.format), args.out)
         elif args.command == "scaling":
-            config = _experiment_config(args)
-            report = harness.cmd_scaling(config)
-            if config.fmt == "csv":
-                harness.emit_lines(report.csv_lines(), config.out)
+            report = harness.cmd_scaling(_experiment_config(args))
+            if args.format == "csv":
+                harness.emit(report.csv_lines(), args.out)
             else:
-                harness.emit_json(report.to_json_dict(), config.out)
+                harness.emit(_json_lines(dataclasses.asdict(report)), args.out)
         elif args.command == "level-profile":
-            if args.format != "csv":
-                raise UsageError("level-profile output is CSV only")
-            config = _experiment_config(args)
-            rows = harness.cmd_level_profile(config)
-            harness.emit_lines(harness.level_profile_csv_lines(rows), config.out)
+            rows = harness.cmd_level_profile(_experiment_config(args))
+            harness.emit(harness.level_profile_csv_lines(rows), args.out)
         elif args.command == "phi":
-            try:
-                lines = harness.cmd_phi(args.kmax, args.mmax, args.eps)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            harness.emit_lines(lines, args.out)
+            harness.emit(harness.cmd_phi(args.kmax, args.mmax, args.eps), args.out)
         elif args.command == "verify":
-            try:
-                report = harness.cmd_verify(args.eps, args.p_resolution, args.max_total)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            harness.emit_json(report.to_json_dict(), args.out)
+            report = verify_induction_step(p_resolution=args.p_resolution,
+                                           eps=args.eps, max_total=args.max_total)
+            harness.emit(_json_lines(report.to_json_dict()), args.out)
             if not report.passed:
                 print(f"verification FAILED: max R(p) = {report.max_r!r}",
                       file=sys.stderr)
                 return 3
         elif args.command == "game":
-            try:
-                with open(args.spec, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"i/o error: {exc}", file=sys.stderr)
-                return 2
-            try:
-                value = harness.cmd_game(text)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            print(repr(value))
-    except UsageError as exc:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            print(repr(harness.cmd_game(text)))
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

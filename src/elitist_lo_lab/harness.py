@@ -11,23 +11,18 @@ in any order and emit in the same order.
 """
 from __future__ import annotations
 
-import json
+import contextlib
 import math
+import os
 import random
+import shutil
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bounds import (
-    DEFAULT_EPS,
-    InductionReport,
-    LevelGameSolver,
-    PhiSolver,
-    phi_closed_form,
-    verify_induction_step,
-)
+from .bounds import DEFAULT_EPS, LevelGameSolver, PhiSolver, phi_closed_form
 from .framework import RunRecord, run_one_plus_one
 from .heuristics import STRATEGIES, make_strategy
 from .lo_core import random_instance
@@ -58,8 +53,6 @@ class ExperimentConfig:
     reps: int
     seed: int = 0
     budget: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.algo not in STRATEGIES:
@@ -74,8 +67,6 @@ class ExperimentConfig:
             raise ValueError("budget must be >= 1")
         if any(b >= a for a, b in zip(self.n_values[1:], self.n_values)):
             raise ValueError("n values must be strictly increasing")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def run_experiment(config: ExperimentConfig) -> Iterator[RunRecord]:
@@ -112,15 +103,17 @@ def record_csv_line(rec: RunRecord) -> str:
     ))
 
 
-def write_records(records: Iterable[RunRecord], fh: TextIO, fmt: str) -> None:
+def record_lines(records: Iterable[RunRecord], fmt: str) -> Iterator[str]:
+    """Lazily serialize records: the CSV header and one CSV line per record,
+    or one JSON object per record ("json")."""
     if fmt == "csv":
-        fh.write(CSV_HEADER + "\n")
-        fh.write(",".join(RUN_CSV_COLUMNS) + "\n")
+        yield CSV_HEADER
+        yield ",".join(RUN_CSV_COLUMNS)
         for rec in records:
-            fh.write(record_csv_line(rec) + "\n")
+            yield record_csv_line(rec)
     else:
         for rec in records:
-            fh.write(rec.to_json() + "\n")
+            yield rec.to_json()
 
 
 # -- scaling fits ---------------------------------------------------------------
@@ -153,15 +146,6 @@ class ScalingRow:
     stderr: float
     ci95_halfwidth: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "reps": self.reps,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ci95_halfwidth": self.ci95_halfwidth,
-        }
-
 
 @dataclass
 class ScalingReport:
@@ -170,15 +154,6 @@ class ScalingReport:
     alpha: float
     coeff: float
     r_squared: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "alpha": self.alpha,
-            "coeff": self.coeff,
-            "r_squared": self.r_squared,
-        }
 
     def csv_lines(self) -> list[str]:
         lines = [CSV_HEADER, "n,reps,mean_queries,stderr,ci95_halfwidth"]
@@ -192,7 +167,8 @@ def cmd_scaling(config: ExperimentConfig) -> ScalingReport:
     """Aggregate run_experiment output and fit the scaling exponent.
 
     Confidence half-widths use the normal approximation, adequate at the
-    contractual reps >= 50.
+    contractual reps >= 50.  A run that hits the budget raises ValueError:
+    its total is a cut-off, not a runtime, and would bias the fit.
     """
     if len(config.n_values) < 3:
         raise ValueError("scaling needs at least 3 n values")
@@ -200,6 +176,9 @@ def cmd_scaling(config: ExperimentConfig) -> ScalingReport:
         raise ValueError("scaling needs reps >= 50")
     totals: dict[int, list[int]] = {n: [] for n in config.n_values}
     for rec in run_experiment(config):
+        if rec.budget_exhausted:
+            raise ValueError(f"a run at n={rec.n} hit the budget {config.budget}; "
+                             "scaling fits need runs that reach the optimum")
         totals[rec.n].append(rec.total_queries)
     rows = []
     for n in config.n_values:
@@ -283,12 +262,6 @@ def cmd_phi(kmax: int, mmax: int, eps: float = DEFAULT_EPS) -> list[str]:
     return lines
 
 
-def cmd_verify(eps: float = DEFAULT_EPS, p_resolution: int = 4096,
-               max_total: int = 200) -> InductionReport:
-    return verify_induction_step(p_resolution=p_resolution, eps=eps,
-                                 max_total=max_total)
-
-
 def parse_game_spec(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
     """Level-game spec file: `positions=<n'>`, `k=<k>`, then one
     `set=<space-separated 1-based positions>` line per family member."""
@@ -325,27 +298,33 @@ def cmd_game(spec_text: str) -> float:
 # -- output plumbing -------------------------------------------------------------
 
 
-def open_output(path: str | None) -> TextIO:
+def emit(lines: Iterable[str], path: str | None) -> None:
+    """Write each line plus a newline to stdout (path None or "-") or to path.
+
+    A regular or absent file is written to `<path>.partial`, then renamed
+    over `path` (keeping its mode and any symlink to it), so a failed
+    command leaves no half-written file and an earlier one untouched.
+    Devices, FIFOs, `/dev/stdout`-style paths and directories are opened in
+    place, as a plain `open` would.  The file is opened before `lines` is
+    consumed, so a bad path fails before a lazy producer runs.
+    """
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def emit_lines(lines: Iterable[str], path: str | None) -> None:
-    fh = open_output(path)
+        sys.stdout.writelines(line + "\n" for line in lines)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        return
+    path = os.path.realpath(path)
+    tmp = path + ".partial"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        for line in lines:
-            fh.write(line + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
-def emit_json(obj: dict, path: str | None) -> None:
-    fh = open_output(path)
-    try:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+        with fh:
+            fh.writelines(line + "\n" for line in lines)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -1,9 +1,13 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from elitist_lo_lab import harness
 from elitist_lo_lab.cli import main as cli_main
 from elitist_lo_lab.harness import (
     CSV_HEADER,
@@ -102,8 +106,6 @@ def test_config_validation():
         ExperimentConfig("rls", [8], reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig("spoon", [8], reps=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig("rls", [8], reps=1, fmt="xml")
 
 
 # -- scaling -------------------------------------------------------------------------
@@ -149,6 +151,9 @@ def test_cmd_scaling_validation():
         cmd_scaling(ExperimentConfig("rls", [8, 16], reps=60, seed=1))
     with pytest.raises(ValueError):
         cmd_scaling(ExperimentConfig("rls", [8, 16, 32], reps=10, seed=1))
+    # runs cut off by the budget would bias the fit
+    with pytest.raises(ValueError):
+        cmd_scaling(ExperimentConfig("rls", [8, 16, 32], reps=50, budget=20))
 
 
 def test_scaling_means_recomputable_from_run_stream():
@@ -263,8 +268,11 @@ def test_cli_usage_errors(tmp_path, capsys):
                      "--budget", str(10**10)]) == 1
     assert _run_cli(["phi", "--kmax", "10", "--mmax", "10"]) == 1
     for extra in (["--n", "0"], ["--n", "0,8"], ["--n", "8", "--budget", "-3"],
-                  ["--n", "8", "--budget", "0"]):
+                  ["--n", "8", "--budget", "0"], ["--n", "8", "--format", "xml"]):
         assert _run_cli(["run", "--algo", "rls", "--reps", "1"] + extra) == 1
+    assert _run_cli(["verify", "--max-total", "1"]) == 1
+    assert _run_cli(["level-profile", "--algo", "rls", "--n", "16",
+                     "--format", "json"]) == 1
     assert capsys.readouterr().out == ""
 
 
@@ -272,6 +280,74 @@ def test_cli_io_error():
     code = _run_cli(["run", "--algo", "rls", "--n", "8", "--reps", "1",
                      "--out", "/nonexistent-dir/x.csv"])
     assert code == 2
+
+
+def test_cli_failed_run_keeps_previous_output(tmp_path, monkeypatch):
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"previous contents\n")
+    real = harness.run_one_plus_one
+    calls = []
+
+    def failing_third_run(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_one_plus_one", failing_third_run)
+    with pytest.raises(RuntimeError):
+        _run_cli(["run", "--algo", "rls", "--n", "8", "--reps", "5",
+                  "--out", str(out)])
+    assert out.read_bytes() == b"previous contents\n"
+    assert os.listdir(tmp_path) == ["r.csv"]
+
+
+def test_cli_overwrite_keeps_file_mode_and_symlink(tmp_path):
+    target = tmp_path / "r.csv"
+    target.write_text("previous contents\n")
+    target.chmod(0o600)
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    assert _run_cli(["run", "--algo", "rls", "--n", "8", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith(CSV_HEADER + "\n")
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_cli_writes_fifo_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code = _run_cli(["run", "--algo", "rls", "--n", "8", "--out", str(fifo)])
+    reader.join(timeout=30)
+    assert code == 0
+    assert received[0].decode().startswith(CSV_HEADER + "\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["out.fifo"]
+
+
+def test_cli_directory_out_fails_before_any_run(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_one_plus_one",
+                        lambda *args, **kwargs: calls.append(None))
+    assert _run_cli(["run", "--algo", "rls", "--n", "8",
+                     "--out", str(tmp_path)]) == 2
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_existing_partial_file_is_not_clobbered(tmp_path):
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"previous contents\n")
+    partial = tmp_path / "r.csv.partial"
+    partial.write_bytes(b"user data\n")
+    assert _run_cli(["run", "--algo", "rls", "--n", "8",
+                     "--out", str(out)]) == 2
+    assert out.read_bytes() == b"previous contents\n"
+    assert partial.read_bytes() == b"user data\n"
 
 
 def test_cli_game(tmp_path, capsys):
@@ -290,8 +366,11 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert report["pass"] is True
     assert report["max_r"] <= 1.0
     assert {"k", "m", "log2_B", "max_r", "argmax_p", "skipped"} <= set(report["cells"][0])
+    bad = tmp_path / "bad.json"
     assert _run_cli(["verify", "--eps", "1.0", "--p-resolution", "256",
-                     "--max-total", "60", "--out", str(tmp_path / "bad.json")]) == 3
+                     "--max-total", "60", "--out", str(bad)]) == 3
+    # a failed verification is a complete report, not a failed write
+    assert json.loads(bad.read_text())["pass"] is False
 
 
 def test_cli_entry_point_installed():

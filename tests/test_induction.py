@@ -109,4 +109,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         verify_induction_step(p_resolution=1)
     with pytest.raises(ValueError):
+        verify_induction_step(max_total=1)  # no cell swept
+    with pytest.raises(ValueError):
         induction_r_values(1, 1, 0.5, np.array([0.5]), 0.1)
