@@ -599,8 +599,8 @@ def phi_closed_form(k: int, m: int, B: float, eps: float) -> float:
         raise ValueError("need k >= 0 and m >= 1")
     if B < 1:
         raise ValueError("B must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     return eps * (k + m) * (1.0 - math.log2(B) / (2.0 * m))
 
 
@@ -700,8 +700,8 @@ def verify_induction_step(
     p_min and p_max.  Numeric evidence at the chosen eps, not a proof.
     A grid with no swept cell raises ValueError rather than pass vacuously.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     if p_resolution < 2:
         raise ValueError("p_resolution must be >= 2 to include both endpoints")
     cells: list[InductionCell] = []
@@ -736,7 +736,8 @@ def verify_induction_step(
                 cells.append(InductionCell(
                     k, m, log2_B, p_min, p_max, max_r, float(p[idx]), skipped=False,
                 ))
-                if max_r > global_max:
+                # argmax returns the first NaN, which then fails the sweep
+                if max_r > global_max or math.isnan(max_r):
                     global_max = max_r
     if all(c.skipped for c in cells):
         raise ValueError("no cell swept: every grid cell is trivial or has "

@@ -204,7 +204,8 @@ class LevelProfileRow:
 def cmd_level_profile(config: ExperimentConfig) -> list[LevelProfileRow]:
     """Mean queries charged per visited level plus visit frequencies, for a
     single algorithm at a single n.  Level -1 is the initial-sample
-    pseudo-level (visited once per run by construction)."""
+    pseudo-level (visited once per run by construction).  A run that hits
+    the budget raises ValueError, as in `cmd_scaling`."""
     if len(config.n_values) != 1:
         raise ValueError("level profile needs exactly one n value")
     if config.reps < 100:
@@ -212,6 +213,9 @@ def cmd_level_profile(config: ExperimentConfig) -> list[LevelProfileRow]:
     visits: dict[int, int] = {}
     sums: dict[int, int] = {}
     for rec in run_experiment(config):
+        if rec.budget_exhausted:
+            raise ValueError(f"a run at n={rec.n} hit the budget {config.budget}; "
+                             "level profiles need runs that reach the optimum")
         for level, count in rec.per_level:
             visits[level] = visits.get(level, 0) + 1
             sums[level] = sums.get(level, 0) + count

@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from .framework import run_one_plus_one, RunRecord
-from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering, set_bits
+from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering
 
 
 def rls_step(x: BitString, rng: random.Random) -> BitString:
@@ -94,17 +92,18 @@ class MemlogState:
 
 
 def lowest_set_bits(mask: int, count: int) -> int:
-    """Mask of the `count` lowest set bits of mask (all of them if fewer)."""
-    if mask.bit_count() >= 64:
-        nbytes = (mask.bit_length() + 7) // 8
-        raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        keep = bits & (np.cumsum(bits) <= count)
-        return int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little")
-    out = 0
-    for pos in set_bits(mask)[:count]:
-        out |= 1 << pos
-    return out
+    """Mask of the `count` lowest set bits of mask (all of them if fewer).
+
+    Bisects for the narrowest low window of mask holding `count` set bits.
+    """
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
 
 
 def candidate_positions(state: MemlogState) -> list[int]:

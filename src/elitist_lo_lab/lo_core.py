@@ -7,14 +7,11 @@ reported position list is 1-based.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
-
-# flip masks at least this wide take the vectorized path
-_WIDE_DELTA = 48
+from itertools import accumulate
 
 
 def set_bits(mask: int) -> list[int]:
@@ -30,11 +27,6 @@ def set_bits(mask: int) -> list[int]:
         mask >>= 64
         base += 64
     return out
-
-
-def trailing_ones(word: int) -> int:
-    """Number of trailing one bits of a non-negative int."""
-    return ((word + 1) & ~word).bit_length() - 1
 
 
 class Ordering(IntEnum):
@@ -233,14 +225,17 @@ class CountingOracle:
         time; the very first query is charged to INIT_LEVEL, and the query
         that enters a new level is charged to the level being left.
 
-    Fitness is evaluated through one primitive, `_translate`: a point's
-    agreement word has bit j set iff the point agrees with z at sigma[j],
-    so fitness is the number of trailing ones, and flipping the positions
-    in a mask XORs their significance ranks into the word.  The oracle keeps
-    the agreement words of the incumbent and of the last offspring, so a
-    query costs one translation by its flip mask.  `_translate` picks its
-    method from the mask weight alone: a Python loop over the set bits below
-    `_WIDE_DELTA` bits, a numpy gather by sigma from there on.
+    Fitness is read off prefix masks: `_prefix[k]` has the positions
+    sigma[:k] set, so f(x) >= k iff (x ^ z) & _prefix[k] is 0, and f(x) is
+    found by bisection on k, one AND per step.  `compare` needs at most two
+    ANDs to decide its outcome from f(x): y is LESS when it breaks the
+    prefix of length f(x), EQUAL when it keeps it but not the next one, and
+    GREATER otherwise, and only then is f(y) bisected on [f(x)+1, n].  A
+    LESS outcome leaves every counter as it is without f(y), because
+    f(y) < f(x) <= best_fitness_seen once x has been charged; for an x never
+    charged, f(y) is bisected on [0, f(x)-1] as well.  The oracle keeps the
+    (word, fitness) pairs of the incumbent and of the last EQUAL or GREATER
+    offspring, so an accepted offspring is never evaluated twice.
 
     Owned by exactly one run at a time; concurrent runs need disjoint oracles.
     """
@@ -252,38 +247,32 @@ class CountingOracle:
         self.per_level_counts: dict[int, int] = {}
         self.optimum_found = False
         self.queries: list[BitString] | None = [] if record_queries else None
-        self._rank_of = invert_permutation(instance.sigma)
-        self._sigma = np.array(instance.sigma, dtype=np.intp)
-        self._nbytes = (instance.n + 7) // 8
-        # the complement of z agrees with z nowhere: its agreement word is 0
-        self._last_word = instance.z.word ^ ((1 << instance.n) - 1)
-        self._last_norm = 0
-        # the last offspring compared, accepted or not
-        self._offspring = (None, 0)
+        self._z = instance.z.word
+        self._prefix = list(accumulate((1 << pos for pos in instance.sigma),
+                                       operator.or_, initial=0))
+        self._incumbent = self._offspring = (None, 0)
 
-    def _translate(self, norm: int, delta: int) -> int:
-        """XOR the significance-rank image of flip mask delta into norm."""
-        if delta.bit_count() < _WIDE_DELTA:
-            rank_of = self._rank_of
-            for pos in set_bits(delta):
-                norm ^= 1 << rank_of[pos]
-            return norm
-        raw = np.frombuffer(delta.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little", count=self.instance.n)
-        ranked = np.packbits(bits[self._sigma], bitorder="little")
-        return norm ^ int.from_bytes(ranked.tobytes(), "little")
-
-    def _normalize(self, word: int) -> int:
-        """Agreement word of the point `word`: the last offspring's when it
-        is that point, else translated from the last materialized point."""
-        if word != self._last_word:
-            offspring_word, offspring_norm = self._offspring
-            if word == offspring_word:
-                self._last_norm = offspring_norm
+    def _bisect(self, diff: int, lo: int, hi: int) -> int:
+        """Fitness of the point z ^ diff, known to lie in [lo, hi]."""
+        prefix = self._prefix
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if diff & prefix[mid]:
+                hi = mid - 1
             else:
-                self._last_norm = self._translate(self._last_norm, word ^ self._last_word)
-            self._last_word = word
-        return self._last_norm
+                lo = mid
+        return lo
+
+    def _fitness(self, word: int) -> int:
+        """Fitness of the point `word`, from the two cached points if it is
+        one of them; the result becomes the cached incumbent."""
+        cached_word, f = self._incumbent
+        if word != cached_word:
+            cached_word, f = self._offspring
+            if word != cached_word:
+                f = self._bisect(word ^ self._z, 0, self.instance.n)
+            self._incumbent = (word, f)
+        return f
 
     def _count(self, x: BitString, f: int) -> None:
         """Charge one query with known fitness f: update all counters."""
@@ -309,30 +298,37 @@ class CountingOracle:
         """
         if x.n != self.instance.n:
             raise ValueError(f"point has length {x.n}, instance has n={self.instance.n}")
-        f = trailing_ones(self._normalize(x.word))
+        f = self._fitness(x.word)
         self._count(x, f)
         return f
 
     def compare(self, x: BitString, y: BitString) -> Ordering:
         """Three-way order of f(y) versus f(x), charging one query for y.
 
-        x must be the incumbent whose fitness was already charged.  Never
-        exposes a numeric fitness to the caller.
+        x is normally the incumbent, whose fitness was already charged; any
+        other x costs one more bisection.  Never exposes a numeric fitness to
+        the caller.
         """
         n = self.instance.n
         if x.n != n or y.n != n:
             raise ValueError("dimension mismatch in compare")
-        norm_x = self._normalize(x.word)
-        fx = trailing_ones(norm_x)
-        norm_y = self._translate(norm_x, x.word ^ y.word)
-        self._offspring = (y.word, norm_y)
-        fy = trailing_ones(norm_y)
-        self._count(y, fy)
-        if fy < fx:
+        fx = self._fitness(x.word)
+        diff = y.word ^ self._z
+        prefix = self._prefix
+        if diff & prefix[fx]:
+            best = self.best_fitness_seen
+            if best is None or best < fx:  # x was never charged
+                self._count(y, self._bisect(diff, 0, fx - 1))
+            else:  # f(y) < fx <= best: fx - 1 moves the same counters
+                self._count(y, fx - 1)
             return LESS
-        if fy > fx:
-            return GREATER
-        return EQUAL
+        if fx == n or diff & prefix[fx + 1]:
+            fy, outcome = fx, EQUAL
+        else:
+            fy, outcome = self._bisect(diff, fx + 1, n), GREATER
+        self._offspring = (y.word, fy)
+        self._count(y, fy)
+        return outcome
 
 
 # -- instance text format ----------------------------------------------------

@@ -162,5 +162,6 @@ def test_phi_closed_form_validation():
         phi_closed_form(1, 0, 1.0, 0.5)
     with pytest.raises(ValueError):
         phi_closed_form(1, 1, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        phi_closed_form(1, 1, 1.0, 0.0)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            phi_closed_form(1, 1, 1.0, eps)

@@ -154,6 +154,9 @@ def test_cmd_scaling_validation():
     # runs cut off by the budget would bias the fit
     with pytest.raises(ValueError):
         cmd_scaling(ExperimentConfig("rls", [8, 16, 32], reps=50, budget=20))
+    # and the level profile: at budget 20 some n=16 runs never leave level 0
+    with pytest.raises(ValueError):
+        cmd_level_profile(ExperimentConfig("rls", [16], reps=100, budget=20))
 
 
 def test_scaling_means_recomputable_from_run_stream():
@@ -273,6 +276,13 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert _run_cli(["verify", "--max-total", "1"]) == 1
     assert _run_cli(["level-profile", "--algo", "rls", "--n", "16",
                      "--format", "json"]) == 1
+    assert _run_cli(["level-profile", "--algo", "rls", "--n", "16", "--reps", "100",
+                     "--budget", "20", "--out", str(tmp_path / "lp.csv")]) == 1
+    for argv in (["verify", "--eps", "nan"], ["verify", "--eps", "inf"],
+                 ["phi", "--kmax", "2", "--mmax", "2", "--eps", "nan"]):
+        assert _run_cli(argv + ["--out", str(tmp_path / "bad.out")]) == 1
+        assert _run_cli(argv) == 1
+    assert os.listdir(tmp_path) == []
     assert capsys.readouterr().out == ""
 
 

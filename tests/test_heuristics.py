@@ -286,13 +286,20 @@ def test_memlog_state_packing_within_budget():
             assert len(packed) * 8 <= budget_bits + 7
 
 
-def test_lowest_set_bits_both_paths():
+def test_lowest_set_bits_matches_naive_scan():
     rng = random.Random(3)
+    cases = [(0, 0), (0, 3), (rng.getrandbits(50), 0), ((1 << 4096) - 1, 0)]
     for _ in range(500):
         n = rng.randrange(1, 160)
-        mask = rng.getrandbits(n)
-        count = rng.randrange(0, n + 2)
-        positions = [i for i in range(n) if (mask >> i) & 1]
+        cases.append((rng.getrandbits(n), rng.randrange(0, n + 2)))
+    for n in (64, 65, 200, 1024, 4096):
+        # masks with at least 64 set bits
+        mask = rng.getrandbits(n) | sum(1 << i for i in rng.sample(range(n), 64))
+        total = mask.bit_count()
+        cases += [(mask, 0), (mask, 1), (mask, 63), (mask, 64), (mask, total // 2),
+                  (mask, total), (mask, total + 1), (mask, rng.randrange(total + 1))]
+    for mask, count in cases:
+        positions = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
         want = sum(1 << i for i in positions[:count])
         assert lowest_set_bits(mask, count) == want
 

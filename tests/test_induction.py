@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from elitist_lo_lab import bounds
 from elitist_lo_lab.bounds import (
     DEFAULT_EPS,
     induction_r_values,
@@ -79,6 +80,27 @@ def test_large_eps_fails():
     assert report.max_r > 1.0
 
 
+def test_nan_cell_fails_the_sweep(monkeypatch):
+    real = bounds.induction_r_values
+
+    def nan_inside_k3(k, m, log2_B, p, eps):
+        r = real(k, m, log2_B, p, eps)
+        if k == 3:
+            r[len(r) // 2] = math.nan
+        return r
+
+    monkeypatch.setattr(bounds, "induction_r_values", nan_inside_k3)
+    report = verify_induction_step(k_grid=(0, 3, 5), m_grid=(4,),
+                                   logb_fractions=(0.25,), p_resolution=64)
+    assert not report.passed and math.isnan(report.max_r)
+    monkeypatch.undo()
+    # R overflows to NaN at a finite but huge eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_induction_step(k_grid=(0, 3), m_grid=(4,),
+                                       logb_fractions=(0.25,), p_resolution=64, eps=1e308)
+    assert not report.passed
+
+
 def test_trivial_cells_are_skipped():
     report = verify_induction_step(
         k_grid=(2,), m_grid=(1, 3), logb_fractions=(0.0, 1.0), p_resolution=16,
@@ -104,8 +126,9 @@ def test_default_eps_is_proof_safe():
 
 
 def test_argument_validation():
-    with pytest.raises(ValueError):
-        verify_induction_step(eps=0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify_induction_step(eps=eps)
     with pytest.raises(ValueError):
         verify_induction_step(p_resolution=1)
     with pytest.raises(ValueError):

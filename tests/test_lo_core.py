@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elitist_lo_lab.lo_core import (
-    _WIDE_DELTA,
     EQUAL,
     GREATER,
     INIT_LEVEL,
@@ -26,6 +25,34 @@ from elitist_lo_lab.lo_core import (
 def make_instance(z: str, sigma_1based) -> LoInstance:
     return LoInstance(len(z), BitString.from_str(z),
                       tuple(p - 1 for p in sigma_1based))
+
+
+def expected_order(inst: LoInstance, x: BitString, y: BitString):
+    fx, fy = lo_value(inst, x), lo_value(inst, y)
+    return GREATER if fy > fx else LESS if fy < fx else EQUAL
+
+
+class ReferenceCounters:
+    """The oracle's counters recomputed from lo_value of each charged point."""
+
+    def __init__(self, inst: LoInstance):
+        self.inst = inst
+        self.best = None
+        self.per_level: dict[int, int] = {}
+        self.optimum = False
+
+    def charge(self, point: BitString) -> None:
+        f = lo_value(self.inst, point)
+        level = INIT_LEVEL if self.best is None else self.best
+        self.per_level[level] = self.per_level.get(level, 0) + 1
+        self.best = f if self.best is None else max(self.best, f)
+        self.optimum = self.optimum or f == self.inst.n
+
+    def assert_matches(self, oracle: CountingOracle) -> None:
+        assert oracle.best_fitness_seen == self.best
+        assert oracle.per_level_counts == self.per_level
+        assert oracle.optimum_found == self.optimum
+        assert oracle.query_count == sum(self.per_level.values())
 
 
 # -- lo_value -------------------------------------------------------------------
@@ -95,7 +122,7 @@ def test_lo_value_prefix_agreement_exhaustive_n4():
 
 
 def test_oracle_fast_path_at_word_boundaries():
-    # widths around the 64-bit chunking and the vectorized-path threshold
+    # widths around the 64-bit digit boundaries of the prefix masks
     rng = random.Random(19)
     for n in (47, 48, 49, 63, 64, 65, 127, 128, 129):
         inst = random_instance(n, rng)
@@ -112,21 +139,69 @@ def test_oracle_fast_path_at_word_boundaries():
             assert oracle.compare(x, y) == expected
             if fy >= fx:
                 x = y
-    # flip masks on either side of the wide-path threshold, after a first
-    # submit whose translation from the complement of z is wide
+    # flip masks of 47 and 48 bits, after a first submit far from the
+    # complement of z
     for n in (96, 130):
         inst = random_instance(n, rng)
         oracle = CountingOracle(inst)
         x = inst.z.flip_mask(sum(1 << i for i in rng.sample(range(n), n // 3)))
-        assert (x.word ^ inst.z.word ^ ((1 << n) - 1)).bit_count() >= _WIDE_DELTA
+        assert (x.word ^ inst.z.word ^ ((1 << n) - 1)).bit_count() >= 48
         assert oracle.submit(x) == lo_value(inst, x)
-        for width in (_WIDE_DELTA - 1, _WIDE_DELTA) * 15:
+        for width in (47, 48) * 15:
             y = x.flip_mask(sum(1 << i for i in rng.sample(range(n), width)))
             fx, fy = lo_value(inst, x), lo_value(inst, y)
             expected = GREATER if fy > fx else LESS if fy < fx else EQUAL
             assert oracle.compare(x, y) == expected
             if fy >= fx:
                 x = y
+
+
+def test_oracle_incumbent_at_optimum():
+    rng = random.Random(37)
+    for n in (1, 2, 5, 64, 200):
+        inst = random_instance(n, rng)
+        oracle = CountingOracle(inst)
+        ref = ReferenceCounters(inst)
+        assert oracle.submit(inst.z) == n
+        ref.charge(inst.z)
+        offspring = [inst.z] + [inst.z.flip(i) for i in rng.sample(range(n), min(n, 8))]
+        for y in offspring:
+            assert oracle.compare(inst.z, y) == (EQUAL if y == inst.z else LESS)
+            ref.charge(y)
+            ref.assert_matches(oracle)
+
+
+def test_oracle_n1():
+    for z in ("0", "1"):
+        inst = make_instance(z, (1,))
+        other = BitString.from_str("1" if z == "0" else "0")
+        oracle = CountingOracle(inst)
+        assert oracle.submit(other) == 0
+        assert oracle.compare(other, other) == EQUAL
+        assert not oracle.optimum_found
+        assert oracle.compare(other, inst.z) == GREATER
+        assert oracle.compare(inst.z, other) == LESS
+        assert oracle.compare(inst.z, inst.z) == EQUAL
+        assert oracle.submit(inst.z) == 1
+        assert oracle.best_fitness_seen == 1 and oracle.optimum_found
+        assert oracle.per_level_counts == {INIT_LEVEL: 1, 0: 2, 1: 3}
+
+
+def test_oracle_compare_on_uncharged_point():
+    rng = random.Random(41)
+    for n in (1, 3, 16, 70, 300):
+        for _ in range(20):
+            inst = random_instance(n, rng)
+            oracle = CountingOracle(inst)
+            ref = ReferenceCounters(inst)
+            for _ in range(4):
+                # neither x nor y has been submitted, nor compared as y
+                x, y = BitString.random(n, rng), BitString.random(n, rng)
+                if rng.random() < 0.5:
+                    y = x.flip(rng.randrange(n))
+                assert oracle.compare(x, y) == expected_order(inst, x, y)
+                ref.charge(y)
+                ref.assert_matches(oracle)
 
 
 def test_set_bits_matches_naive_scan():
@@ -249,13 +324,18 @@ def test_oracle_fast_path_matches_direct_scan(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     inst = random_instance(n, rng)
     oracle = CountingOracle(inst)
+    ref = ReferenceCounters(inst)
     x = BitString.random(n, rng)
     oracle.submit(x)
+    ref.charge(x)
+    ref.assert_matches(oracle)
     for _ in range(12):
         y = BitString(n, data.draw(st.integers(0, 2**n - 1)))
         fx, fy = lo_value(inst, x), lo_value(inst, y)
         expected = GREATER if fy > fx else LESS if fy < fx else EQUAL
         assert oracle.compare(x, y) == expected
+        ref.charge(y)
+        ref.assert_matches(oracle)
         if fy >= fx:
             x = y
     assert oracle.query_count == sum(oracle.per_level_counts.values())
