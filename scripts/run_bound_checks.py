@@ -24,8 +24,8 @@ from elitist_lo_lab.bounds import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-total", type=int, default=6,
-                        help="largest k+m for the dominance sweep (<= 6)")
+    parser.add_argument("--max-total", type=int, default=6, choices=range(2, 7),
+                        help="largest k+m for the dominance sweep")
     args = parser.parse_args()
 
     phi = PhiSolver()

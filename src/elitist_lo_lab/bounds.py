@@ -425,16 +425,22 @@ class LevelGameSolver:
     fitness iff q in P, leaves the level iff q = b*, and reveals q
     insignificant otherwise; the candidate family is filtered accordingly.
 
-    Memoization keys states by a canonical form: positions are relabeled by
-    an isomorphism-invariant signature, with ties broken by minimizing over
-    the within-group relabelings, so isomorphic states share one entry.
-    A solver instance is confined to one thread.
+    The memo is keyed by the raw state (u, sorted masks), so isomorphic
+    states get separate entries; they also get bitwise equal values, since a
+    state's value depends only on its isomorphism class: each cost is built
+    by the same float operations from the values of isomorphic children, and
+    `min` does not depend on the order of the positions.  A solver instance
+    is confined to one thread.
     """
 
     MAX_POSITIONS = 7
 
     def __init__(self):
-        self._canon_memo: dict = {}
+        self._memo: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    @property
+    def memo_states(self) -> int:
+        return len(self._memo)
 
     def value(self, n_positions: int, k: int, family: Iterable) -> float:
         if n_positions > self.MAX_POSITIONS:
@@ -461,8 +467,8 @@ class LevelGameSolver:
 
     # masks are over positions 0..u-1; duplicates encode posterior multiplicity
     def _value(self, u: int, masks: tuple[int, ...]) -> float:
-        key = self._canonical_key(u, masks)
-        cached = self._canon_memo.get(key)
+        key = (u, masks)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         C = len(masks)
@@ -484,7 +490,7 @@ class LevelGameSolver:
                 cost += p_eq * self._value(u - 1, self._reduce(keeps, q))
             if cost < best:
                 best = cost
-        self._canon_memo[key] = best
+        self._memo[key] = best
         return best
 
     @staticmethod
@@ -492,52 +498,6 @@ class LevelGameSolver:
         """Remove position q and close the index gap."""
         low = (1 << q) - 1
         return tuple(sorted((m & low) | ((m >> 1) & ~low) for m in masks))
-
-    @staticmethod
-    def _canonical_key(u: int, masks: tuple[int, ...]):
-        if u <= 1:
-            return (u, masks)
-        # one bit list per mask, reused by every candidate relabeling below
-        bit_lists = [set_bits(P) for P in masks]
-        deg = [0] * u
-        for bits in bit_lists:
-            for q in bits:
-                deg[q] += 1
-        members: list[list[int]] = [[] for _ in range(u)]
-        for bits in bit_lists:
-            for qq in bits:
-                members[qq].append(tuple(sorted(deg[r] for r in bits if r != qq)))
-        sig = [(deg[q], tuple(sorted(members[q]))) for q in range(u)]
-        # group positions by signature; candidate relabelings permute only
-        # within groups, which preserves canonicity since signatures are
-        # isomorphism-invariant
-        groups: dict = {}
-        for q in range(u):
-            groups.setdefault(sig[q], []).append(q)
-        ordered_groups = [groups[s] for s in sorted(groups)]
-        new_index_base = []
-        start = 0
-        for g in ordered_groups:
-            new_index_base.append(start)
-            start += len(g)
-        best = None
-        for perm_parts in itertools.product(
-            *(itertools.permutations(g) for g in ordered_groups)
-        ):
-            relabel = [0] * u
-            for base, part in zip(new_index_base, perm_parts):
-                for offset, old in enumerate(part):
-                    relabel[old] = base + offset
-            enc = []
-            for bits in bit_lists:
-                out = 0
-                for q in bits:
-                    out |= 1 << relabel[q]
-                enc.append(out)
-            enc_t = tuple(sorted(enc))
-            if best is None or enc_t < best:
-                best = enc_t
-        return (u, best)
 
 
 def exact_level_game(n_positions: int, k: int, family: Iterable) -> float:
@@ -550,9 +510,11 @@ def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], 
     per position-relabeling orbit.
 
     Family space is encoded as bitmasks over the lexicographic list of
-    k-subsets; a family is a representative iff it is the minimum of its
-    orbit under the induced action of S_n.  Vectorized over the whole family
-    space, which keeps the 2^20 families of the (3, 3) case tractable.
+    k-subsets; a family w is a representative iff it is the minimum of its
+    orbit under the induced action of S_n, that is iff g(w) >= w for every
+    induced map g.  The candidates start as the whole family space and each
+    map keeps only those it does not lower, so the 2^20 families of the
+    (3, 3) case cost a few full-array passes instead of one per map.
     """
     sets = list(itertools.combinations(range(n_positions), k))
     ns = len(sets)
@@ -569,11 +531,9 @@ def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], 
             seen.add(mapping)
             induced.append(mapping)
 
-    total = 1 << ns
     lo_bits = ns // 2
     lo_mask = (1 << lo_bits) - 1
-    all_masks = np.arange(total, dtype=np.uint32)
-    orbit_min = all_masks.copy()
+    cand = np.arange(1 << ns, dtype=np.uint32)
     for mapping in induced:
         # table[w] is the image of the half-mask w, built by doubling: the
         # entries with the next source bit set are the old ones plus its target
@@ -584,24 +544,26 @@ def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], 
                 table = np.concatenate((table, table | (1 << target)))
             tables.append(table)
         t_lo, t_hi = tables
-        transformed = t_lo[all_masks & lo_mask] | t_hi[all_masks >> lo_bits]
-        np.minimum(orbit_min, transformed, out=orbit_min)
-    reps = np.nonzero(orbit_min == all_masks)[0]
-    return [tuple(sets[i] for i in set_bits(fm)) for fm in reps.tolist() if fm]
+        cand = cand[(t_lo[cand & lo_mask] | t_hi[cand >> lo_bits]) >= cand]
+    return [tuple(sets[i] for i in set_bits(fm)) for fm in cand.tolist() if fm]
 
 
 # -- closed-form bound and the induction-step sweep ----------------------------
 
 
 def phi_closed_form(k: int, m: int, B: float, eps: float) -> float:
-    """eps * (k+m) * (1 - log2(B) / (2m)); may be negative."""
+    """eps * (k+m) * (1 - log2(B) / (2m)); may be negative.  Raises
+    ValueError when the value overflows, as it does for a huge eps."""
     if k < 0 or m < 1:
         raise ValueError("need k >= 0 and m >= 1")
     if B < 1:
         raise ValueError("B must be >= 1")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
-    return eps * (k + m) * (1.0 - math.log2(B) / (2.0 * m))
+    value = eps * (k + m) * (1.0 - math.log2(B) / (2.0 * m))
+    if not math.isfinite(value):
+        raise ValueError(f"closed form overflows at eps={eps!r}")
+    return value
 
 
 # The default eps used by the sweep; the induction argument constrains
@@ -730,7 +692,9 @@ def verify_induction_step(
                     ))
                     continue
                 p = np.linspace(p_min, p_max, p_resolution)
-                r = induction_r_values(k, m, log2_B, p, eps)
+                # a huge eps overflows R to inf/NaN, which fails the cell below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r = induction_r_values(k, m, log2_B, p, eps)
                 idx = int(np.argmax(r))
                 max_r = float(r[idx])
                 cells.append(InductionCell(

@@ -118,7 +118,9 @@ def main(argv=None) -> int:
         elif args.command == "game":
             with open(args.spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            print(repr(harness.cmd_game(text)))
+            value, states = harness.cmd_game(text)
+            print(repr(value))
+            print(f"game: {states} memo states", file=sys.stderr)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

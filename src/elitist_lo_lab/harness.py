@@ -294,9 +294,11 @@ def parse_game_spec(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
     return positions, k, family
 
 
-def cmd_game(spec_text: str) -> float:
+def cmd_game(spec_text: str) -> tuple[float, int]:
+    """The game value of a spec and the number of states the solver memoized."""
     positions, k, family = parse_game_spec(spec_text)
-    return LevelGameSolver().value(positions, k, family)
+    solver = LevelGameSolver()
+    return solver.value(positions, k, family), solver.memo_states
 
 
 # -- output plumbing -------------------------------------------------------------

@@ -27,7 +27,15 @@ def test_game_two_candidates_one_each():
     assert exact_level_game(2, 1, [(0,), (1,)]) == 1.5
 
 
+def _relabeled(fam, rng, n_pos):
+    perm = list(range(n_pos))
+    rng.shuffle(perm)
+    return [tuple(sorted(perm[p] for p in s)) for s in fam]
+
+
 def test_game_value_invariant_under_relabeling():
+    # the memo is keyed by raw states, so a relabeled family is solved on its
+    # own states, and the values must agree bit for bit
     rng = random.Random(4)
     solver = LevelGameSolver()
     for _ in range(30):
@@ -35,12 +43,13 @@ def test_game_value_invariant_under_relabeling():
         k = rng.randrange(1, n_pos)
         all_sets = list(itertools.combinations(range(n_pos), k))
         fam = rng.sample(all_sets, rng.randrange(1, min(len(all_sets), 6) + 1))
-        perm = list(range(n_pos))
-        rng.shuffle(perm)
-        fam2 = [tuple(sorted(perm[p] for p in s)) for s in fam]
-        assert solver.value(n_pos, k, fam) == pytest.approx(
-            solver.value(n_pos, k, fam2), abs=1e-12
-        )
+        fam2 = _relabeled(fam, rng, n_pos)
+        assert solver.value(n_pos, k, fam) == solver.value(n_pos, k, fam2)
+    # at the position guard, each with a fresh solver so no memo entry is shared
+    fam = rng.sample(list(itertools.combinations(range(7), 3)), 6)
+    fam2 = _relabeled(fam, rng, 7)
+    assert sorted(fam2) != sorted(fam)
+    assert LevelGameSolver().value(7, 3, fam) == LevelGameSolver().value(7, 3, fam2)
 
 
 def test_game_guards():
@@ -119,7 +128,7 @@ def _brute_game_value(n_pos: int, secrets: frozenset, tested: frozenset,
 
 def test_game_matches_independent_brute_force():
     # enumerate every family for three and four positions and compare the
-    # reduced, canonicalized solver against the direct posterior recursion
+    # reduced, memoized solver against the direct posterior recursion
     solver = LevelGameSolver()
     for n_pos in (3, 4):
         for k in range(0, n_pos):
@@ -147,19 +156,32 @@ def test_canonical_families_small_counts():
 
 
 def test_canonical_families_cover_all_orbits():
-    # nonempty families of 2-subsets of [4] are graphs on 4 unlabeled
-    # vertices: exactly 10 of them, and every family's orbit minimum must be
-    # a listed representative
-    sets = list(itertools.combinations(range(4), 2))
-    index = {s: i for i, s in enumerate(sets)}
-    fams = canonical_families(4, 2)
-    assert len(fams) == 10
-    reps = {sum(1 << index[s] for s in fam) for fam in fams}
-    perms = list(itertools.permutations(range(4)))
-    for fam_mask in range(1, 1 << len(sets)):
-        members = [sets[i] for i in range(len(sets)) if (fam_mask >> i) & 1]
-        best = min(
-            sum(1 << index[tuple(sorted(perm[p] for p in s))] for s in members)
-            for perm in perms
-        )
-        assert best in reps
+    # brute force over all relabelings: every family's orbit minimum is a
+    # listed representative, and every representative is one
+    for n_pos, k in [(4, 2), (5, 2), (5, 3)]:
+        sets = list(itertools.combinations(range(n_pos), k))
+        index = {s: i for i, s in enumerate(sets)}
+        reps = {sum(1 << index[s] for s in fam) for fam in canonical_families(n_pos, k)}
+        images = [[index[tuple(sorted(perm[p] for p in s))] for s in sets]
+                  for perm in itertools.permutations(range(n_pos))]
+        minima = set()
+        for fam_mask in range(1, 1 << len(sets)):
+            members = [i for i in range(len(sets)) if (fam_mask >> i) & 1]
+            minima.add(min(sum(1 << img[i] for i in members) for img in images))
+        assert minima == reps, (n_pos, k)
+
+
+def test_canonical_families_match_hypergraph_counts():
+    # nonempty families of k-subsets of [n] up to relabeling are the k-uniform
+    # hypergraphs on n vertices minus the empty one (OEIS A000088, A000665);
+    # complementing every member maps k-families to (n-k)-families
+    counts = {(total, k): len(canonical_families(total, k))
+              for total in range(2, 7) for k in range(total)}
+    for total in range(2, 7):
+        assert counts[total, 0] == 1
+        assert counts[total, 1] == counts[total, total - 1] == total
+    assert counts[4, 2] == 10                      # 11 graphs on 4 vertices
+    assert counts[5, 2] == counts[5, 3] == 33      # 34 graphs on 5 vertices
+    assert counts[6, 2] == counts[6, 4] == 155     # 156 graphs on 6 vertices
+    assert counts[6, 3] == 2135                    # 2136 3-uniform hypergraphs
+    assert sum(counts.values()) == 2564            # the dominance sweep

@@ -165,3 +165,5 @@ def test_phi_closed_form_validation():
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             phi_closed_form(1, 1, 1.0, eps)
+    with pytest.raises(ValueError):
+        phi_closed_form(1, 1, 1.0, 1e308)  # finite eps, overflowing value

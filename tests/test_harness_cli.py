@@ -205,7 +205,9 @@ def test_parse_game_spec_and_value():
     text = "positions=4\nk=1\nset=1\n"
     positions, k, family = parse_game_spec(text)
     assert (positions, k, family) == (4, 1, [(0,)])
-    assert cmd_game(text) == pytest.approx(2.0)  # singleton with m=3
+    value, states = cmd_game(text)
+    assert value == pytest.approx(2.0)  # singleton with m=3
+    assert states == 3  # one state per number of positions left, 4 down to 2
 
 
 def test_parse_game_spec_rejects_garbage():
@@ -279,7 +281,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert _run_cli(["level-profile", "--algo", "rls", "--n", "16", "--reps", "100",
                      "--budget", "20", "--out", str(tmp_path / "lp.csv")]) == 1
     for argv in (["verify", "--eps", "nan"], ["verify", "--eps", "inf"],
-                 ["phi", "--kmax", "2", "--mmax", "2", "--eps", "nan"]):
+                 ["phi", "--kmax", "2", "--mmax", "2", "--eps", "nan"],
+                 ["phi", "--kmax", "2", "--mmax", "2", "--eps", "1e308"]):
         assert _run_cli(argv + ["--out", str(tmp_path / "bad.out")]) == 1
         assert _run_cli(argv) == 1
     assert os.listdir(tmp_path) == []
@@ -364,7 +367,9 @@ def test_cli_game(tmp_path, capsys):
     spec = tmp_path / "game.txt"
     spec.write_text("positions=4\nk=1\nset=1\n")
     assert _run_cli(["game", "--spec", str(spec)]) == 0
-    assert capsys.readouterr().out.strip() == "2.0"
+    captured = capsys.readouterr()
+    assert captured.out == "2.0\n"
+    assert captured.err == "game: 3 memo states\n"
     assert _run_cli(["game", "--spec", str(tmp_path / "missing.txt")]) == 2
 
 

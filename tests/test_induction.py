@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,8 +95,9 @@ def test_nan_cell_fails_the_sweep(monkeypatch):
                                    logb_fractions=(0.25,), p_resolution=64)
     assert not report.passed and math.isnan(report.max_r)
     monkeypatch.undo()
-    # R overflows to NaN at a finite but huge eps
-    with np.errstate(over="ignore", invalid="ignore"):
+    # R overflows to NaN at a finite but huge eps, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = verify_induction_step(k_grid=(0, 3), m_grid=(4,),
                                        logb_fractions=(0.25,), p_resolution=64, eps=1e308)
     assert not report.passed
