@@ -19,8 +19,10 @@ Contents:
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -122,9 +124,8 @@ def level_entry_information_check(
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
     m = n - k
-    images: dict[int, int] = {}
-    configs = list(enumerate_k_configurations(n, k))
-    for cfg in configs:
+    images: list[int] = []  # aligned with the enumeration order
+    for cfg in enumerate_k_configurations(n, k):
         y0 = entry_map(cfg, n)
         if not isinstance(y0, BitString) or y0.n != n:
             raise ValueError("entry map must return a length-n BitString")
@@ -134,14 +135,12 @@ def level_entry_information_check(
                     "inconsistent entry map: output disagrees with the "
                     f"configuration at position {pos}"
                 )
-        images[cfg] = y0.word  # keyed by config for the second pass
-    counts: dict[int, int] = {}
-    for w in images.values():
-        counts[w] = counts.get(w, 0) + 1
+        images.append(y0.word)
+    counts = Counter(images)
     total_sets = math.comb(n, k)
-    threshold = Fraction(total_sets, 2 ** (m + 1))  # B <= 2^(m+1)  <=>  C >= this
-    good = sum(1 for cfg in configs if counts[images[cfg]] >= threshold)
-    prob = Fraction(good, len(configs))
+    # B = total_sets / count <= 2^(m+1)  <=>  count * 2^(m+1) >= total_sets
+    good = sum(1 for w in images if counts[w] << (m + 1) >= total_sets)
+    prob = Fraction(good, len(images))
     return prob, prob >= Fraction(1, 2)
 
 
@@ -320,15 +319,29 @@ class PhiSolver:
     integer count c plays the role of the branch probability p = c/C, which
     makes the minimization finite and the values exact rationals.
 
-    `value` computes single cells in exact rational arithmetic; `float_row`
-    computes a whole (k, m) row in float64 (documented comparison slack 1e-9)
-    for table sweeps.  A solver instance is confined to one thread.
+    Both paths evaluate the closed form Phi_hat(k, m, C) = 1 + (sum of the C
+    smallest elements of S(k, m)) / C for m >= 1, where S(k, 0) = {0} and
+    S(k, m) is the multiset union of (m-1)/m * (1 + S(k, m-1)) and
+    1 + S(k-1, m), the second part empty when k = 0.  Proof sketch, by
+    induction on k+m: C * (Phi_hat - 1) is a prefix sum of sorted slopes, so
+    F[c] = (m-1)/m * c * Phi_hat(k, m-1, c) and G[c] = c * Phi_hat(k-1, m, c)
+    are convex, with F[0] = G[0] = 0 and the two parts of S(k, m) as slopes.
+    The min over c is their (min,+) convolution, which for convex sequences
+    sums the C smallest merged slopes.  A mean of the C smallest elements is
+    nondecreasing in C, so every row is monotone by construction.
+
+    `value` computes single cells exactly from the shortest sorted prefix of
+    S the cell needs; `float_row` computes a whole (k, m) row in float64
+    (documented comparison slack 1e-9) from one sort and one cumulative sum.
+    A solver instance is confined to one thread.
     """
 
     MAX_TOTAL = 24
 
     def __init__(self):
-        self._memo: dict[tuple[int, int, int], Fraction] = {}
+        # (k, m) -> a sorted prefix of S(k, m) and its running sums
+        self._prefixes: dict[tuple[int, int], tuple[list[Fraction], list[Fraction]]] = {}
+        self._slopes: dict[tuple[int, int], np.ndarray] = {}
         self._rows: dict[tuple[int, int], np.ndarray] = {}
 
     @staticmethod
@@ -343,73 +356,51 @@ class PhiSolver:
 
     def value(self, k: int, m: int, C: int) -> Fraction:
         self._validate(k, m, C)
-        return self._value(k, m, C)
-
-    def _value(self, k: int, m: int, C: int) -> Fraction:
         if m == 0:
             return Fraction(0)
-        key = (k, m, C)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        a = math.comb(k + m - 1, m - 1)
-        b = math.comb(k + m - 1, m)
-        weight = Fraction(m - 1, m)
-        best: Fraction | None = None
-        for c in range(max(0, C - b), min(C, a) + 1):
-            val = Fraction(0)
-            if c > 0:
-                val += Fraction(c, C) * weight * self._value(k, m - 1, c)
-            if C - c > 0:
-                val += Fraction(C - c, C) * self._value(k - 1, m, C - c)
-            if best is None or val < best:
-                best = val
-        result = 1 + best
-        self._memo[key] = result
-        return result
+        return 1 + self._prefix(k, m, C)[1][C - 1] / C
+
+    def _prefix(self, k: int, m: int, length: int) -> tuple[list[Fraction], list[Fraction]]:
+        """The smallest elements of S(k, m) in order, at least `length` of
+        them or all, with their running sums.  Prefix lengths are powers of
+        two, so sweeping a row C by C costs O(|S|) per (k, m)."""
+        if m == 0:
+            return [Fraction(0)], [Fraction(0)]
+        length = min(math.comb(k + m, m), 1 << (length - 1).bit_length())
+        cached = self._prefixes.get((k, m))
+        if cached is None or len(cached[0]) < length:
+            weight = Fraction(m - 1, m)
+            parts = [(weight * (1 + s) for s in self._prefix(k, m - 1, length)[0])]
+            if k:
+                parts.append(1 + s for s in self._prefix(k - 1, m, length)[0])
+            slopes = list(itertools.islice(heapq.merge(*parts), length))
+            cached = self._prefixes[(k, m)] = slopes, list(itertools.accumulate(slopes))
+        return cached
+
+    def _float_slopes(self, k: int, m: int) -> np.ndarray:
+        """All of S(k, m) in float64, sorted."""
+        if m == 0:
+            return np.zeros(1)
+        slopes = self._slopes.get((k, m))
+        if slopes is None:
+            parts = [(m - 1) / m * (1.0 + self._float_slopes(k, m - 1))]
+            if k:
+                parts.append(1.0 + self._float_slopes(k - 1, m))
+            slopes = self._slopes[(k, m)] = np.sort(np.concatenate(parts))
+        return slopes
 
     def float_row(self, k: int, m: int) -> np.ndarray:
         """Row of Phi_hat(k, m, C) for C = 1..binom(k+m, m) in float64;
         index 0 is NaN padding."""
         if k < 0 or m < 0:
             raise ValueError("k and m must be non-negative")
-        key = (k, m)
-        row = self._rows.get(key)
-        if row is not None:
-            return row
-        N = math.comb(k + m, m)
-        if m == 0:
-            row = np.full(N + 1, np.nan)
-            row[1:] = 0.0
-            self._rows[key] = row
-            return row
-        a = math.comb(k + m - 1, m - 1)
-        b = math.comb(k + m - 1, m)
-        A = self.float_row(k, m - 1)
-        F = np.empty(a + 1)
-        F[0] = 0.0
-        F[1:] = (m - 1) / m * np.arange(1, a + 1) * A[1 : a + 1]
-        if k >= 1:
-            B_row = self.float_row(k - 1, m)
-            G = np.empty(b + 1)
-            G[0] = 0.0
-            G[1:] = np.arange(1, b + 1) * B_row[1 : b + 1]
-        else:
-            G = np.zeros(1)
-        V = np.empty(N + 1)
-        V[0] = np.nan
-        for C in range(1, N + 1):
-            lo = max(0, C - b)
-            hi = min(C, a)
-            seg = F[lo : hi + 1] + G[C - hi : C - lo + 1][::-1]
-            V[C] = 1.0 + seg.min() / C
-        self._rows[key] = V
-        return V
-
-
-def phi_cardinality_dp(k: int, m: int, C: int) -> Fraction:
-    """Single-cell convenience wrapper (fresh solver per call)."""
-    return PhiSolver().value(k, m, C)
+        row = self._rows.get((k, m))
+        if row is None:
+            slopes = self._float_slopes(k, m)
+            row = np.full(len(slopes) + 1, np.nan)
+            row[1:] = 1.0 + np.cumsum(slopes) / np.arange(1, len(slopes) + 1) if m else 0.0
+            self._rows[(k, m)] = row
+        return row
 
 
 # -- exact one-bit-flip level game ---------------------------------------------
@@ -498,11 +489,6 @@ class LevelGameSolver:
         """Remove position q and close the index gap."""
         low = (1 << q) - 1
         return tuple(sorted((m & low) | ((m >> 1) & ~low) for m in masks))
-
-
-def exact_level_game(n_positions: int, k: int, family: Iterable) -> float:
-    """Single-shot convenience wrapper (fresh solver per call)."""
-    return LevelGameSolver().value(n_positions, k, family)
 
 
 def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -732,7 +718,8 @@ def entry_map_lowest_free_index(cfg: KConfiguration, n: int) -> BitString:
     word = 0
     for pos, val in zip(cfg.positions, cfg.values):
         word |= val << pos
-    free = [q for q in range(n) if q not in set(cfg.positions)]
+    sig = set(cfg.positions)
+    free = [q for q in range(n) if q not in sig]
     if free:
         payload = free[0]
         for i, q in enumerate(free):

@@ -7,24 +7,23 @@ from elitist_lo_lab.bounds import (
     LevelGameSolver,
     PhiSolver,
     canonical_families,
-    exact_level_game,
 )
 
 
 def test_game_single_insignificant_bit():
-    assert exact_level_game(1, 0, [()]) == pytest.approx(1.0)
+    assert LevelGameSolver().value(1, 0, [()]) == pytest.approx(1.0)
 
 
 def test_game_known_configuration_full_scan():
     # singleton family: uniform search over the m non-members, (m+1)/2
     for n_pos, k in [(2, 1), (4, 1), (5, 2), (6, 3), (4, 0)]:
         m = n_pos - k
-        v = exact_level_game(n_pos, k, [tuple(range(k))])
+        v = LevelGameSolver().value(n_pos, k, [tuple(range(k))])
         assert v == pytest.approx((m + 1) / 2, abs=1e-12)
 
 
 def test_game_two_candidates_one_each():
-    assert exact_level_game(2, 1, [(0,), (1,)]) == 1.5
+    assert LevelGameSolver().value(2, 1, [(0,), (1,)]) == 1.5
 
 
 def _relabeled(fam, rng, n_pos):
@@ -54,17 +53,17 @@ def test_game_value_invariant_under_relabeling():
 
 def test_game_guards():
     with pytest.raises(ValueError):
-        exact_level_game(8, 2, [(0, 1)])          # too many positions
+        LevelGameSolver().value(8, 2, [(0, 1)])          # too many positions
     with pytest.raises(ValueError):
-        exact_level_game(4, 2, [])                # empty family
+        LevelGameSolver().value(4, 2, [])                # empty family
     with pytest.raises(ValueError):
-        exact_level_game(4, 2, [(0,)])            # wrong set size
+        LevelGameSolver().value(4, 2, [(0,)])            # wrong set size
     with pytest.raises(ValueError):
-        exact_level_game(4, 4, [(0, 1, 2, 3)])    # m = 0
+        LevelGameSolver().value(4, 4, [(0, 1, 2, 3)])    # m = 0
     with pytest.raises(ValueError):
-        exact_level_game(4, 2, [(0, 1), (1, 0)])  # duplicate sets
+        LevelGameSolver().value(4, 2, [(0, 1), (1, 0)])  # duplicate sets
     with pytest.raises(ValueError):
-        exact_level_game(4, 2, [(0, 5)])          # position out of range
+        LevelGameSolver().value(4, 2, [(0, 5)])          # position out of range
 
 
 def test_game_matches_phi_at_extremes():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,26 @@ def test_constant_map_information_closed_form():
             good += 1
     assert prob == Fraction(good, total)
     assert ok
+
+
+def _entry_probability(n: int, k: int, entry_map) -> Fraction:
+    """Pr[B <= 2^(m+1)] with B = binom(n, k) / count compared as a rational."""
+    configs = list(enumerate_k_configurations(n, k))
+    images = [entry_map(cfg, n).word for cfg in configs]
+    counts = Counter(images)
+    bound = 2 ** (n - k + 1)
+    good = sum(1 for w in images if Fraction(math.comb(n, k), counts[w]) <= bound)
+    return Fraction(good, len(configs))
+
+
+@pytest.mark.parametrize("map_name", sorted(ENTRY_MAPS))
+def test_entry_check_matches_rational_reference(map_name):
+    # (8, 7) and (4, 3) put some counts exactly on B = 2^(m+1)
+    entry_map = ENTRY_MAPS[map_name]
+    for n, k in ((8, 7), (4, 3), (6, 4), (7, 3)):
+        prob, ok = level_entry_information_check(n, k, entry_map)
+        ref = _entry_probability(n, k, entry_map)
+        assert prob == ref and ok == (ref >= Fraction(1, 2)), (n, k)
 
 
 def test_entry_check_handles_m_zero():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -8,6 +9,7 @@ import threading
 import pytest
 
 from elitist_lo_lab import harness
+from elitist_lo_lab.bounds import PhiSolver
 from elitist_lo_lab.cli import main as cli_main
 from elitist_lo_lab.harness import (
     CSV_HEADER,
@@ -194,6 +196,25 @@ def test_cmd_phi_contains_hand_checked_row():
     fields = row.split(",")
     assert float(fields[3]) == 1.0   # B
     assert float(fields[4]) == 1.5   # phi_hat
+
+
+def test_cmd_phi_float_rows():
+    # kmax + mmax = 12 takes the float64 branch
+    lines = cmd_phi(8, 4)
+    assert lines[:2] == [CSV_HEADER, "k,m,C,B,phi_hat,closed_form,slack"]
+    solver = PhiSolver()
+    rows: dict[tuple[int, int], list[float]] = {}
+    for line in lines[2:]:
+        k, m, C, _, phi, cf, slack = line.split(",")
+        k, m, C, phi, cf = int(k), int(m), int(C), float(phi), float(cf)
+        exact = float(solver.value(k, m, C))
+        assert phi == pytest.approx(exact, rel=1e-12, abs=0.0), (k, m, C)
+        assert float(slack) == phi - cf
+        rows.setdefault((k, m), []).append(phi)
+    assert len(rows) == 9 * 4
+    for (k, m), phis in rows.items():
+        assert len(phis) == math.comb(k + m, m)
+        assert all(a <= b for a, b in zip(phis, phis[1:])), (k, m)
 
 
 def test_cmd_phi_guard():

@@ -1,5 +1,7 @@
-"""Import smoke test: every script loads against the current package API."""
+"""Script tests: every script loads against the current package API, and the
+bound-check script runs end to end."""
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -23,3 +25,23 @@ def test_bound_checks_reject_max_total_out_of_range(value):
     assert proc.returncode == 2
     assert proc.stdout == ""  # rejected before the first check prints
     assert "invalid choice" in proc.stderr
+
+
+def test_bound_checks_report_end_to_end():
+    script = next(p for p in SCRIPTS if p.name == "run_bound_checks.py")
+    proc = subprocess.run([sys.executable, str(script), "--max-total", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    dominance = [ln for ln in lines if ln.startswith("dominance: ")]
+    assert len(dominance) == 1
+    slack = re.search(r"min\(game - dp\) = (\S+) ", dominance[0])
+    assert float(slack.group(1)) >= -1e-9
+    entries = [ln for ln in lines if ln.startswith("level entry (")]
+    assert len(entries) == 3 and all(ln.endswith("-> ok") for ln in entries)
+    sweeps = [ln for ln in lines if ln.startswith("induction sweep eps=")]
+    assert len(sweeps) == 2
+    assert sweeps[0].startswith("induction sweep eps=0.000488281:")
+    assert sweeps[0].endswith("-> pass")
+    assert sweeps[1].startswith("induction sweep eps=1:")
+    assert sweeps[1].endswith("-> fail")
