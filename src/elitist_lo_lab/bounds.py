@@ -333,10 +333,14 @@ class PhiSolver:
     `value` computes single cells exactly from the shortest sorted prefix of
     S the cell needs; `float_row` computes a whole (k, m) row in float64
     (documented comparison slack 1e-9) from one sort and one cumulative sum.
-    A solver instance is confined to one thread.
+    The cost of `value` grows with C, not with k+m: the `Fraction` prefixes
+    of every (k', m') below the cell are built to length about C, so C is
+    capped at MAX_PREFIX (at most a few seconds per cell); longer prefixes
+    take `float_row`.  A solver instance is confined to one thread.
     """
 
     MAX_TOTAL = 24
+    MAX_PREFIX = 1 << 12
 
     def __init__(self):
         # (k, m) -> a sorted prefix of S(k, m) and its running sums
@@ -353,6 +357,11 @@ class PhiSolver:
         total = math.comb(k + m, m)
         if not 1 <= C <= total:
             raise ValueError(f"C={C} out of range [1, {total}] for k={k}, m={m}")
+        if C > PhiSolver.MAX_PREFIX:
+            raise ValueError(
+                f"C={C} exceeds the exact-evaluation cap {PhiSolver.MAX_PREFIX}; "
+                f"float_row({k}, {m}) gives the whole row in float64"
+            )
 
     def value(self, k: int, m: int, C: int) -> Fraction:
         self._validate(k, m, C)

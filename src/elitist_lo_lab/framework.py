@@ -134,9 +134,7 @@ def _finish_record(algo: str, inst: LoInstance, seed: int,
     )
 
 
-def _check_state_budget(strategy, state, budget_bits: int | None) -> None:
-    if budget_bits is None:
-        return
+def _check_state_budget(strategy, state, budget_bits: int) -> None:
     packed = strategy.pack_state(state)
     if len(packed) * 8 > budget_bits + 7:
         raise StateBudgetExceeded(
@@ -187,22 +185,25 @@ def run_one_plus_one(
     if observer is not None:
         observer(("init", incumbent))
 
+    # bound once: the loop below runs once per query
+    step, learn, compare = strategy.step, strategy.learn, oracle.compare
     budget_exhausted = False
     while not oracle.optimum_found:
         if budget is not None and oracle.query_count >= budget:
             budget_exhausted = True
             break
-        offspring = strategy.step(incumbent, state, rng)
+        offspring = step(incumbent, state, rng)
         if not isinstance(offspring, BitString) or offspring.n != n:
             raise ValueError(f"strategy {strategy.name} emitted a wrong-length offspring")
-        outcome = oracle.compare(incumbent, offspring)
-        strategy.learn(outcome, state)
+        outcome = compare(incumbent, offspring)
+        learn(outcome, state)
         accepted = outcome == GREATER or (accept_equal and outcome == EQUAL)
         if observer is not None:
             observer(("step", incumbent, offspring, outcome, accepted))
         if accepted:
             incumbent = offspring
-        _check_state_budget(strategy, state, budget_bits)
+        if budget_bits is not None:
+            _check_state_budget(strategy, state, budget_bits)
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
 

@@ -2,22 +2,39 @@
 marker-block strategy that reaches the optimum in O(n log n) queries using
 n + O(log n) bits of extra state.
 
-All three consult only three-way comparison outcomes.  RLS consumes exactly
-one rng draw per step and the (1+1) EA a geometric-skip stream, which the
+All three consult only three-way comparison outcomes.  RLS draws its index
+by `randrange`'s rejection loop (one or more `getrandbits` calls per step)
+and the (1+1) EA a geometric-skip stream of `random` calls, which the
 unbiasedness coupling tests rely on.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 from .framework import run_one_plus_one, RunRecord
-from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering
+from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering, _unchecked
 
 
 def rls_step(x: BitString, rng: random.Random) -> BitString:
-    """Flip exactly one position, chosen uniformly at random."""
-    return x.flip(rng.randrange(x.n))
+    """Flip exactly one position, chosen uniformly at random.
+
+    The index is drawn as `rng.randrange(n)` draws it, `getrandbits` of
+    n.bit_length() bits until one is below n, without randrange's two frames.
+    """
+    n = x.n
+    k = n.bit_length()
+    i = rng.getrandbits(k)
+    while i >= n:
+        i = rng.getrandbits(k)
+    return x.flip(i)
+
+
+@functools.cache
+def _log_keep(n: int) -> float:
+    """log(1 - 1/n), the log-probability that a position is not flipped."""
+    return math.log(1.0 - 1.0 / n)
 
 
 def oea_step(x: BitString, rng: random.Random) -> BitString:
@@ -30,19 +47,21 @@ def oea_step(x: BitString, rng: random.Random) -> BitString:
     n = x.n
     if n == 1:
         return x.flip(0)
-    log_keep = math.log(1.0 - 1.0 / n)
+    log_keep = _log_keep(n)
+    log, floor = math.log, math.floor
+    draw = rng.random
     word = x.word
     i = 0
     while True:
-        u = rng.random()
+        u = draw()
         if u <= 0.0:
             break
-        i += int(math.log(u) / log_keep)
+        i += floor(log(u) / log_keep)  # = int(): the quotient is >= 0
         if i >= n:
             break
         word ^= 1 << i
         i += 1
-    return BitString(n, word)
+    return _unchecked(n, word)  # every flipped i is below n
 
 
 class Rls:

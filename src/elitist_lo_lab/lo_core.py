@@ -95,14 +95,16 @@ class BitString:
         return (self.word >> i) & 1
 
     def flip(self, i: int) -> "BitString":
-        if not 0 <= i < self.n:
-            raise IndexError(f"position {i} out of range for n={self.n}")
-        return BitString(self.n, self.word ^ (1 << i))
+        n = self.n
+        if not 0 <= i < n:
+            raise IndexError(f"position {i} out of range for n={n}")
+        return _unchecked(n, self.word ^ (1 << i))
 
     def flip_mask(self, mask: int) -> "BitString":
-        if mask >> self.n:
+        n = self.n
+        if mask >> n:
             raise ValueError("flip mask has bits outside the string length")
-        return BitString(self.n, self.word ^ mask)
+        return _unchecked(n, self.word ^ mask)
 
     def count_ones(self) -> int:
         return self.word.bit_count()
@@ -130,6 +132,18 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString({self.n}, {self.to01()!r})"
+
+
+_new = object.__new__
+
+
+def _unchecked(n: int, word: int) -> BitString:
+    """BitString(n, word) without the range checks, for callers whose own
+    check already proves n >= 1 and 0 <= word < 2**n."""
+    out = _new(BitString)
+    out.n = n
+    out.word = word
+    return out
 
 
 def validate_permutation(sigma) -> tuple[int, ...]:
@@ -166,10 +180,6 @@ class LoInstance:
         if len(self.sigma) != self.n:
             raise ValueError("sigma length does not match n")
         validate_permutation(self.sigma)
-
-    def rank_of(self) -> tuple[int, ...]:
-        """Inverse permutation: rank_of()[pos] = significance rank of pos."""
-        return invert_permutation(self.sigma)
 
 
 def lo_value(inst: LoInstance, x: BitString) -> int:
@@ -247,6 +257,7 @@ class CountingOracle:
         self.per_level_counts: dict[int, int] = {}
         self.optimum_found = False
         self.queries: list[BitString] | None = [] if record_queries else None
+        self._n = instance.n
         self._z = instance.z.word
         self._prefix = list(accumulate((1 << pos for pos in instance.sigma),
                                        operator.or_, initial=0))
@@ -263,19 +274,9 @@ class CountingOracle:
                 lo = mid
         return lo
 
-    def _fitness(self, word: int) -> int:
-        """Fitness of the point `word`, from the two cached points if it is
-        one of them; the result becomes the cached incumbent."""
-        cached_word, f = self._incumbent
-        if word != cached_word:
-            cached_word, f = self._offspring
-            if word != cached_word:
-                f = self._bisect(word ^ self._z, 0, self.instance.n)
-            self._incumbent = (word, f)
-        return f
-
     def _count(self, x: BitString, f: int) -> None:
-        """Charge one query with known fitness f: update all counters."""
+        """Charge one query with known fitness f: update all counters.
+        `compare` repeats these lines inline; keep the two in step."""
         best = self.best_fitness_seen
         level = INIT_LEVEL if best is None else best
         counts = self.per_level_counts
@@ -283,7 +284,7 @@ class CountingOracle:
         self.query_count += 1
         if best is None or f > best:
             self.best_fitness_seen = f
-        if f == self.instance.n:
+        if f == self._n:
             self.optimum_found = True
         if self.queries is not None:
             self.queries.append(x)
@@ -294,11 +295,14 @@ class CountingOracle:
         """Charge one query for x and return its raw fitness.
 
         Runner-side API: strategies must never see this value; runners expose
-        only comparisons or ranks derived from it.
+        only comparisons or ranks derived from it.  x becomes the cached
+        incumbent.
         """
-        if x.n != self.instance.n:
-            raise ValueError(f"point has length {x.n}, instance has n={self.instance.n}")
-        f = self._fitness(x.word)
+        n = self._n
+        if x.n != n:
+            raise ValueError(f"point has length {x.n}, instance has n={n}")
+        f = self._bisect(x.word ^ self._z, 0, n)
+        self._incumbent = (x.word, f)
         self._count(x, f)
         return f
 
@@ -307,27 +311,44 @@ class CountingOracle:
 
         x is normally the incumbent, whose fitness was already charged; any
         other x costs one more bisection.  Never exposes a numeric fitness to
-        the caller.
+        the caller.  This is the per-query hot path, so the cache lookup for
+        f(x) and the charge (`_count`) are written out in this one frame.
         """
-        n = self.instance.n
+        n = self._n
         if x.n != n or y.n != n:
             raise ValueError("dimension mismatch in compare")
-        fx = self._fitness(x.word)
+        xw = x.word
+        cached_word, fx = self._incumbent
+        if xw != cached_word:
+            cached_word, fx = self._offspring
+            if xw != cached_word:
+                fx = self._bisect(xw ^ self._z, 0, n)
+            self._incumbent = (xw, fx)
         diff = y.word ^ self._z
         prefix = self._prefix
+        best = self.best_fitness_seen
         if diff & prefix[fx]:
-            best = self.best_fitness_seen
             if best is None or best < fx:  # x was never charged
-                self._count(y, self._bisect(diff, 0, fx - 1))
+                fy = self._bisect(diff, 0, fx - 1)
             else:  # f(y) < fx <= best: fx - 1 moves the same counters
-                self._count(y, fx - 1)
-            return LESS
-        if fx == n or diff & prefix[fx + 1]:
-            fy, outcome = fx, EQUAL
+                fy = fx - 1
+            outcome = LESS
         else:
-            fy, outcome = self._bisect(diff, fx + 1, n), GREATER
-        self._offspring = (y.word, fy)
-        self._count(y, fy)
+            if fx == n or diff & prefix[fx + 1]:
+                fy, outcome = fx, EQUAL
+            else:
+                fy, outcome = self._bisect(diff, fx + 1, n), GREATER
+            self._offspring = (y.word, fy)
+        level = INIT_LEVEL if best is None else best
+        counts = self.per_level_counts
+        counts[level] = counts.get(level, 0) + 1
+        self.query_count += 1
+        if best is None or fy > best:
+            self.best_fitness_seen = fy
+        if fy == n:
+            self.optimum_found = True
+        if self.queries is not None:
+            self.queries.append(y)
         return outcome
 
 

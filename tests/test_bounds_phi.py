@@ -15,6 +15,7 @@ from elitist_lo_lab.bounds import (
     available_information,
     phi_closed_form,
 )
+from elitist_lo_lab.harness import PHI_EXACT_MAX_TOTAL
 
 
 # -- available information ------------------------------------------------------
@@ -108,6 +109,21 @@ def test_phi_rejects_out_of_range():
         solver.value(-1, 1, 1)
     with pytest.raises(ValueError):
         solver.value(20, 20, 1)
+
+
+def test_phi_value_caps_prefix_length():
+    # the cost of an exact cell grows with C, so C is capped, not only k+m
+    solver = PhiSolver()
+    cap = PhiSolver.MAX_PREFIX
+    assert cap == 1 << 12
+    for k, m in ((12, 12), (10, 10), (4, 20)):
+        with pytest.raises(ValueError, match="float_row"):
+            solver.value(k, m, cap + 1)
+    with pytest.raises(ValueError, match="float_row"):
+        solver.value(12, 12, math.comb(24, 12))
+    # every C the exact branch of `lolab phi` reaches stays below the cap
+    assert math.comb(PHI_EXACT_MAX_TOTAL, PHI_EXACT_MAX_TOTAL // 2) < cap
+    assert solver.value(12, 12, 1) == Fraction(13, 2)
 
 
 def test_phi_monotone_in_C_small_cells():

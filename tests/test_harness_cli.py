@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -257,24 +258,54 @@ def test_cli_run_byte_identical(tmp_path, capsys):
 
 
 def test_cli_run_csv_golden(tmp_path):
-    # frozen schema: the versioned header plus one fixed record; any change
-    # to the CSV layout or the seed derivation must update this golden block
+    # frozen schema and stream: literal bytes captured before the hot-path
+    # rewrite; any change to the CSV layout, the seed derivation or the
+    # strategy's rng draws must update this golden block
     out = tmp_path / "golden.csv"
     assert _run_cli(["run", "--algo", "rls", "--n", "4", "--reps", "2",
                      "--seed", "99", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# elitist-lo-lab v1"
-    assert lines[1] == "algo,n,seed,total_queries,hit_optimum,budget_exhausted,per_level"
-    for line in lines[2:]:
-        fields = line.split(",")
-        assert fields[0] == "rls" and fields[1] == "4"
-        assert fields[4] in ("0", "1") and fields[5] in ("0", "1")
-        assert all(":" in part for part in fields[6].split("|"))
-    # byte-stable across builds of this package
-    rerun = tmp_path / "golden2.csv"
-    assert _run_cli(["run", "--algo", "rls", "--n", "4", "--reps", "2",
-                     "--seed", "99", "--out", str(rerun)]) == 0
-    assert rerun.read_bytes() == out.read_bytes()
+    assert out.read_bytes() == (
+        b"# elitist-lo-lab v1\n"
+        b"algo,n,seed,total_queries,hit_optimum,budget_exhausted,per_level\n"
+        b"rls,4,15868325716806865502,6,1,0,-1:1|0:1|2:4\n"
+        b"rls,4,11117851501823197073,3,1,0,-1:1|1:1|2:1\n"
+    )
+
+
+# sha256 of `lolab run` output, captured before the hot-path rewrite; a
+# change to any strategy's draw stream, the oracle's counters or the record
+# format moves these digests
+RUN_DIGESTS = {
+    ("rls", "csv"): "b3ac5c5c90009cfdfdcef813a487926cfb44b5b275a8599a114036711ded6802",
+    ("rls", "json"): "e8fdfc3670203f60794d07bb1fc7ae1745f636e312ed231a9055a7075459887f",
+    ("oea", "csv"): "4a3d08f8c18abd781bedf57da952e88834c5ebe53c532e940388ec78561e5090",
+    ("oea", "json"): "dd3d2e8fa0cca2b2ff7f468c2f88b7ede564772410b0af662642b10c60561b2e",
+    ("memlog", "csv"): "9b9f559526bec442fa2a693af658e26d6695d8837097228914c99bd11640d252",
+    ("memlog", "json"): "990a4f81fa88cac9a7920f8098714f2006b3a81cbb0629b674047e7269e53750",
+}
+BUDGET_DIGESTS = {
+    "rls": "2d9c21688545a59006e1950037dcaf6f3cc61f3ab3990a799316843249184644",
+    "oea": "86edd43f6de3484f5f38bb3f09e49621fbf0130952ef510b1f66d1cfc197c475",
+    "memlog": "399a837322a73ec70ef21bcde978c5b77ecb1f0fedfb56b2acaf58549d4a5bf1",
+}
+
+
+@pytest.mark.parametrize("algo,fmt", sorted(RUN_DIGESTS))
+def test_cli_run_output_digest(tmp_path, algo, fmt):
+    out = tmp_path / f"run.{fmt}"
+    assert _run_cli(["run", "--algo", algo, "--n", "1,2,3,63,64,65,256", "--reps", "3",
+                     "--seed", "2016", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_DIGESTS[(algo, fmt)]
+
+
+@pytest.mark.parametrize("algo", sorted(BUDGET_DIGESTS))
+def test_cli_run_budget_cut_digest(tmp_path, algo):
+    out = tmp_path / "cut.csv"
+    assert _run_cli(["run", "--algo", algo, "--n", "64", "--reps", "3", "--seed", "5",
+                     "--budget", "100", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b",100,0,1,") == 3  # every run cut by the budget
+    assert hashlib.sha256(data).hexdigest() == BUDGET_DIGESTS[algo]
 
 
 def test_cli_run_json_records(tmp_path):
