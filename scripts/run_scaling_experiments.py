@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from elitist_lo_lab.harness import ExperimentConfig, cmd_scaling, emit
+from elitist_lo_lab.harness import SCALING_MIN_REPS, ExperimentConfig, cmd_scaling, emit
 
 
 STUDIES = {
@@ -22,12 +22,19 @@ STUDIES = {
 }
 
 
+def scaling_reps(text: str) -> int:
+    reps = int(text)
+    if reps < SCALING_MIN_REPS:
+        raise argparse.ArgumentTypeError(f"scaling needs reps >= {SCALING_MIN_REPS}, got {reps}")
+    return reps
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="CSV output directory")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--reps", type=int, default=None,
-                        help="override repetitions for every study")
+    parser.add_argument("--reps", type=scaling_reps, default=None,
+                        help=f"override repetitions for every study (>= {SCALING_MIN_REPS})")
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)

@@ -11,7 +11,7 @@ from .lo_core import (
     significant_prefix,
 )
 from .framework import RunRecord, run_mu_lambda, run_one_plus_one, verify_ranking_invariance
-from .heuristics import Memlog, OneEa, Rls, make_strategy, memlog_run
+from .heuristics import Memlog, OneEa, Rls, make_strategy
 
 __all__ = [
     "BitString",
@@ -24,7 +24,6 @@ __all__ = [
     "RunRecord",
     "lo_value",
     "make_strategy",
-    "memlog_run",
     "random_instance",
     "run_mu_lambda",
     "run_one_plus_one",

@@ -163,6 +163,10 @@ class ScalingReport:
         return lines
 
 
+# fewest repetitions per n a scaling fit accepts
+SCALING_MIN_REPS = 50
+
+
 def cmd_scaling(config: ExperimentConfig) -> ScalingReport:
     """Aggregate run_experiment output and fit the scaling exponent.
 
@@ -172,8 +176,8 @@ def cmd_scaling(config: ExperimentConfig) -> ScalingReport:
     """
     if len(config.n_values) < 3:
         raise ValueError("scaling needs at least 3 n values")
-    if config.reps < 50:
-        raise ValueError("scaling needs reps >= 50")
+    if config.reps < SCALING_MIN_REPS:
+        raise ValueError(f"scaling needs reps >= {SCALING_MIN_REPS}")
     totals: dict[int, list[int]] = {n: [] for n in config.n_values}
     for rec in run_experiment(config):
         if rec.budget_exhausted:

@@ -13,8 +13,7 @@ import functools
 import math
 import random
 
-from .framework import run_one_plus_one, RunRecord
-from .lo_core import EQUAL, GREATER, LESS, BitString, LoInstance, Ordering, _unchecked
+from .lo_core import EQUAL, GREATER, LESS, BitString, Ordering, _unchecked
 
 
 def rls_step(x: BitString, rng: random.Random) -> BitString:
@@ -95,10 +94,22 @@ class OneEa:
 
 
 class MemlogState:
-    """Marker block B1, the bounded halving record B2, and the derived
-    candidate set P0 (a cache, recomputable from B1 and B2)."""
+    """Marker block B1 and the bounded halving record B2, plus two caches
+    derived from them.
 
-    __slots__ = ("n", "b1", "outcomes", "halving", "p0_mask", "p0_size", "pending_first")
+    B1 and B2 (with the phase flag) are the strategy's state; `pack_state`
+    serializes exactly these and the runner checks them against
+    `state_budget_bits`.  `free` lists the zero-B1 positions in ascending
+    order and is a function of B1 alone.  While halving, the candidate set
+    P0 is `free[lo:lo + p0_size]` and `p0_mask` holds the same positions as
+    a word; both are recomputable from B1 and B2 (`candidate_positions`).
+    Halving keeps the first or the second half of P0 in that order, so P0
+    stays a contiguous slice of `free` and the first half is cut off
+    `p0_mask` just above the position `free[lo + half - 1]`.
+    """
+
+    __slots__ = ("n", "b1", "outcomes", "halving", "p0_mask", "p0_size", "pending_first",
+                 "free", "lo")
 
     def __init__(self, n: int):
         self.n = n
@@ -108,21 +119,8 @@ class MemlogState:
         self.p0_mask = 0                  # candidate cache, = candidate_positions()
         self.p0_size = 0
         self.pending_first = 0            # first-half mask of the pending query
-
-
-def lowest_set_bits(mask: int, count: int) -> int:
-    """Mask of the `count` lowest set bits of mask (all of them if fewer).
-
-    Bisects for the narrowest low window of mask holding `count` set bits.
-    """
-    lo, hi = 0, mask.bit_length()
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mask & ((1 << mid) - 1)).bit_count() < count:
-            lo = mid + 1
-        else:
-            hi = mid
-    return mask & ((1 << lo) - 1)
+        self.free = list(range(n))        # zero-B1 positions, ascending (cache)
+        self.lo = 0                       # P0 = free[lo:lo + p0_size]
 
 
 def candidate_positions(state: MemlogState) -> list[int]:
@@ -168,7 +166,9 @@ class Memlog:
             if mask == 0:
                 raise RuntimeError("memlog probe with all positions marked")
             return incumbent.flip_mask(mask)
-        first = lowest_set_bits(state.p0_mask, (state.p0_size + 1) // 2)
+        # P0's first half is free[lo:lo + half]: cut p0_mask above its last
+        last = state.free[state.lo + (state.p0_size + 1) // 2 - 1]
+        first = state.p0_mask & ((2 << last) - 1)
         state.pending_first = first
         return incumbent.flip_mask(first)
 
@@ -180,9 +180,10 @@ class Memlog:
                 raise RuntimeError("memlog invariant violated: probe came back EQUAL")
             # LESS: some marked-prefix gap exists; search zeros(B1) for it
             zeros = ((1 << state.n) - 1) ^ state.b1
-            count = zeros.bit_count()
+            count = len(state.free)
             if count == 1:
                 state.b1 |= zeros
+                state.free.clear()
                 return
             state.halving = True
             state.outcomes = []
@@ -202,8 +203,10 @@ class Memlog:
         else:
             state.p0_mask ^= first
             state.p0_size -= half
+            state.lo += half
         if state.p0_size == 1:
             state.b1 |= state.p0_mask
+            del state.free[state.lo]
             self._reset_halving(state)
 
     @staticmethod
@@ -213,6 +216,7 @@ class Memlog:
         state.p0_mask = 0
         state.p0_size = 0
         state.pending_first = 0
+        state.lo = 0
 
     # -- state budget --------------------------------------------------------
 
@@ -229,13 +233,6 @@ class Memlog:
         packed = state.b1 | (record << n) | (int(state.halving) << (n + record.bit_length()))
         nbytes = (n + record.bit_length() + 2 + 7) // 8
         return packed.to_bytes(max(nbytes, 1), "little")
-
-
-def memlog_run(inst: LoInstance, seed: int, budget: int | None = None,
-               observer=None) -> RunRecord:
-    """Run memlog through the elitist (1+1) runner with its declared
-    extra-state budget enforced."""
-    return run_one_plus_one(Memlog(), inst, seed, budget, observer=observer)
 
 
 def memlog_query_bound(n: int) -> int:

@@ -308,6 +308,27 @@ def test_cli_run_budget_cut_digest(tmp_path, algo):
     assert hashlib.sha256(data).hexdigest() == BUDGET_DIGESTS[algo]
 
 
+# memlog's wide regime, where halving masks span hundreds of positions;
+# captured before the halving select moved from a bisection to a sorted
+# free-position list.  At budget 848 all three runs stop inside a halving phase.
+def test_cli_run_memlog_wide_digest(tmp_path):
+    out = tmp_path / "wide.csv"
+    assert _run_cli(["run", "--algo", "memlog", "--n", "1024,4096", "--reps", "1",
+                     "--seed", "2016", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "23bf102dea3539caccea34469c222dfb347c10bc6a7175e94835491ae0183375")
+
+
+def test_cli_run_memlog_wide_budget_cut_digest(tmp_path):
+    out = tmp_path / "cut.csv"
+    assert _run_cli(["run", "--algo", "memlog", "--n", "1024", "--reps", "3", "--seed", "5",
+                     "--budget", "848", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b",848,0,1,") == 3  # every run cut by the budget
+    assert hashlib.sha256(data).hexdigest() == (
+        "89de067f5d84c7f867451414ddf05c46318117ce91f545f2fb0d4227bb641f2c")
+
+
 def test_cli_run_json_records(tmp_path):
     out = tmp_path / "r.jsonl"
     assert _run_cli(["run", "--algo", "rls", "--n", "8", "--reps", "2",

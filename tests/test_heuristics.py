@@ -13,10 +13,8 @@ from elitist_lo_lab.heuristics import (
     Rls,
     STRATEGIES,
     candidate_positions,
-    lowest_set_bits,
     make_strategy,
     memlog_query_bound,
-    memlog_run,
     oea_step,
     rls_step,
 )
@@ -27,6 +25,7 @@ from elitist_lo_lab.lo_core import (
     invert_permutation,
     lo_value,
     random_instance,
+    set_bits,
 )
 
 
@@ -192,7 +191,7 @@ def test_unbiasedness_coupling(strategy_cls):
 def test_memlog_n1():
     for seed in range(20):
         inst = random_instance(1, random.Random(seed + 5))
-        rec = memlog_run(inst, seed)
+        rec = run_one_plus_one(Memlog(), inst, seed)
         assert rec.hit_optimum and rec.total_queries <= 2
 
 
@@ -201,7 +200,7 @@ def test_memlog_n2_all_instances():
         for sigma in ((0, 1), (1, 0)):
             inst = LoInstance(2, BitString(2, zw), sigma)
             for seed in range(8):
-                rec = memlog_run(inst, seed)
+                rec = run_one_plus_one(Memlog(), inst, seed)
                 assert rec.hit_optimum
                 assert rec.total_queries <= 12
 
@@ -210,17 +209,24 @@ def test_memlog_n2_all_instances():
 def test_memlog_bound_and_optimum(n):
     for seed in range(10):
         inst = random_instance(n, random.Random(seed + 31))
-        rec = memlog_run(inst, seed + 7000)
+        rec = run_one_plus_one(Memlog(), inst, seed + 7000)
         assert rec.hit_optimum
         assert rec.total_queries <= memlog_query_bound(n)
 
 
 class SpyMemlog(Memlog):
+    """Memlog that snapshots its state after every learn and checks there
+    that the `free` cache is derived from B1 and, while halving, that P0 is
+    the slice `free[lo:lo + p0_size]` of it."""
+
     def __init__(self):
         self.snapshots = []
 
     def learn(self, outcome, state):
         super().learn(outcome, state)
+        assert state.free == set_bits(((1 << state.n) - 1) ^ state.b1)
+        if state.halving:
+            assert state.free[state.lo:state.lo + state.p0_size] == set_bits(state.p0_mask)
         self.snapshots.append((state.b1, tuple(state.outcomes), state.halving,
                                state.p0_mask, state.p0_size))
 
@@ -235,9 +241,15 @@ def _ranks_of_bits(word: int, rank_of) -> list[int]:
 
 
 def test_memlog_whitebox_invariants():
-    clog = math.ceil(math.log2(48))
+    for n in (1, 2, 48, 65):
+        _check_memlog_whitebox(n)
+
+
+def _check_memlog_whitebox(n):
+    clog = math.ceil(math.log2(n))
+    halved = 0
     for seed in range(6):
-        inst = random_instance(48, random.Random(seed + 61))
+        inst = random_instance(n, random.Random(seed + 61))
         rank_of = invert_permutation(inst.sigma)
         spy = SpyMemlog()
         events = []
@@ -256,11 +268,12 @@ def test_memlog_whitebox_invariants():
             assert len(outcomes) <= clog
             if halving:
                 # the cached candidate set is derived state and never empty
-                state = MemlogState(48)
+                halved += 1
+                state = MemlogState(n)
                 state.b1 = b1
                 state.outcomes = list(outcomes)
                 derived = candidate_positions(state)
-                assert derived == _ranks_of_bits(p0_mask, list(range(48)))
+                assert derived == set_bits(p0_mask)
                 assert p0_size == len(derived) and p0_size >= 1
                 assert p0_mask & b1 == 0
             progress.append(f + b1.bit_count())
@@ -268,6 +281,8 @@ def test_memlog_whitebox_invariants():
         window = clog + 1
         for i in range(len(progress) - window):
             assert progress[i + window] > progress[i]
+    if n >= 48:
+        assert halved > 0  # the halving-phase checks really ran
 
 
 def test_memlog_state_packing_within_budget():
@@ -284,24 +299,6 @@ def test_memlog_state_packing_within_budget():
             state.halving = halving
             packed = strategy.pack_state(state)
             assert len(packed) * 8 <= budget_bits + 7
-
-
-def test_lowest_set_bits_matches_naive_scan():
-    rng = random.Random(3)
-    cases = [(0, 0), (0, 3), (rng.getrandbits(50), 0), ((1 << 4096) - 1, 0)]
-    for _ in range(500):
-        n = rng.randrange(1, 160)
-        cases.append((rng.getrandbits(n), rng.randrange(0, n + 2)))
-    for n in (64, 65, 200, 1024, 4096):
-        # masks with at least 64 set bits
-        mask = rng.getrandbits(n) | sum(1 << i for i in rng.sample(range(n), 64))
-        total = mask.bit_count()
-        cases += [(mask, 0), (mask, 1), (mask, 63), (mask, 64), (mask, total // 2),
-                  (mask, total), (mask, total + 1), (mask, rng.randrange(total + 1))]
-    for mask, count in cases:
-        positions = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-        want = sum(1 << i for i in positions[:count])
-        assert lowest_set_bits(mask, count) == want
 
 
 # -- registry -----------------------------------------------------------------------

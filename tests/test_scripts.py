@@ -45,3 +45,17 @@ def test_bound_checks_report_end_to_end():
     assert sweeps[0].endswith("-> pass")
     assert sweeps[1].startswith("induction sweep eps=1:")
     assert sweeps[1].endswith("-> fail")
+
+
+@pytest.mark.parametrize("value", ["3", "49", "0", "-1"])
+def test_scaling_experiments_reject_too_few_reps(tmp_path, value):
+    script = next(p for p in SCRIPTS if p.name == "run_scaling_experiments.py")
+    outdir = tmp_path / "results"
+    proc = subprocess.run([sys.executable, str(script), "--reps", value,
+                           "--outdir", str(outdir)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "scaling needs reps >= 50" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not outdir.exists()  # rejected before the output directory is made
