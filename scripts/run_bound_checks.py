@@ -3,6 +3,10 @@
 the cardinality DP table, the DP-vs-game dominance sweep, the level-entry
 information check, and the induction-step sweep at the default and at a
 deliberately broken eps.
+
+Exits 1 when a check fails: the dominance slack falls below -1e-9, a
+level-entry check is violated, the sweep fails at the default eps, or the
+sweep at the broken eps (the negative control) passes.
 """
 import argparse
 import pathlib
@@ -48,17 +52,20 @@ def main() -> int:
                 checked += 1
     print(f"dominance: {checked} canonical families, min(game - dp) = "
           f"{worst_slack:.3e} (>= -1e-9) in {time.time()-t0:.1f}s")
+    failed = worst_slack < -1e-9
 
     for name, entry_map in sorted(ENTRY_MAPS.items()):
         prob, ok = level_entry_information_check(10, 8, entry_map)
         print(f"level entry ({name}, n=10, k=8): Pr[B <= 2^(m+1)] = "
               f"{float(prob):.4f} -> {'ok' if ok else 'VIOLATED'}")
+        failed |= not ok
 
-    for eps in (DEFAULT_EPS, 1.0):
+    for eps, should_pass in ((DEFAULT_EPS, True), (1.0, False)):
         report = verify_induction_step(eps=eps, p_resolution=2048)
         print(f"induction sweep eps={eps:.6g}: max R(p) = {report.max_r:.5f} "
               f"-> {'pass' if report.passed else 'fail'}")
-    return 0
+        failed |= report.passed != should_pass
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .lo_core import (
     random_instance,
     significant_prefix,
 )
-from .framework import RunRecord, run_mu_lambda, run_one_plus_one, verify_ranking_invariance
+from .framework import RunRecord, run_one_plus_one, verify_ranking_invariance
 from .heuristics import Memlog, OneEa, Rls, make_strategy
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "lo_value",
     "make_strategy",
     "random_instance",
-    "run_mu_lambda",
     "run_one_plus_one",
     "significant_prefix",
     "verify_ranking_invariance",

@@ -1,9 +1,9 @@
-"""The (mu+lambda) elitist protocol: ranking-only information flow,
-truncation selection, and run orchestration.
+"""The (1+1) elitist protocol runner: comparison-only information flow,
+elitist selection, and run orchestration.
 
 The runner owns the oracle and performs every comparison itself; a strategy
-receives only three-way comparison outcomes (or population ranks), which makes
-the elitist information restriction structural rather than conventional.
+receives only three-way comparison outcomes, which makes the elitist
+information restriction structural rather than conventional.
 
 Runs are single-threaded; concurrent runs need disjoint oracle and state
 objects.  (strategy, instance, seed, budget) fully determine a run.
@@ -14,7 +14,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol
 
 from .lo_core import (
     EQUAL,
@@ -30,7 +30,6 @@ class StateBudgetExceeded(RuntimeError):
     """A strategy's serialized state outgrew its declared bit budget."""
 
 
-@runtime_checkable
 class Strategy(Protocol):
     """A (1+1) step rule.
 
@@ -55,29 +54,9 @@ class Strategy(Protocol):
     def learn(self, outcome: Ordering, state) -> None: ...
 
 
-@runtime_checkable
-class PopulationSampler(Protocol):
-    """Offspring sampler for the generic (mu+lambda) runner.
-
-    Sees only the current population multiset and its ranks (0 = best, equal
-    fitness = equal rank), exactly the information the elitist protocol
-    grants.  Called with the partial population during initialization.
-    """
-
-    name: str
-
-    def sample(
-        self,
-        members: Sequence[BitString],
-        ranks: Sequence[int],
-        rng: random.Random,
-        count: int,
-    ) -> list[BitString]: ...
-
-
 @dataclass
 class RunRecord:
-    """One optimization run, as emitted by the runners."""
+    """One optimization run, as emitted by the runner."""
 
     algo: str
     n: int
@@ -206,136 +185,6 @@ def run_one_plus_one(
             _check_state_budget(strategy, state, budget_bits)
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
-
-
-def _dense_ranks(fitnesses: Sequence[int]) -> list[int]:
-    """Rank 0 = best; equal fitness gets equal rank."""
-    order = sorted(set(fitnesses), reverse=True)
-    rank_of = {f: r for r, f in enumerate(order)}
-    return [rank_of[f] for f in fitnesses]
-
-
-def run_mu_lambda(
-    sampler: PopulationSampler,
-    inst: LoInstance,
-    mu: int,
-    lam: int,
-    seed: int,
-    budget: int | None = None,
-    *,
-    discard_newest_on_ties: bool = True,
-    observer: Callable | None = None,
-    record_queries: bool = False,
-) -> RunRecord:
-    """The generic (mu+lambda) elitist protocol.
-
-    Initialization samples mu points one at a time, each depending only on
-    the partial population and its ranking.  Every round asks the sampler for
-    a batch of lam offspring from the current (population, ranks) view, then
-    truncation keeps the mu best of mu+lam; among equal-fitness points at the
-    cut the newest are discarded first by default (configurable, the protocol
-    allows arbitrary tie breaking).
-    """
-    if mu < 1 or lam < 1:
-        raise ValueError("mu and lambda must be >= 1")
-    n = inst.n
-    rng = random.Random(seed)
-    oracle = CountingOracle(inst, record_queries=record_queries)
-
-    # members: [point, fitness, birth_index], oldest first
-    members: list[list] = []
-    birth = 0
-    budget_exhausted = False
-
-    def sample_points(count: int) -> list[BitString]:
-        pts = sampler.sample(
-            [m[0] for m in members], _dense_ranks([m[1] for m in members]), rng, count
-        )
-        if len(pts) != count or any(
-            not isinstance(p, BitString) or p.n != n for p in pts
-        ):
-            raise ValueError(f"sampler {sampler.name} emitted a bad offspring batch")
-        return pts
-
-    for _ in range(mu):
-        if budget is not None and oracle.query_count >= budget:
-            budget_exhausted = True
-            break
-        x = sample_points(1)[0]
-        f = oracle.submit(x)
-        members.append([x, f, birth])
-        birth += 1
-        if oracle.optimum_found:
-            break
-
-    while not oracle.optimum_found and not budget_exhausted:
-        if budget is not None and oracle.query_count >= budget:
-            budget_exhausted = True
-            break
-        batch = sample_points(lam)
-        offspring: list[list] = []
-        for y in batch:
-            if budget is not None and oracle.query_count >= budget:
-                budget_exhausted = True
-                break
-            f = oracle.submit(y)
-            offspring.append([y, f, birth])
-            birth += 1
-            if oracle.optimum_found:
-                break
-        # truncation selection: keep the mu best of mu+lambda
-        pool = members + offspring
-        if discard_newest_on_ties:
-            pool.sort(key=lambda m: (-m[1], m[2]))
-        else:
-            pool.sort(key=lambda m: (-m[1], -m[2]))
-        members = sorted(pool[:mu], key=lambda m: m[2])
-        if observer is not None:
-            observer(("round", [m[0] for m in members]))
-
-    return _finish_record(sampler.name, inst, seed, oracle, budget_exhausted)
-
-
-class UniformSampler:
-    """Samples offspring uniformly from {0,1}^n, ignoring the population."""
-
-    def __init__(self, n: int, name: str = "uniform"):
-        self.n = n
-        self.name = name
-
-    def sample(self, members, ranks, rng, count):
-        return [BitString.random(self.n, rng) for _ in range(count)]
-
-
-class OnePlusOneAdapter:
-    """Run a comparison-free (1+1) strategy (RLS, the (1+1) EA) inside the
-    generic (mu+lambda) runner.
-
-    With mu = lambda = 1, discard_newest_on_ties=False and the same seed this
-    reproduces run_one_plus_one(..., accept_equal=True) query for query.
-    Strategies that need comparison feedback (memlog) cannot be adapted: the
-    population view only reveals post-selection ranks.
-    """
-
-    def __init__(self, strategy: Strategy, n: int):
-        self._strategy = strategy
-        self._n = n
-        self._state = None
-        self._bound = False
-        self.name = strategy.name
-
-    def sample(self, members, ranks, rng, count):
-        if not self._bound:
-            self._state = self._strategy.fresh_state(self._n, rng)
-            self._bound = True
-        out = []
-        for _ in range(count):
-            if not members:
-                out.append(BitString.random(self._n, rng))
-            else:
-                best = members[ranks.index(min(ranks))]
-                out.append(self._strategy.step(best, self._state, rng))
-        return out
 
 
 def make_monotone_transform(n: int, rng: random.Random) -> Callable[[int], int]:

@@ -102,7 +102,7 @@ class MemlogState:
     `state_budget_bits`.  `free` lists the zero-B1 positions in ascending
     order and is a function of B1 alone.  While halving, the candidate set
     P0 is `free[lo:lo + p0_size]` and `p0_mask` holds the same positions as
-    a word; both are recomputable from B1 and B2 (`candidate_positions`).
+    a word; both are recomputable from B1 and B2.
     Halving keeps the first or the second half of P0 in that order, so P0
     stays a contiguous slice of `free` and the first half is cut off
     `p0_mask` just above the position `free[lo + half - 1]`.
@@ -116,21 +116,11 @@ class MemlogState:
         self.b1 = 0                       # marker word, one bit per position
         self.outcomes: list[int] = []     # B2: 1 = kept first half, 0 = second
         self.halving = False
-        self.p0_mask = 0                  # candidate cache, = candidate_positions()
+        self.p0_mask = 0                  # candidate cache, P0 as a word
         self.p0_size = 0
         self.pending_first = 0            # first-half mask of the pending query
         self.free = list(range(n))        # zero-B1 positions, ascending (cache)
         self.lo = 0                       # P0 = free[lo:lo + p0_size]
-
-
-def candidate_positions(state: MemlogState) -> list[int]:
-    """Recompute P0 from B1 and the halving record (checks the cache is
-    genuinely derived state)."""
-    p0 = [i for i in range(state.n) if not (state.b1 >> i) & 1]
-    for bit in state.outcomes:
-        half = (len(p0) + 1) // 2
-        p0 = p0[:half] if bit else p0[half:]
-    return p0
 
 
 class Memlog:

@@ -2,8 +2,9 @@
 
 An instance is a pair (z, sigma): fitness of x is the length of the longest
 prefix, in the significance order sigma, on which x agrees with the target
-string z.  Positions are stored 0-based internally; every on-disk format and
-reported position list is 1-based.
+string z.  Positions are stored 0-based internally; reported position lists
+are 1-based, as are the positions in `lolab game` spec files (parsed in
+`harness`).
 """
 from __future__ import annotations
 
@@ -106,19 +107,8 @@ class BitString:
             raise ValueError("flip mask has bits outside the string length")
         return _unchecked(n, self.word ^ mask)
 
-    def count_ones(self) -> int:
-        return self.word.bit_count()
-
-    def hamming(self, other: "BitString") -> int:
-        if other.n != self.n:
-            raise ValueError("length mismatch")
-        return (self.word ^ other.word).bit_count()
-
     def to01(self) -> str:
         return "".join(str((self.word >> i) & 1) for i in range(self.n))
-
-    def bits(self) -> list[int]:
-        return [(self.word >> i) & 1 for i in range(self.n)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,22 +136,6 @@ def _unchecked(n: int, word: int) -> BitString:
     return out
 
 
-def validate_permutation(sigma) -> tuple[int, ...]:
-    """Check that sigma is a bijection on {0, ..., n-1}; return it as a tuple."""
-    sigma = tuple(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError("sigma is not a permutation of 0..n-1")
-    return sigma
-
-
-def invert_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for rank, pos in enumerate(sigma):
-        inv[pos] = rank
-    return tuple(inv)
-
-
 @dataclass(frozen=True)
 class LoInstance:
     """Target string z plus significance order sigma.
@@ -179,7 +153,8 @@ class LoInstance:
             raise ValueError("target string length does not match n")
         if len(self.sigma) != self.n:
             raise ValueError("sigma length does not match n")
-        validate_permutation(self.sigma)
+        if sorted(self.sigma) != list(range(self.n)):
+            raise ValueError("sigma is not a permutation of 0..n-1")
 
 
 def lo_value(inst: LoInstance, x: BitString) -> int:
@@ -215,7 +190,7 @@ def identity_instance(n: int) -> LoInstance:
 def significant_prefix(inst: LoInstance, k: int) -> list[tuple[int, int]]:
     """White-box accessor: the first k significant positions and target bits.
 
-    Positions are reported 1-based, matching the on-disk instance format.
+    Positions are reported 1-based.
     Touches no oracle counter.
     """
     if not 0 <= k <= inst.n:
@@ -294,8 +269,8 @@ class CountingOracle:
     def submit(self, x: BitString) -> int:
         """Charge one query for x and return its raw fitness.
 
-        Runner-side API: strategies must never see this value; runners expose
-        only comparisons or ranks derived from it.  x becomes the cached
+        Runner-side API: strategies must never see this value; the runner
+        exposes only comparisons derived from it.  x becomes the cached
         incumbent.
         """
         n = self._n
@@ -350,54 +325,3 @@ class CountingOracle:
         if self.queries is not None:
             self.queries.append(y)
         return outcome
-
-
-# -- instance text format ----------------------------------------------------
-#
-# One instance per file:
-#   n=<int>
-#   z=<bitstring>
-#   sigma=<space-separated 1-based permutation>
-
-
-def format_instance(inst: LoInstance) -> str:
-    sigma_1 = " ".join(str(p + 1) for p in inst.sigma)
-    return f"n={inst.n}\nz={inst.z.to01()}\nsigma={sigma_1}\n"
-
-
-def parse_instance(text: str) -> LoInstance:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip() != ""]
-    if len(lines) != 3:
-        raise ValueError(f"expected 3 non-empty lines, got {len(lines)}")
-    fields = {}
-    for line, key in zip(lines, ("n", "z", "sigma")):
-        prefix = key + "="
-        if not line.startswith(prefix):
-            raise ValueError(f"expected line starting with {prefix!r}, got {line!r}")
-        fields[key] = line[len(prefix):].strip()
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise ValueError(f"bad n value {fields['n']!r}") from None
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    zs = fields["z"]
-    if len(zs) != n or any(c not in "01" for c in zs):
-        raise ValueError(f"z must be a {n}-character bit string, got {zs!r}")
-    try:
-        sigma_1 = [int(tok) for tok in fields["sigma"].split()]
-    except ValueError:
-        raise ValueError("sigma entries must be integers") from None
-    if sorted(sigma_1) != list(range(1, n + 1)):
-        raise ValueError("sigma is not a 1-based permutation of 1..n")
-    return LoInstance(n, BitString.from_str(zs), tuple(p - 1 for p in sigma_1))
-
-
-def load_instance(path) -> LoInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
-
-
-def save_instance(inst: LoInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(inst))

@@ -1,26 +1,19 @@
-import itertools
 import json
 import random
 
-import numpy as np
 import pytest
 
 from elitist_lo_lab import framework
 from elitist_lo_lab.framework import (
-    OnePlusOneAdapter,
     RunRecord,
     StateBudgetExceeded,
-    UniformSampler,
     make_monotone_transform,
-    run_mu_lambda,
     run_one_plus_one,
     verify_ranking_invariance,
 )
 from elitist_lo_lab.heuristics import OneEa, Rls
 from elitist_lo_lab.lo_core import (
     BitString,
-    LoInstance,
-    identity_instance,
     lo_value,
     random_instance,
 )
@@ -214,125 +207,6 @@ def test_run_record_json_schema_and_round_trip():
     back = RunRecord.from_json_dict(d)
     assert back == RunRecord(rec.algo, rec.n, rec.seed, rec.total_queries,
                              rec.hit_optimum, rec.budget_exhausted, rec.per_level)
-
-
-# -- run_mu_lambda -----------------------------------------------------------------
-
-
-def test_one_plus_one_adapter_matches_runner():
-    for strategy_cls in (Rls, OneEa):
-        for seed in range(10):
-            inst = random_instance(12, random.Random(seed + 500))
-            direct = run_one_plus_one(strategy_cls(), inst, seed,
-                                      record_queries=True)
-            adapted = run_mu_lambda(
-                OnePlusOneAdapter(strategy_cls(), 12), inst, mu=1, lam=1,
-                seed=seed, discard_newest_on_ties=False, record_queries=True,
-            )
-            assert direct.queries == adapted.queries
-            assert direct.total_queries == adapted.total_queries
-
-
-def test_population_size_invariant_and_rank_consistency():
-    calls = []
-
-    class SpySampler(UniformSampler):
-        def sample(self, members, ranks, rng, count):
-            calls.append((list(members), list(ranks)))
-            return super().sample(members, ranks, rng, count)
-
-    inst = random_instance(4, random.Random(8))
-    run_mu_lambda(SpySampler(4), inst, mu=3, lam=2, seed=21, budget=500)
-    post_init = calls[3:]  # the first mu calls see the growing initial population
-    assert post_init
-    for members, ranks in post_init:
-        assert len(members) == 3
-    for members, ranks in calls:
-        fitness = [lo_value(inst, p) for p in members]
-        for i, j in itertools.combinations(range(len(members)), 2):
-            assert (fitness[i] == fitness[j]) == (ranks[i] == ranks[j])
-            if fitness[i] > fitness[j]:
-                assert ranks[i] < ranks[j]
-
-
-def _exact_mu2_lambda1_mean(inst: LoInstance) -> float:
-    """First-step analysis of the (2+1) uniform-offspring chain on n=2."""
-    points = [BitString(2, w) for w in range(4)]
-    f = {p.word: lo_value(inst, p) for p in points}
-    optimum = inst.z.word
-    non_opt = [p for p in points if p.word != optimum]
-
-    # ordered (older, newer) states over non-optimal points
-    states = [(a.word, b.word) for a in non_opt for b in non_opt]
-    index = {s: i for i, s in enumerate(states)}
-
-    def select(a, b, o):
-        pool = [(a, 0), (b, 1), (o, 2)]
-        pool.sort(key=lambda t: (-f[t[0]], t[1]))
-        kept = sorted(pool[:2], key=lambda t: t[1])
-        return (kept[0][0], kept[1][0])
-
-    A = np.zeros((len(states), len(states)))
-    rhs = np.ones(len(states))
-    for s, (a, b) in enumerate(states):
-        A[s, s] = 1.0
-        for o in range(4):
-            if o == optimum:
-                continue
-            A[s, index[select(a, b, o)]] -= 0.25
-    e = np.linalg.solve(A, rhs)
-
-    # init: two uniform samples, stopping early on the optimum
-    total = 0.25 * 1.0
-    for x1 in range(4):
-        if x1 == optimum:
-            continue
-        total += 0.25 * 0.25 * 2.0
-        for x2 in range(4):
-            if x2 == optimum:
-                continue
-            total += 0.25 * 0.25 * (2.0 + e[index[(x1, x2)]])
-    return float(total)
-
-
-def test_mu2_lambda1_uniform_matches_markov_chain():
-    inst = identity_instance(2)
-    exact = _exact_mu2_lambda1_mean(inst)
-    totals = []
-    for seed in range(4000):
-        rec = run_mu_lambda(UniformSampler(2), inst, mu=2, lam=1, seed=seed)
-        assert rec.hit_optimum
-        totals.append(rec.total_queries)
-    mean = sum(totals) / len(totals)
-    assert abs(mean - exact) < 0.06 * exact
-
-
-def test_mu_lambda_validates_arguments():
-    inst = identity_instance(2)
-    with pytest.raises(ValueError):
-        run_mu_lambda(UniformSampler(2), inst, mu=0, lam=1, seed=0)
-
-
-def test_mu_lambda_stops_mid_batch_on_optimum():
-    # with lambda > 1 the run ends at the query that samples the optimum,
-    # and the counters stay consistent
-    for seed in range(30):
-        inst = identity_instance(3)
-        rec = run_mu_lambda(UniformSampler(3), inst, mu=2, lam=4, seed=seed,
-                            record_queries=True)
-        assert rec.hit_optimum
-        assert rec.queries[-1] == inst.z
-        assert inst.z not in rec.queries[:-1]
-        assert rec.total_queries == len(rec.queries)
-        assert rec.total_queries == sum(c for _, c in rec.per_level)
-
-
-def test_mu_lambda_budget_counts_charged_queries():
-    inst = identity_instance(8)
-    rec = run_mu_lambda(UniformSampler(8), inst, mu=3, lam=5, seed=1, budget=7)
-    if not rec.hit_optimum:
-        assert rec.budget_exhausted
-        assert rec.total_queries <= 7
 
 
 # -- ranking invariance -------------------------------------------------------------

@@ -12,10 +12,8 @@ from elitist_lo_lab.lo_core import (
     BitString,
     CountingOracle,
     LoInstance,
-    format_instance,
     identity_instance,
     lo_value,
-    parse_instance,
     random_instance,
     set_bits,
     significant_prefix,
@@ -385,62 +383,14 @@ def test_significant_prefix_touches_no_counter():
     assert oracle.query_count == 0
 
 
-# -- instance text format ---------------------------------------------------------
-
-
-def test_instance_format_round_trip():
-    rng = random.Random(17)
-    for _ in range(25):
-        inst = random_instance(rng.randrange(1, 12), rng)
-        assert parse_instance(format_instance(inst)) == inst
-
-
-def test_instance_format_example():
-    text = "n=3\nz=101\nsigma=2 3 1\n"
-    inst = parse_instance(text)
-    assert inst == make_instance("101", (2, 3, 1))
-    assert format_instance(inst) == text
-
-
-def test_instance_parse_tolerates_trailing_whitespace():
-    inst = parse_instance("n=3  \nz=101\t\nsigma=2 3 1   \n\n")
-    assert inst == make_instance("101", (2, 3, 1))
-
-
-@pytest.mark.parametrize("text", [
-    "n=3\nz=10\nsigma=2 3 1",          # z wrong length
-    "n=3\nz=102\nsigma=2 3 1",         # bad character
-    "n=3\nz=101\nsigma=2 3 3",         # not a permutation
-    "n=3\nz=101\nsigma=0 1 2",         # 0-based on disk is invalid
-    "z=101\nn=3\nsigma=2 3 1",         # wrong line order
-    "n=3\nz=101",                      # missing line
-    "n=x\nz=101\nsigma=2 3 1",         # bad n
-])
-def test_instance_parse_rejects(text):
-    with pytest.raises(ValueError):
-        parse_instance(text)
-
-
-def test_instance_file_round_trip(tmp_path):
-    from elitist_lo_lab.lo_core import load_instance, save_instance
-
-    inst = random_instance(7, random.Random(23))
-    path = tmp_path / "instance.txt"
-    save_instance(inst, path)
-    assert load_instance(path) == inst
-
-
 # -- BitString ---------------------------------------------------------------------
 
 
 def test_bitstring_basics():
     b = BitString.from_str("1101")
     assert b.n == 4
-    assert b.bits() == [1, 1, 0, 1]
     assert b.to01() == "1101"
-    assert b.count_ones() == 3
     assert b.flip(1).to01() == "1001"
-    assert b.hamming(BitString.from_str("0101")) == 1
     assert b == BitString.from_bits([1, 1, 0, 1])
     assert len({b, BitString.from_str("1101")}) == 1
 
@@ -454,6 +404,18 @@ def test_bitstring_rejects_bad_input():
         BitString.from_str("101").flip(3)
     with pytest.raises(ValueError):
         BitString.from_bits([0, 2])
+
+
+@pytest.mark.parametrize("z, sigma", [
+    ("10", (1, 2, 0)),
+    ("101", (1, 0)),
+    ("101", (1, 1, 0)),
+    ("101", (0, 1, 3)),
+    ("101", (2, 3, 1)),
+], ids=["z-length", "sigma-length", "repeated", "out-of-range", "one-based"])
+def test_lo_instance_rejects_bad_fields(z, sigma):
+    with pytest.raises(ValueError):
+        LoInstance(3, BitString.from_str(z), sigma)
 
 
 def test_identity_instance():

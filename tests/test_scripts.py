@@ -47,6 +47,18 @@ def test_bound_checks_report_end_to_end():
     assert sweeps[1].endswith("-> fail")
 
 
+def test_bound_checks_exit_1_on_violated_check(monkeypatch, capsys):
+    import elitist_lo_lab.bounds as bounds
+
+    monkeypatch.setattr(bounds, "level_entry_information_check",
+                        lambda n, k, entry_map: (1.0, False))
+    script = next(p for p in SCRIPTS if p.name == "run_bound_checks.py")
+    namespace = runpy.run_path(str(script), run_name="check")
+    monkeypatch.setattr(sys, "argv", [script.name, "--max-total", "2"])
+    assert namespace["main"]() == 1
+    assert "-> VIOLATED" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["3", "49", "0", "-1"])
 def test_scaling_experiments_reject_too_few_reps(tmp_path, value):
     script = next(p for p in SCRIPTS if p.name == "run_scaling_experiments.py")
