@@ -42,7 +42,9 @@ class Strategy(Protocol):
     Optional extras:
       * state_budget_bits(n): declared bound on the packed state size; when
         not None the runner enforces it after every step.
-      * pack_state(state): serialize the state to bytes for enforcement.
+      * pack_state(state): serialize the state to bytes for enforcement.  It
+        runs once per step, so a strategy whose state is mostly stable should
+        cache the serialized stable part (memlog caches B1's bytes).
     """
 
     name: str
@@ -113,15 +115,6 @@ def _finish_record(algo: str, inst: LoInstance, seed: int,
     )
 
 
-def _check_state_budget(strategy, state, budget_bits: int) -> None:
-    packed = strategy.pack_state(state)
-    if len(packed) * 8 > budget_bits + 7:
-        raise StateBudgetExceeded(
-            f"{strategy.name}: packed state is {len(packed) * 8} bits, "
-            f"declared budget {budget_bits}"
-        )
-
-
 def run_one_plus_one(
     strategy: Strategy,
     inst: LoInstance,
@@ -151,9 +144,12 @@ def run_one_plus_one(
     n = inst.n
     rng = random.Random(seed)
     oracle = (oracle or CountingOracle)(inst, record_queries=record_queries)
-    budget_bits = None
+    budget_bits = pack = None
     if hasattr(strategy, "state_budget_bits"):
         budget_bits = strategy.state_budget_bits(n)
+    if budget_bits is not None:
+        pack = strategy.pack_state
+        max_bytes = (budget_bits + 7) // 8  # a packed state may pad to whole bytes
     state = strategy.fresh_state(n, rng)
 
     if budget is not None and budget < 1:
@@ -181,8 +177,11 @@ def run_one_plus_one(
             observer(("step", incumbent, offspring, outcome, accepted))
         if accepted:
             incumbent = offspring
-        if budget_bits is not None:
-            _check_state_budget(strategy, state, budget_bits)
+        if pack is not None and len(packed := pack(state)) > max_bytes:
+            raise StateBudgetExceeded(
+                f"{strategy.name}: packed state is {len(packed) * 8} bits, "
+                f"declared budget {budget_bits}"
+            )
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
 

@@ -94,33 +94,43 @@ class OneEa:
 
 
 class MemlogState:
-    """Marker block B1 and the bounded halving record B2, plus two caches
+    """Marker block B1 and the bounded halving record B2, plus caches
     derived from them.
 
     B1 and B2 (with the phase flag) are the strategy's state; `pack_state`
     serializes exactly these and the runner checks them against
-    `state_budget_bits`.  `free` lists the zero-B1 positions in ascending
-    order and is a function of B1 alone.  While halving, the candidate set
-    P0 is `free[lo:lo + p0_size]` and `p0_mask` holds the same positions as
-    a word; both are recomputable from B1 and B2.
-    Halving keeps the first or the second half of P0 in that order, so P0
-    stays a contiguous slice of `free` and the first half is cut off
+    `state_budget_bits`.  B2 is `record`, a self-delimited int: a leading 1,
+    then one bit per halving outcome (1 = kept the first half, 0 = the
+    second), so it is 1 outside halving.  `free` lists the zero-B1
+    positions in ascending order and is a function of B1 alone.  While
+    halving, the candidate set P0 is `free[lo:lo + p0_size]` and `p0_mask`
+    holds the same positions as a word; both are recomputable from B1 and
+    B2.  Halving keeps the first or the second half of P0 in that order, so
+    P0 stays a contiguous slice of `free` and the first half is cut off
     `p0_mask` just above the position `free[lo + half - 1]`.
+
+    `pack_state` caches B1's serialized form: `b1_low`, its low n // 8 whole
+    bytes, and `b1_tail`, its top n % 8 bits, both taken from the object
+    `b1_key`.  It refreshes them whenever `b1` is no longer that object, so
+    a write to `b1` from anywhere cannot leave them stale.
     """
 
-    __slots__ = ("n", "b1", "outcomes", "halving", "p0_mask", "p0_size", "pending_first",
-                 "free", "lo")
+    __slots__ = ("n", "b1", "record", "halving", "p0_mask", "p0_size", "pending",
+                 "free", "lo", "b1_key", "b1_low", "b1_tail")
 
     def __init__(self, n: int):
         self.n = n
         self.b1 = 0                       # marker word, one bit per position
-        self.outcomes: list[int] = []     # B2: 1 = kept first half, 0 = second
+        self.record = 1                   # B2: leading 1, then one bit per halving
         self.halving = False
         self.p0_mask = 0                  # candidate cache, P0 as a word
         self.p0_size = 0
-        self.pending_first = 0            # first-half mask of the pending query
+        self.pending = 0                  # flip mask of the pending query
         self.free = list(range(n))        # zero-B1 positions, ascending (cache)
         self.lo = 0                       # P0 = free[lo:lo + p0_size]
+        self.b1_key = None                # the b1 object b1_low/b1_tail came from
+        self.b1_low = b""
+        self.b1_tail = 0
 
 
 class Memlog:
@@ -155,11 +165,12 @@ class Memlog:
             mask = ((1 << incumbent.n) - 1) ^ state.b1
             if mask == 0:
                 raise RuntimeError("memlog probe with all positions marked")
+            state.pending = mask
             return incumbent.flip_mask(mask)
         # P0's first half is free[lo:lo + half]: cut p0_mask above its last
         last = state.free[state.lo + (state.p0_size + 1) // 2 - 1]
         first = state.p0_mask & ((2 << last) - 1)
-        state.pending_first = first
+        state.pending = first
         return incumbent.flip_mask(first)
 
     def learn(self, outcome: Ordering, state: MemlogState) -> None:
@@ -169,14 +180,13 @@ class Memlog:
             if outcome == EQUAL:
                 raise RuntimeError("memlog invariant violated: probe came back EQUAL")
             # LESS: some marked-prefix gap exists; search zeros(B1) for it
-            zeros = ((1 << state.n) - 1) ^ state.b1
+            zeros = state.pending  # the probe's mask, zeros(B1)
             count = len(state.free)
-            if count == 1:
+            if count == 1:  # only scripted outcome sequences reach this
                 state.b1 |= zeros
                 state.free.clear()
                 return
             state.halving = True
-            state.outcomes = []
             state.p0_mask = zeros
             state.p0_size = count
             return
@@ -184,13 +194,14 @@ class Memlog:
             # forced accept; fitness only grew, so B1 stays valid
             self._reset_halving(state)
             return
-        state.outcomes.append(1 if outcome == LESS else 0)
         half = (state.p0_size + 1) // 2
-        first = state.pending_first
+        first = state.pending
         if outcome == LESS:
+            state.record = (state.record << 1) | 1
             state.p0_mask = first
             state.p0_size = half
         else:
+            state.record <<= 1
             state.p0_mask ^= first
             state.p0_size -= half
             state.lo += half
@@ -202,10 +213,10 @@ class Memlog:
     @staticmethod
     def _reset_halving(state: MemlogState) -> None:
         state.halving = False
-        state.outcomes = []
+        state.record = 1
         state.p0_mask = 0
         state.p0_size = 0
-        state.pending_first = 0
+        state.pending = 0
         state.lo = 0
 
     # -- state budget --------------------------------------------------------
@@ -216,13 +227,23 @@ class Memlog:
         return n + max(1, math.ceil(math.log2(n))) + 16
 
     def pack_state(self, state: MemlogState) -> bytes:
-        n = state.n
-        record = 1
-        for bit in state.outcomes:
-            record = (record << 1) | bit
-        packed = state.b1 | (record << n) | (int(state.halving) << (n + record.bit_length()))
-        nbytes = (n + record.bit_length() + 2 + 7) // 8
-        return packed.to_bytes(max(nbytes, 1), "little")
+        """B1 in the low n bits, B2 above it, then the phase flag, as
+        ceil((n + len(B2) + 2) / 8) little-endian bytes.
+
+        B1's whole bytes come from the cache; only the top n % 8 bits of B1,
+        B2 and the flag are serialized per call.
+        """
+        b1 = state.b1
+        if b1 is not state.b1_key:
+            whole = state.n >> 3
+            state.b1_low = (b1 & ((1 << (whole << 3)) - 1)).to_bytes(whole, "little")
+            state.b1_tail = b1 >> (whole << 3)
+            state.b1_key = b1
+        top = state.n & 7  # B1 bits above its whole bytes
+        record = state.record
+        used = top + record.bit_length()  # tail bits below the phase flag
+        tail = state.b1_tail | (record << top) | (state.halving << used)
+        return state.b1_low + tail.to_bytes((used + 9) >> 3, "little")
 
 
 def memlog_query_bound(n: int) -> int:

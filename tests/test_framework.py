@@ -189,7 +189,8 @@ def test_elitism_incumbent_fitness_non_decreasing():
 
 def test_state_budget_enforced():
     inst = random_instance(8, random.Random(2))
-    with pytest.raises(StateBudgetExceeded):
+    with pytest.raises(StateBudgetExceeded,
+                       match=r"^overweight: packed state is 16 bits, declared budget 4$"):
         run_one_plus_one(OverweightStrategy(), inst, seed=1, budget=100)
 
 

@@ -462,10 +462,15 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
 
 
 def test_cli_entry_point_installed():
+    # the child imports the package from where this test did, whether it was
+    # installed or found through PYTHONPATH or pytest's own pythonpath setting
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "elitist_lo_lab.cli",
                            "run", "--algo", "rls", "--n", "4", "--reps", "1",
                            "--seed", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
 

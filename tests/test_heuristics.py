@@ -18,6 +18,9 @@ from elitist_lo_lab.heuristics import (
     rls_step,
 )
 from elitist_lo_lab.lo_core import (
+    EQUAL,
+    GREATER,
+    LESS,
     BitString,
     LoInstance,
     identity_instance,
@@ -232,7 +235,7 @@ class SpyMemlog(Memlog):
         assert state.free == set_bits(((1 << state.n) - 1) ^ state.b1)
         if state.halving:
             assert state.free[state.lo:state.lo + state.p0_size] == set_bits(state.p0_mask)
-        self.snapshots.append((state.b1, tuple(state.outcomes), state.halving,
+        self.snapshots.append((state.b1, state.record, state.halving,
                                state.p0_mask, state.p0_size))
 
 
@@ -240,9 +243,9 @@ def candidate_positions(state: MemlogState) -> list[int]:
     """Recompute P0 from B1 and the halving record (checks the cache is
     genuinely derived state)."""
     p0 = [i for i in range(state.n) if not (state.b1 >> i) & 1]
-    for bit in state.outcomes:
+    for bit in bin(state.record)[3:]:  # the outcome bits below the leading 1
         half = (len(p0) + 1) // 2
-        p0 = p0[:half] if bit else p0[half:]
+        p0 = p0[:half] if bit == "1" else p0[half:]
     return p0
 
 
@@ -273,20 +276,20 @@ def _check_memlog_whitebox(n):
         steps = [e for e in events if e[0] == "step"]
         assert len(steps) == len(spy.snapshots)
         progress = []
-        for (b1, outcomes, halving, p0_mask, p0_size), step in zip(spy.snapshots, steps):
+        for (b1, record, halving, p0_mask, p0_size), step in zip(spy.snapshots, steps):
             _, inc, off, outcome, accepted = step
             current = off if accepted else inc
             f = lo_value(inst, current)
             # every B1 mark sits among the first f significant positions
             assert all(r < f for r in _ranks_of_bits(b1, rank_of))
             # B2 record stays within its declared bound
-            assert len(outcomes) <= clog
+            assert record.bit_length() - 1 <= clog
             if halving:
                 # the cached candidate set is derived state and never empty
                 halved += 1
                 state = MemlogState(n)
                 state.b1 = b1
-                state.outcomes = list(outcomes)
+                state.record = record
                 derived = candidate_positions(state)
                 assert derived == set_bits(p0_mask)
                 assert p0_size == len(derived) and p0_size >= 1
@@ -306,14 +309,56 @@ def test_memlog_state_packing_within_budget():
         budget_bits = strategy.state_budget_bits(n)
         inst = random_instance(n, random.Random(n))
         spy = SpyMemlog()
-        run_one_plus_one(spy, inst, seed=n)
+        # a run seed equal to the instance seed would start on the optimum
+        run_one_plus_one(spy, inst, seed=n + 1)
+        assert len({b1 for b1, *_ in spy.snapshots}) > 2  # B1 changes under the cache
         state = MemlogState(n)
-        for b1, outcomes, halving, p0_mask, p0_size in spy.snapshots:
+        for b1, record, halving, p0_mask, p0_size in spy.snapshots:
             state.b1 = b1
-            state.outcomes = list(outcomes)
+            state.record = record
             state.halving = halving
             packed = strategy.pack_state(state)
             assert len(packed) * 8 <= budget_bits + 7
+            assert packed == packed_from_scratch(n, b1, record, halving)
+
+
+def packed_from_scratch(n, b1, record, halving):
+    """memlog's packed state built in one piece: B1, then B2, then the flag."""
+    packed = b1 | (record << n) | (int(halving) << (n + record.bit_length()))
+    return packed.to_bytes((n + record.bit_length() + 2 + 7) // 8, "little")
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), *range(1024, 1032)])
+def test_memlog_pack_state_after_every_b1_write(n):
+    # Scripted outcomes reach both B1 write sites, the halving phase's
+    # singleton and the probe's singleton LESS, which no oracle-driven run
+    # reaches; each write must replace the cached bytes of B1.
+    rng = random.Random(7000 + n)
+    strategy = Memlog()
+    full = (1 << n) - 1
+    writes = {"halving": 0, "probe": 0}
+    for trial in range(3 if n < 1024 else 1):
+        x = BitString.random(n, rng)
+        state = strategy.fresh_state(n, rng)
+        assert strategy.pack_state(state) == packed_from_scratch(n, 0, 1, False)
+        while state.b1 != full:
+            y = strategy.step(x, state, rng)
+            was_halving, b1 = state.halving, state.b1
+            if was_halving:
+                outcome = rng.choices((LESS, EQUAL, GREATER), (9, 9, 2))[0]
+            else:
+                # a last unmarked position is always a LESS probe's singleton
+                outcome = (LESS if len(state.free) == 1
+                           else rng.choices((LESS, GREATER), (9, 1))[0])
+            strategy.learn(outcome, state)
+            if state.b1 != b1:
+                writes["halving" if was_halving else "probe"] += 1
+            assert strategy.pack_state(state) == packed_from_scratch(
+                n, state.b1, state.record, state.halving)
+            if outcome == GREATER:
+                x = y
+    assert writes["halving"] > 0 or n == 1  # at n = 1 no phase halves
+    assert writes["probe"] > 0
 
 
 # -- registry -----------------------------------------------------------------------
