@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+from .heuristics import OneEa, Rls, oea_mask
 from .lo_core import (
     EQUAL,
     GREATER,
+    INIT_LEVEL,
     BitString,
     CountingOracle,
     LoInstance,
@@ -45,6 +48,11 @@ class Strategy(Protocol):
       * pack_state(state): serialize the state to bytes for enforcement.  It
         runs once per step, so a strategy whose state is mostly stable should
         cache the serialized stable part (memlog caches B1's bytes).
+
+    `Rls` and `OneEa` keep no state, so a plain run of either (exactly
+    that class, no observer, oracle, start point or query log) takes
+    `run_one_plus_one`'s fused loop, which never calls `step` or `learn`.
+    A subclass always runs the protocol loop and its own methods.
     """
 
     name: str
@@ -140,7 +148,16 @@ def run_one_plus_one(
     `observer`, when set, receives ("init", point) once and then
     ("step", incumbent, offspring, outcome, accepted) per step; used by
     white-box tests.
+
+    When `type(strategy)` is exactly `Rls` or `OneEa` and `oracle`,
+    `initial` and `observer` are None and `record_queries` is False, the
+    run takes `_run_fused`, which makes the same draws in the same order and
+    returns the same record with `queries` None.  Every other call runs the
+    protocol loop below, which stays the reference.
     """
+    if (type(strategy) in _FUSED and oracle is None and initial is None
+            and observer is None and not record_queries):
+        return _run_fused(strategy, inst, seed, budget, accept_equal)
     n = inst.n
     rng = random.Random(seed)
     oracle = (oracle or CountingOracle)(inst, record_queries=record_queries)
@@ -184,6 +201,72 @@ def run_one_plus_one(
             )
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
+
+
+_FUSED = (Rls, OneEa)
+
+
+def _run_fused(strategy: Rls | OneEa, inst: LoInstance, seed: int,
+               budget: int | None, accept_equal: bool) -> RunRecord:
+    """The protocol loop for an `Rls` or a `OneEa`, over ints.
+
+    Both keep no state, so the loop keeps only the diff word d = x ^ z of
+    the incumbent x, its fitness f and the per-level counts.  Since the
+    incumbent is always the best point charged so far, each query is
+    charged to level f.  rls flips position i, whose significance rank
+    r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
+    r == f repairs position sigma[f] (GREATER), r > f is EQUAL.  The (1+1)
+    EA XORs its `oea_mask` into d and decides with the prefix masks as
+    `CountingOracle.compare` does.  Only a GREATER offspring's fitness is
+    bisected, on [f + 1, n], by the oracle's own `_bisect`.
+
+    The rng draws are those of the protocol loop: `BitString.random` for
+    the start point, then `randrange(n)` (inlined as its `getrandbits`
+    rejection loop) or `oea_mask` per query.
+    """
+    algo, n = strategy.name, inst.n
+    rng = random.Random(seed)
+    if budget is not None and budget < 1:
+        return RunRecord(algo, n, seed, 0, False, True, [])
+    oracle = CountingOracle(inst)
+    prefix, bisect = oracle._prefix, oracle._bisect
+    d = BitString.random(n, rng).word ^ oracle._z
+    f = bisect(d, 0, n)
+    counts = [0] * (n + 1)
+    queries = 1  # the start point, charged to INIT_LEVEL
+    stop = math.inf if budget is None else budget
+    if type(strategy) is Rls:
+        rank = [0] * n
+        for r, pos in enumerate(inst.sigma):
+            rank[pos] = r
+        getrandbits, k = rng.getrandbits, n.bit_length()
+        while f < n and queries < stop:
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            counts[f] += 1
+            queries += 1
+            r = rank[i]
+            if r == f:
+                d ^= 1 << i
+                f = bisect(d, f + 1, n)
+            elif r > f and accept_equal:
+                d ^= 1 << i
+    else:
+        while f < n and queries < stop:
+            y = d ^ oea_mask(n, rng)
+            counts[f] += 1
+            queries += 1
+            if y & prefix[f]:
+                continue
+            if not y & prefix[f + 1]:
+                d = y
+                f = bisect(d, f + 1, n)
+            elif accept_equal:
+                d = y
+    per_level = [(INIT_LEVEL, 1)]
+    per_level += [(level, c) for level, c in enumerate(counts) if c]
+    return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
 
 
 def make_monotone_transform(n: int, rng: random.Random) -> Callable[[int], int]:

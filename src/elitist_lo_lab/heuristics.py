@@ -17,17 +17,8 @@ from .lo_core import EQUAL, GREATER, LESS, BitString, Ordering, _unchecked
 
 
 def rls_step(x: BitString, rng: random.Random) -> BitString:
-    """Flip exactly one position, chosen uniformly at random.
-
-    The index is drawn as `rng.randrange(n)` draws it, `getrandbits` of
-    n.bit_length() bits until one is below n, without randrange's two frames.
-    """
-    n = x.n
-    k = n.bit_length()
-    i = rng.getrandbits(k)
-    while i >= n:
-        i = rng.getrandbits(k)
-    return x.flip(i)
+    """Flip exactly one position, chosen uniformly at random."""
+    return x.flip(rng.randrange(x.n))
 
 
 @functools.cache
@@ -36,20 +27,21 @@ def _log_keep(n: int) -> float:
     return math.log(1.0 - 1.0 / n)
 
 
-def oea_step(x: BitString, rng: random.Random) -> BitString:
-    """Flip each position independently with probability 1/n.
+def oea_mask(n: int, rng: random.Random) -> int:
+    """A standard-bit-mutation flip mask: each of the n positions is set
+    independently with probability 1/n.
 
-    The all-zero flip mask (offspring equal to the parent) is allowed.
-    Positions are visited by geometric skips, so the cost is proportional to
-    the number of flips rather than to n.
+    The all-zero mask (offspring equal to the parent) is allowed; at n = 1
+    the mask is 1 and nothing is drawn.  Positions are visited by geometric
+    skips, so the cost is proportional to the number of flips rather than
+    to n, and every set bit is below n.
     """
-    n = x.n
     if n == 1:
-        return x.flip(0)
+        return 1
     log_keep = _log_keep(n)
     log, floor = math.log, math.floor
     draw = rng.random
-    word = x.word
+    mask = 0
     i = 0
     while True:
         u = draw()
@@ -58,13 +50,23 @@ def oea_step(x: BitString, rng: random.Random) -> BitString:
         i += floor(log(u) / log_keep)  # = int(): the quotient is >= 0
         if i >= n:
             break
-        word ^= 1 << i
+        mask |= 1 << i
         i += 1
-    return _unchecked(n, word)  # every flipped i is below n
+    return mask
+
+
+def oea_step(x: BitString, rng: random.Random) -> BitString:
+    """Flip each position independently with probability 1/n (`oea_mask`)."""
+    n = x.n
+    return _unchecked(n, x.word ^ oea_mask(n, rng))  # the mask fits in n bits
 
 
 class Rls:
-    """Randomized local search: uniform single-bit flips, no state."""
+    """Randomized local search: uniform single-bit flips, no state.
+
+    A plain `Rls` run takes `run_one_plus_one`'s fused loop, which makes
+    the draws of `rls_step` without calling `step`; a subclass does not.
+    """
 
     name = "rls"
 
@@ -79,7 +81,11 @@ class Rls:
 
 
 class OneEa:
-    """The (1+1) EA: standard-bit-mutation offspring, no state."""
+    """The (1+1) EA: standard-bit-mutation offspring, no state.
+
+    A plain `OneEa` run takes `run_one_plus_one`'s fused loop, which draws
+    `oea_mask` without calling `step`; a subclass does not.
+    """
 
     name = "oea"
 

@@ -1,12 +1,13 @@
 """The per-query hot path against its straightforward reference.
 
-`run_one_plus_one`, `CountingOracle.compare`, `rls_step` and `oea_step` are
-written for speed: the runner binds its calls once, `compare` inlines the
-fitness cache and the charge, offspring are built without re-validation,
-RLS draws its index by `getrandbits` rejection and the (1+1) EA memoizes its
-skip constant.  The reference versions below are the plain forms they
-replaced, kept verbatim.  Every run, counter, observer event and rng state
-must agree query for query.
+`run_one_plus_one`'s protocol loop, `CountingOracle.compare` and `oea_step`
+are written for speed: the runner binds its calls once, `compare` inlines
+the fitness cache and the charge, offspring are built without
+re-validation and `oea_mask` memoizes its skip constant.  The reference
+versions below are the plain forms they replaced, kept verbatim.  Every
+run, counter, observer event and rng state must agree query for query.
+The observer each run passes keeps rls and oea on the protocol loop; the
+fused loop is compared against it in `test_fused_run.py`.
 """
 import math
 import random
@@ -136,10 +137,6 @@ def reference_run(strategy, inst, seed, budget=None, *, accept_equal=True,
             incumbent = offspring
         check_state_budget()
     return finish(budget_exhausted)
-
-
-def reference_rls_step(x, rng):
-    return BitString(x.n, x.word ^ (1 << rng.randrange(x.n)))
 
 
 def reference_oea_step(x, rng):
@@ -293,19 +290,6 @@ def test_compare_less_before_any_charge():
 
 
 PIN_SIZES = range(1, 601)  # includes 2^k and 2^k +- 1 up to 512
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2016))
-def test_rls_step_draws_like_randrange(seed):
-    for n in PIN_SIZES:
-        rng_new, rng_ref = random.Random(seed * 1000 + n), random.Random(seed * 1000 + n)
-        x = BitString.random(n, rng_new)
-        assert BitString.random(n, rng_ref) == x
-        for _ in range(4):
-            y_new, y_ref = rls_step(x, rng_new), reference_rls_step(x, rng_ref)
-            assert y_new == y_ref
-            assert rng_new.getstate() == rng_ref.getstate()
-            x = y_new
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2016))
