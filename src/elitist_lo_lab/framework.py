@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .heuristics import OneEa, Rls, oea_mask
+from .heuristics import Memlog, OneEa, Rls, oea_mask
 from .lo_core import (
     EQUAL,
     GREATER,
@@ -49,9 +49,11 @@ class Strategy(Protocol):
         runs once per step, so a strategy whose state is mostly stable should
         cache the serialized stable part (memlog caches B1's bytes).
 
-    `Rls` and `OneEa` keep no state, so a plain run of either (exactly
-    that class, no observer, oracle, start point or query log) takes
-    `run_one_plus_one`'s fused loop, which never calls `step` or `learn`.
+    A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
+    observer, oracle, start point or query log) takes a fused loop of
+    `run_one_plus_one` that keeps the strategy's state in locals and never
+    calls `step`, `learn` or `pack_state`; memlog's loop still calls
+    `state_budget_bits` and checks the packed length after every query.
     A subclass always runs the protocol loop and its own methods.
     """
 
@@ -92,21 +94,6 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunRecord":
-        return cls(
-            algo=d["algo"],
-            n=d["n"],
-            seed=d["seed"],
-            total_queries=d["total_queries"],
-            hit_optimum=d["hit_optimum"],
-            budget_exhausted=d["budget_exhausted"],
-            per_level=[(int(k), int(c)) for k, c in d["per_level"]],
-        )
-
-    def per_level_dict(self) -> dict[int, int]:
-        return dict(self.per_level)
 
 
 def _finish_record(algo: str, inst: LoInstance, seed: int,
@@ -149,15 +136,17 @@ def run_one_plus_one(
     ("step", incumbent, offspring, outcome, accepted) per step; used by
     white-box tests.
 
-    When `type(strategy)` is exactly `Rls` or `OneEa` and `oracle`,
-    `initial` and `observer` are None and `record_queries` is False, the
-    run takes `_run_fused`, which makes the same draws in the same order and
-    returns the same record with `queries` None.  Every other call runs the
-    protocol loop below, which stays the reference.
+    When `type(strategy)` is exactly `Rls`, `OneEa` or `Memlog` and
+    `oracle`, `initial` and `observer` are None and `record_queries` is
+    False, the run takes that type's loop in `_FUSED` (`_run_fused` or
+    `_run_memlog`), which makes the same draws in the same order, raises the
+    same errors and returns the same record with `queries` None.  Every
+    other call runs the protocol loop below, which stays the reference.
     """
-    if (type(strategy) in _FUSED and oracle is None and initial is None
+    fused = _FUSED.get(type(strategy))
+    if (fused is not None and oracle is None and initial is None
             and observer is None and not record_queries):
-        return _run_fused(strategy, inst, seed, budget, accept_equal)
+        return fused(strategy, inst, seed, budget, accept_equal)
     n = inst.n
     rng = random.Random(seed)
     oracle = (oracle or CountingOracle)(inst, record_queries=record_queries)
@@ -201,9 +190,6 @@ def run_one_plus_one(
             )
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
-
-
-_FUSED = (Rls, OneEa)
 
 
 def _run_fused(strategy: Rls | OneEa, inst: LoInstance, seed: int,
@@ -264,9 +250,95 @@ def _run_fused(strategy: Rls | OneEa, inst: LoInstance, seed: int,
                 f = bisect(d, f + 1, n)
             elif accept_equal:
                 d = y
+    return _fused_record(algo, n, seed, queries, f, counts)
+
+
+def _fused_record(algo: str, n: int, seed: int, queries: int, f: int,
+                  counts: list[int]) -> RunRecord:
+    """The record of a fused run that charged `queries` queries, the start
+    point to INIT_LEVEL and the rest as `counts`, and ended at fitness f:
+    below n only when the budget stopped it."""
     per_level = [(INIT_LEVEL, 1)]
     per_level += [(level, c) for level, c in enumerate(counts) if c]
     return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
+
+
+def _run_memlog(strategy: Memlog, inst: LoInstance, seed: int,
+                budget: int | None, accept_equal: bool) -> RunRecord:
+    """The protocol loop for a `Memlog`, over ints.
+
+    `MemlogState` lives in locals: the marker word `b1`, the sorted free
+    list, `lo`, `p0_mask`, `p0_size` (0 outside halving, so it doubles as
+    the phase flag) and the B2 `record`.  As in `_run_fused`, the incumbent
+    is the diff word d = x ^ z with fitness f, every query is charged to
+    level f, and the flip mask's outcome is decided by `compare`'s two
+    prefix ANDs; `learn`'s updates follow.  memlog draws from the rng only
+    for the start point.
+
+    After every query the length `pack_state` would return, n // 8 whole
+    bytes of B1 plus ceil((n % 8 + len(B2) + 2) / 8) bytes for B1's top
+    bits, B2 and the phase flag, is checked against `state_budget_bits`
+    as the protocol loop checks it.
+    """
+    algo, n = strategy.name, inst.n
+    rng = random.Random(seed)
+    budget_bits = strategy.state_budget_bits(n)
+    if budget is not None and budget < 1:
+        return RunRecord(algo, n, seed, 0, False, True, [])
+    max_bytes = math.inf if budget_bits is None else (budget_bits + 7) // 8
+    whole, top = n >> 3, n & 7
+    oracle = CountingOracle(inst)
+    prefix, bisect = oracle._prefix, oracle._bisect
+    d = BitString.random(n, rng).word ^ oracle._z
+    f = bisect(d, 0, n)
+    counts = [0] * (n + 1)
+    queries = 1  # the start point, charged to INIT_LEVEL
+    stop = math.inf if budget is None else budget
+    full = (1 << n) - 1
+    b1, free, record = 0, list(range(n)), 1
+    lo = p0_mask = p0_size = 0
+    while f < n and queries < stop:
+        if not p0_size:  # probe: flip all zero-B1 positions at once
+            mask = full ^ b1
+            if not mask:
+                raise RuntimeError("memlog probe with all positions marked")
+        else:  # P0's first half is free[lo:lo + half]: cut p0_mask above its last
+            half = (p0_size + 1) >> 1
+            mask = p0_mask & ((2 << free[lo + half - 1]) - 1)
+        y = d ^ mask
+        counts[f] += 1
+        queries += 1
+        if y & prefix[f]:  # LESS
+            if p0_size:
+                record = (record << 1) | 1
+                p0_mask, p0_size = mask, half
+            else:  # search zeros(B1); a single one is marked just below
+                p0_mask, p0_size = mask, len(free)
+        elif y & prefix[f + 1]:  # EQUAL
+            if not p0_size:
+                raise RuntimeError("memlog invariant violated: probe came back EQUAL")
+            record <<= 1
+            p0_mask ^= mask
+            p0_size -= half
+            lo += half
+            if accept_equal:
+                d = y
+        else:  # GREATER: accept; fitness only grew, so B1 stays valid
+            d = y
+            f = bisect(d, f + 1, n)
+            record, lo, p0_mask, p0_size = 1, 0, 0, 0
+        if p0_size == 1:  # mark the singleton P0 in B1
+            b1 |= p0_mask
+            del free[lo]
+            record, lo, p0_mask, p0_size = 1, 0, 0, 0
+        if (size := whole + ((top + record.bit_length() + 9) >> 3)) > max_bytes:
+            raise StateBudgetExceeded(
+                f"{algo}: packed state is {size * 8} bits, declared budget {budget_bits}"
+            )
+    return _fused_record(algo, n, seed, queries, f, counts)
+
+
+_FUSED = {Rls: _run_fused, OneEa: _run_fused, Memlog: _run_memlog}
 
 
 def make_monotone_transform(n: int, rng: random.Random) -> Callable[[int], int]:

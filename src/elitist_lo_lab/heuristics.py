@@ -119,6 +119,9 @@ class MemlogState:
     bytes, and `b1_tail`, its top n % 8 bits, both taken from the object
     `b1_key`.  It refreshes them whenever `b1` is no longer that object, so
     a write to `b1` from anywhere cannot leave them stale.
+
+    Only the protocol loop builds a `MemlogState`; `run_one_plus_one`'s
+    fused memlog loop keeps the same fields in locals.
     """
 
     __slots__ = ("n", "b1", "record", "halving", "p0_mask", "p0_size", "pending",
@@ -157,6 +160,10 @@ class Memlog:
     phase costs at most ceil(log2 n) + 1 queries and increases
     f(x) + popcount(B1), so a run needs at most 2n(ceil(log2 n) + 2) queries
     including the initial sample.
+
+    A plain `Memlog` run takes `run_one_plus_one`'s fused loop, which
+    applies these rules to ints without calling `step`, `learn` or
+    `pack_state` (it still calls `state_budget_bits`); a subclass does not.
     """
 
     name = "memlog"

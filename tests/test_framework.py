@@ -19,6 +19,19 @@ from elitist_lo_lab.lo_core import (
 )
 
 
+def record_from_json_dict(d: dict) -> RunRecord:
+    """The `RunRecord` that `to_json_dict` serialized as d."""
+    return RunRecord(
+        algo=d["algo"],
+        n=d["n"],
+        seed=d["seed"],
+        total_queries=d["total_queries"],
+        hit_optimum=d["hit_optimum"],
+        budget_exhausted=d["budget_exhausted"],
+        per_level=[(int(k), int(c)) for k, c in d["per_level"]],
+    )
+
+
 class CheatStrategy:
     """White-box test strategy: always proposes the optimum."""
 
@@ -167,7 +180,7 @@ def test_wrong_length_offspring_rejected():
 def test_per_level_sum_and_init_level():
     inst = random_instance(24, random.Random(9))
     rec = run_one_plus_one(Rls(), inst, seed=77)
-    per_level = rec.per_level_dict()
+    per_level = dict(rec.per_level)
     assert sum(per_level.values()) == rec.total_queries
     assert per_level[-1] == 1
 
@@ -205,7 +218,7 @@ def test_run_record_json_schema_and_round_trip():
                       "budget_exhausted", "per_level"}
     assert d["algo"] == "rls"
     assert isinstance(d["per_level"], list) and all(len(kv) == 2 for kv in d["per_level"])
-    back = RunRecord.from_json_dict(d)
+    back = record_from_json_dict(d)
     assert back == RunRecord(rec.algo, rec.n, rec.seed, rec.total_queries,
                              rec.hit_optimum, rec.budget_exhausted, rec.per_level)
 

@@ -1,12 +1,14 @@
-"""The fused rls/oea loop against the protocol loop, and the gate between them.
+"""The fused rls/oea and memlog loops against the protocol loop, and the
+gate between them.
 
-`run_one_plus_one` runs a plain `Rls` or `OneEa` (no observer, oracle, start
-point or query log) in a loop over ints that never calls the strategy.  A
-trivial subclass keeps the same draws on the protocol loop, which stays the
-reference: every record and the run's final rng state must agree.  The gate
-tests make the strategies' `step` raise, so a default harness run that
-falls back to the protocol loop fails here, and so does an excluded case
-that stops calling `step`.
+`run_one_plus_one` runs a plain `Rls`, `OneEa` or `Memlog` (no observer,
+oracle, start point or query log) in a loop over ints that never calls the
+strategy's per-query methods.  A trivial subclass keeps the same draws on
+the protocol loop, which stays the reference: every record and the run's
+final rng state must agree, and so must memlog's state-budget errors.  The
+gate tests make `step`, `learn` and memlog's `pack_state` raise, so a
+default harness run that falls back to the protocol loop fails here, and so
+does an excluded case that stops calling `step`.
 """
 import hashlib
 import random
@@ -15,17 +17,18 @@ import types
 import pytest
 
 from elitist_lo_lab import framework
-from elitist_lo_lab.framework import run_one_plus_one
+from elitist_lo_lab.framework import StateBudgetExceeded, run_one_plus_one
 from elitist_lo_lab.harness import (
     ExperimentConfig,
     mix64,
     rep_seed,
     run_experiment,
 )
-from elitist_lo_lab.heuristics import OneEa, Rls
+from elitist_lo_lab.heuristics import Memlog, MemlogState, OneEa, Rls
 from elitist_lo_lab.lo_core import BitString, CountingOracle, random_instance
 
 from test_harness_cli import BUDGET_DIGESTS, RUN_DIGESTS, _run_cli
+from test_heuristics import SpyMemlog
 
 
 class ProtocolRls(Rls):
@@ -36,7 +39,11 @@ class ProtocolOneEa(OneEa):
     """`OneEa` on the protocol loop."""
 
 
-PROTOCOL = {Rls: ProtocolRls, OneEa: ProtocolOneEa}
+class ProtocolMemlog(Memlog):
+    """`Memlog` on the protocol loop."""
+
+
+PROTOCOL = {Rls: ProtocolRls, OneEa: ProtocolOneEa, Memlog: ProtocolMemlog}
 
 
 @pytest.fixture
@@ -89,11 +96,52 @@ def test_fused_matches_protocol(n, run_rngs):
         assert cut > 0  # some runs really were cut mid-way
 
 
-@pytest.mark.parametrize("cls,seed", [(Rls, 101), (OneEa, 202)])
+class HalvingSpy(Memlog):
+    """Notes after each learn whether a halving phase is open."""
+
+    def __init__(self):
+        self.halving = []
+
+    def learn(self, outcome, state):
+        super().learn(outcome, state)
+        self.halving.append(state.halving)
+
+
+MEMLOG_SIZES = list(range(1, 40)) + [63, 64, 65, 255, 256, 257, 1024, 4096]
+
+
+@pytest.mark.parametrize("n", MEMLOG_SIZES)
+def test_fused_memlog_matches_protocol(n, run_rngs):
+    mid_cuts = 0
+    for trial in range(3 if n < 64 else 1):
+        inst = random_instance(n, random.Random(9000 * n + trial))
+        for accept_equal in (True, False):
+            seed = random.Random(f"memlog/{n}/{trial}/{accept_equal}").getrandbits(64)
+            spy = HalvingSpy()
+            run_one_plus_one(spy, inst, seed, accept_equal=accept_equal)
+            run_rngs.clear()
+            # a budget of i + 2 stops the run right after step i (0-based)
+            open_at = [i + 2 for i, halving in enumerate(spy.halving) if halving]
+            budgets = [None, 0, 1, 2]
+            if open_at:
+                budgets.append(open_at[len(open_at) // 2])
+            for budget in budgets:
+                rec = _run_both(Memlog, inst, seed, budget, accept_equal, run_rngs)
+                if budget == 0:
+                    assert rec.per_level == [] and rec.budget_exhausted
+            if open_at:
+                assert rec.budget_exhausted and rec.total_queries == budgets[-1]
+                mid_cuts += 1
+    if n >= 8:
+        assert mid_cuts > 0  # some runs really were cut inside a halving phase
+
+
+@pytest.mark.parametrize("cls,seed", [(Rls, 101), (OneEa, 202), (Memlog, 303)])
 def test_fused_matches_protocol_on_acceptance_runs(cls, seed, run_rngs):
     # the runs of acceptance criteria 1 (rls, seed 101) and 2 (oea, seed 202)
-    # at n <= 128, as `run_experiment` derives their instances and seeds
-    ns, reps = [32, 64, 128], 200
+    # at n <= 128, and all of criterion 3 (memlog, seed 303), as
+    # `run_experiment` derives their instances and seeds
+    ns, reps = ([64, 256, 1024], 50) if cls is Memlog else ([32, 64, 128], 200)
     stream = run_experiment(ExperimentConfig(cls.name, ns, reps, seed))
     count = 0
     for n in ns:
@@ -110,7 +158,7 @@ def test_fused_matches_protocol_on_acceptance_runs(cls, seed, run_rngs):
             run_rngs.clear()
             count += 1
     assert next(stream, None) is None
-    assert count == 600
+    assert count == len(ns) * reps
 
 
 # -- the gate ------------------------------------------------------------------------
@@ -122,24 +170,29 @@ class StepCalled(RuntimeError):
 
 @pytest.fixture
 def step_raises(monkeypatch):
-    def step(self, incumbent, state, rng):
+    """Make every per-query method of the fused strategies raise."""
+    def called(self, *args):
         raise StepCalled(type(self).__name__)
 
-    for cls in (Rls, OneEa):
-        monkeypatch.setattr(cls, "step", step)
+    for cls in (Rls, OneEa, Memlog):
+        monkeypatch.setattr(cls, "step", called)
+        monkeypatch.setattr(cls, "learn", called)
+    monkeypatch.setattr(Memlog, "pack_state", called)
 
 
 # `lolab scaling --n 8,16,32,64 --reps 50 --seed 2016` output, captured
-# before the fused loop existed
+# before the fused loop for each algorithm existed
 SCALING_DIGESTS = {
     ("rls", "csv"): "60f1ae6d99f794f71d778445a21b115b827cc883d5495811f94b3f8c5e0890a9",
     ("rls", "json"): "3de4e0d9150535f5f3196f262f7b1e720f38468e96663e2ab3b2371e6b01b32b",
     ("oea", "csv"): "5748931c44359ea21c176f8cdefffa852c454fcc6a99f166958588bf4e3f5188",
     ("oea", "json"): "27248049efb6068998eb7d53734ff6ba2ba016cab8e14d3dd7abbb7269e09df7",
+    ("memlog", "csv"): "ee0ce3eca1894f865c6c66a82a3270b55b3741faaea5c21d75b8399b81f6c535",
+    ("memlog", "json"): "5644f89f18381740da69b16924db998d9969c7c018fc1b6d4e67fe09f848f094",
 }
 
 
-@pytest.mark.parametrize("algo", ["rls", "oea"])
+@pytest.mark.parametrize("algo", ["rls", "oea", "memlog"])
 def test_harness_runs_take_the_fused_loop(algo, step_raises, tmp_path):
     for fmt in ("csv", "json"):
         out = tmp_path / f"run.{fmt}"
@@ -156,7 +209,7 @@ def test_harness_runs_take_the_fused_loop(algo, step_raises, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUDGET_DIGESTS[algo]
 
 
-@pytest.mark.parametrize("cls", [Rls, OneEa])
+@pytest.mark.parametrize("cls", [Rls, OneEa, Memlog])
 @pytest.mark.parametrize("case", ["subclass", "observer", "record_queries", "oracle",
                                   "initial"])
 def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
@@ -178,3 +231,56 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
     assert fused.total_queries > 1  # the start point is not the optimum
     with pytest.raises(StepCalled):
         run_one_plus_one(strategy, inst, seed=8, **kwargs)
+
+
+# -- memlog's state budget ---------------------------------------------------------
+
+
+def _packed_len(n, record):
+    """The byte length `_run_memlog` checks in place of `pack_state`."""
+    return (n >> 3) + (((n & 7) + record.bit_length() + 9) >> 3)
+
+
+def test_fused_memlog_packed_length_matches_pack_state():
+    strategy = Memlog()
+    grew = 0
+    for n in list(range(1, 18)) + [64, 65, 1024]:
+        inst = random_instance(n, random.Random(n))
+        spy = SpyMemlog()
+        run_one_plus_one(spy, inst, seed=n + 1)
+        state = MemlogState(n)
+        lengths = set()
+        for b1, record, halving, p0_mask, p0_size in spy.snapshots:
+            state.b1, state.record, state.halving = b1, record, halving
+            length = len(strategy.pack_state(state))
+            assert _packed_len(n, record) == length
+            lengths.add(length)
+        grew += len(lengths) > 1
+    assert grew > 0  # some records grew the packed state by a byte
+
+
+def _run_with_state_budget(strategy, inst, seed, bits):
+    strategy.state_budget_bits = lambda n: bits
+    try:
+        return run_one_plus_one(strategy, inst, seed).to_json()
+    except StateBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_fused_memlog_state_budget_matches_protocol():
+    # budgets from n // 8 bytes, which no packed state fits, up to the
+    # declared one; the runs at n = 5, 11-13, 65 and 257 cross a byte boundary
+    # inside a halving phase, so some budgets stop them there
+    messages = set()
+    for n in list(range(1, 18)) + [63, 64, 65, 257]:
+        inst = random_instance(n, random.Random(n))
+        seed = n + 1
+        default = Memlog().state_budget_bits(n)
+        for bits in [None, *range(8 * (n >> 3), default + 1)]:
+            fused = _run_with_state_budget(Memlog(), inst, seed, bits)
+            proto = _run_with_state_budget(ProtocolMemlog(), inst, seed, bits)
+            assert fused == proto
+            if fused.startswith("memlog: packed state is "):
+                messages.add(fused)
+        assert fused.startswith("{")  # the declared budget holds
+    assert len(messages) > 20
