@@ -45,9 +45,8 @@ class Strategy(Protocol):
     Optional extras:
       * state_budget_bits(n): declared bound on the packed state size; when
         not None the runner enforces it after every step.
-      * pack_state(state): serialize the state to bytes for enforcement.  It
-        runs once per step, so a strategy whose state is mostly stable should
-        cache the serialized stable part (memlog caches B1's bytes).
+      * pack_state(state): serialize the state to bytes for enforcement;
+        the runner calls it once per step.
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
     observer, oracle, start point or query log) takes a fused loop of
@@ -267,18 +266,25 @@ def _run_memlog(strategy: Memlog, inst: LoInstance, seed: int,
                 budget: int | None, accept_equal: bool) -> RunRecord:
     """The protocol loop for a `Memlog`, over ints.
 
-    `MemlogState` lives in locals: the marker word `b1`, the sorted free
-    list, `lo`, `p0_mask`, `p0_size` (0 outside halving, so it doubles as
-    the phase flag) and the B2 `record`.  As in `_run_fused`, the incumbent
-    is the diff word d = x ^ z with fitness f, every query is charged to
-    level f, and the flip mask's outcome is decided by `compare`'s two
-    prefix ANDs; `learn`'s updates follow.  memlog draws from the rng only
-    for the start point.
+    `MemlogState`'s fields live in locals: the marker word `b1`, `p0_mask`,
+    `p0_size` (0 outside halving, so it doubles as the phase flag) and the
+    B2 `record`.  As in `_run_fused`, the incumbent is the diff word
+    d = x ^ z with fitness f, every query is charged to level f, and the
+    flip mask's outcome is decided by `compare`'s two prefix ANDs;
+    `learn`'s updates follow.  memlog draws from the rng only for the start
+    point.
 
-    After every query the length `pack_state` would return, n // 8 whole
-    bytes of B1 plus ceil((n % 8 + len(B2) + 2) / 8) bytes for B1's top
-    bits, B2 and the phase flag, is checked against `state_budget_bits`
-    as the protocol loop checks it.
+    In place of `lowest_set_bits`' bisection, the loop selects P0's first
+    half from `free`, the ascending list of unmarked positions: halving
+    keeps the first or the second half of P0 in position order, so P0 is
+    always the slice `free[lo:lo + p0_size]`, and the first half is cut off
+    `p0_mask` just above `free[lo + half - 1]`.  Marking a position deletes
+    its entry of `free`.
+
+    In place of `pack_state`, after every query the length it would return,
+    n // 8 whole bytes of B1 plus ceil((n % 8 + len(B2) + 2) / 8) bytes for
+    B1's top bits, B2 and the phase flag, is checked against
+    `state_budget_bits` as the protocol loop checks it.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)

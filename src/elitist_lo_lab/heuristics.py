@@ -6,6 +6,11 @@ All three consult only three-way comparison outcomes.  RLS draws its index
 by `randrange`'s rejection loop (one or more `getrandbits` calls per step)
 and the (1+1) EA a geometric-skip stream of `random` calls, which the
 unbiasedness coupling tests rely on.
+
+These classes are the plain reference form of each strategy, which
+`run_one_plus_one`'s protocol loop runs.  A plain run of exactly `Rls`,
+`OneEa` or `Memlog` takes a fused loop in `framework` instead, which must
+make the same draws and return the same record.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import functools
 import math
 import random
 
-from .lo_core import EQUAL, GREATER, LESS, BitString, Ordering, _unchecked
+from .lo_core import EQUAL, GREATER, LESS, BitString, Ordering
 
 
 def rls_step(x: BitString, rng: random.Random) -> BitString:
@@ -58,7 +63,7 @@ def oea_mask(n: int, rng: random.Random) -> int:
 def oea_step(x: BitString, rng: random.Random) -> BitString:
     """Flip each position independently with probability 1/n (`oea_mask`)."""
     n = x.n
-    return _unchecked(n, x.word ^ oea_mask(n, rng))  # the mask fits in n bits
+    return BitString(n, x.word ^ oea_mask(n, rng))
 
 
 class Rls:
@@ -99,33 +104,38 @@ class OneEa:
         pass
 
 
+def lowest_set_bits(mask: int, count: int) -> int:
+    """Mask of the `count` lowest set bits of mask (all of them if fewer).
+
+    Bisects for the narrowest low window of mask holding `count` set bits.
+    """
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
+
+
 class MemlogState:
-    """Marker block B1 and the bounded halving record B2, plus caches
-    derived from them.
+    """Marker block B1 and the bounded halving record B2, plus the
+    candidate cache derived from them.
 
     B1 and B2 (with the phase flag) are the strategy's state; `pack_state`
     serializes exactly these and the runner checks them against
     `state_budget_bits`.  B2 is `record`, a self-delimited int: a leading 1,
     then one bit per halving outcome (1 = kept the first half, 0 = the
-    second), so it is 1 outside halving.  `free` lists the zero-B1
-    positions in ascending order and is a function of B1 alone.  While
-    halving, the candidate set P0 is `free[lo:lo + p0_size]` and `p0_mask`
-    holds the same positions as a word; both are recomputable from B1 and
-    B2.  Halving keeps the first or the second half of P0 in that order, so
-    P0 stays a contiguous slice of `free` and the first half is cut off
-    `p0_mask` just above the position `free[lo + half - 1]`.
-
-    `pack_state` caches B1's serialized form: `b1_low`, its low n // 8 whole
-    bytes, and `b1_tail`, its top n % 8 bits, both taken from the object
-    `b1_key`.  It refreshes them whenever `b1` is no longer that object, so
-    a write to `b1` from anywhere cannot leave them stale.
+    second), so it is 1 outside halving.  While halving, `p0_mask` holds the
+    candidate set P0 as a word and `p0_size` its size; both are recomputable
+    from B1 and B2.
 
     Only the protocol loop builds a `MemlogState`; `run_one_plus_one`'s
-    fused memlog loop keeps the same fields in locals.
+    fused memlog loop keeps B1, B2 and P0 in locals.
     """
 
-    __slots__ = ("n", "b1", "record", "halving", "p0_mask", "p0_size", "pending",
-                 "free", "lo", "b1_key", "b1_low", "b1_tail")
+    __slots__ = ("n", "b1", "record", "halving", "p0_mask", "p0_size", "pending")
 
     def __init__(self, n: int):
         self.n = n
@@ -135,11 +145,6 @@ class MemlogState:
         self.p0_mask = 0                  # candidate cache, P0 as a word
         self.p0_size = 0
         self.pending = 0                  # flip mask of the pending query
-        self.free = list(range(n))        # zero-B1 positions, ascending (cache)
-        self.lo = 0                       # P0 = free[lo:lo + p0_size]
-        self.b1_key = None                # the b1 object b1_low/b1_tail came from
-        self.b1_low = b""
-        self.b1_tail = 0
 
 
 class Memlog:
@@ -161,9 +166,11 @@ class Memlog:
     f(x) + popcount(B1), so a run needs at most 2n(ceil(log2 n) + 2) queries
     including the initial sample.
 
+    A halving query flips P0's first half, `lowest_set_bits` of `p0_mask`.
     A plain `Memlog` run takes `run_one_plus_one`'s fused loop, which
     applies these rules to ints without calling `step`, `learn` or
-    `pack_state` (it still calls `state_budget_bits`); a subclass does not.
+    `pack_state` (it still calls `state_budget_bits`) and selects the first
+    half from a list of the unmarked positions; a subclass does not.
     """
 
     name = "memlog"
@@ -180,9 +187,7 @@ class Memlog:
                 raise RuntimeError("memlog probe with all positions marked")
             state.pending = mask
             return incumbent.flip_mask(mask)
-        # P0's first half is free[lo:lo + half]: cut p0_mask above its last
-        last = state.free[state.lo + (state.p0_size + 1) // 2 - 1]
-        first = state.p0_mask & ((2 << last) - 1)
+        first = lowest_set_bits(state.p0_mask, (state.p0_size + 1) // 2)
         state.pending = first
         return incumbent.flip_mask(first)
 
@@ -194,10 +199,9 @@ class Memlog:
                 raise RuntimeError("memlog invariant violated: probe came back EQUAL")
             # LESS: some marked-prefix gap exists; search zeros(B1) for it
             zeros = state.pending  # the probe's mask, zeros(B1)
-            count = len(state.free)
+            count = zeros.bit_count()
             if count == 1:  # only scripted outcome sequences reach this
                 state.b1 |= zeros
-                state.free.clear()
                 return
             state.halving = True
             state.p0_mask = zeros
@@ -217,10 +221,8 @@ class Memlog:
             state.record <<= 1
             state.p0_mask ^= first
             state.p0_size -= half
-            state.lo += half
         if state.p0_size == 1:
             state.b1 |= state.p0_mask
-            del state.free[state.lo]
             self._reset_halving(state)
 
     @staticmethod
@@ -230,7 +232,6 @@ class Memlog:
         state.p0_mask = 0
         state.p0_size = 0
         state.pending = 0
-        state.lo = 0
 
     # -- state budget --------------------------------------------------------
 
@@ -241,22 +242,11 @@ class Memlog:
 
     def pack_state(self, state: MemlogState) -> bytes:
         """B1 in the low n bits, B2 above it, then the phase flag, as
-        ceil((n + len(B2) + 2) / 8) little-endian bytes.
-
-        B1's whole bytes come from the cache; only the top n % 8 bits of B1,
-        B2 and the flag are serialized per call.
-        """
-        b1 = state.b1
-        if b1 is not state.b1_key:
-            whole = state.n >> 3
-            state.b1_low = (b1 & ((1 << (whole << 3)) - 1)).to_bytes(whole, "little")
-            state.b1_tail = b1 >> (whole << 3)
-            state.b1_key = b1
-        top = state.n & 7  # B1 bits above its whole bytes
-        record = state.record
-        used = top + record.bit_length()  # tail bits below the phase flag
-        tail = state.b1_tail | (record << top) | (state.halving << used)
-        return state.b1_low + tail.to_bytes((used + 9) >> 3, "little")
+        ceil((n + len(B2) + 2) / 8) little-endian bytes."""
+        n, record = state.n, state.record
+        used = n + record.bit_length()  # bits below the phase flag
+        packed = state.b1 | record << n | state.halving << used
+        return packed.to_bytes((used + 9) >> 3, "little")
 
 
 def memlog_query_bound(n: int) -> int:

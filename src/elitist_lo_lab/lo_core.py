@@ -96,16 +96,14 @@ class BitString:
         return (self.word >> i) & 1
 
     def flip(self, i: int) -> "BitString":
-        n = self.n
-        if not 0 <= i < n:
-            raise IndexError(f"position {i} out of range for n={n}")
-        return _unchecked(n, self.word ^ (1 << i))
+        if not 0 <= i < self.n:
+            raise IndexError(f"position {i} out of range for n={self.n}")
+        return BitString(self.n, self.word ^ (1 << i))
 
     def flip_mask(self, mask: int) -> "BitString":
-        n = self.n
-        if mask >> n:
-            raise ValueError("flip mask has bits outside the string length")
-        return _unchecked(n, self.word ^ mask)
+        """Flip the set bits of mask; a mask with bits outside the string
+        leaves some outside the word, which the constructor rejects."""
+        return BitString(self.n, self.word ^ mask)
 
     def to01(self) -> str:
         return "".join(str((self.word >> i) & 1) for i in range(self.n))
@@ -122,18 +120,6 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString({self.n}, {self.to01()!r})"
-
-
-_new = object.__new__
-
-
-def _unchecked(n: int, word: int) -> BitString:
-    """BitString(n, word) without the range checks, for callers whose own
-    check already proves n >= 1 and 0 <= word < 2**n."""
-    out = _new(BitString)
-    out.n = n
-    out.word = word
-    return out
 
 
 @dataclass(frozen=True)
@@ -220,7 +206,9 @@ class CountingOracle:
     f(y) < f(x) <= best_fitness_seen once x has been charged; for an x never
     charged, f(y) is bisected on [0, f(x)-1] as well.  The oracle keeps the
     (word, fitness) pairs of the incumbent and of the last EQUAL or GREATER
-    offspring, so an accepted offspring is never evaluated twice.
+    offspring, so an accepted offspring is never evaluated twice.  `submit`
+    and `compare` charge every query through `_count`, the only writer of
+    the counters.
 
     Owned by exactly one run at a time; concurrent runs need disjoint oracles.
     """
@@ -250,8 +238,7 @@ class CountingOracle:
         return lo
 
     def _count(self, x: BitString, f: int) -> None:
-        """Charge one query with known fitness f: update all counters.
-        `compare` repeats these lines inline; keep the two in step."""
+        """Charge one query with known fitness f: update all counters."""
         best = self.best_fitness_seen
         level = INIT_LEVEL if best is None else best
         counts = self.per_level_counts
@@ -286,8 +273,7 @@ class CountingOracle:
 
         x is normally the incumbent, whose fitness was already charged; any
         other x costs one more bisection.  Never exposes a numeric fitness to
-        the caller.  This is the per-query hot path, so the cache lookup for
-        f(x) and the charge (`_count`) are written out in this one frame.
+        the caller.
         """
         n = self._n
         if x.n != n or y.n != n:
@@ -301,8 +287,8 @@ class CountingOracle:
             self._incumbent = (xw, fx)
         diff = y.word ^ self._z
         prefix = self._prefix
-        best = self.best_fitness_seen
         if diff & prefix[fx]:
+            best = self.best_fitness_seen
             if best is None or best < fx:  # x was never charged
                 fy = self._bisect(diff, 0, fx - 1)
             else:  # f(y) < fx <= best: fx - 1 moves the same counters
@@ -314,14 +300,5 @@ class CountingOracle:
             else:
                 fy, outcome = self._bisect(diff, fx + 1, n), GREATER
             self._offspring = (y.word, fy)
-        level = INIT_LEVEL if best is None else best
-        counts = self.per_level_counts
-        counts[level] = counts.get(level, 0) + 1
-        self.query_count += 1
-        if best is None or fy > best:
-            self.best_fitness_seen = fy
-        if fy == n:
-            self.optimum_found = True
-        if self.queries is not None:
-            self.queries.append(y)
+        self._count(y, fy)
         return outcome

@@ -6,9 +6,14 @@ oracle, start point or query log) in a loop over ints that never calls the
 strategy's per-query methods.  A trivial subclass keeps the same draws on
 the protocol loop, which stays the reference: every record and the run's
 final rng state must agree, and so must memlog's state-budget errors.  The
-gate tests make `step`, `learn` and memlog's `pack_state` raise, so a
-default harness run that falls back to the protocol loop fails here, and so
-does an excluded case that stops calling `step`.
+fused memlog loop selects each halving query from its list of unmarked
+positions, while the protocol loop's `Memlog` bisects `p0_mask` with
+`lowest_set_bits`, so the memlog checks compare two selects written
+independently; likewise the fused loop's packed-length arithmetic against
+`pack_state`.  The gate tests make `step`, `learn` and memlog's
+`pack_state` raise, so a default harness run that falls back to the
+protocol loop fails here, and so does an excluded case that stops calling
+`step`.
 """
 import hashlib
 import random
@@ -134,6 +139,15 @@ def test_fused_memlog_matches_protocol(n, run_rngs):
                 mid_cuts += 1
     if n >= 8:
         assert mid_cuts > 0  # some runs really were cut inside a halving phase
+
+
+def test_fused_memlog_matches_protocol_many_small_cases(run_rngs):
+    rng = random.Random(81)
+    for trial in range(200):
+        n = rng.randrange(1, 40)
+        inst = random_instance(n, rng)
+        _run_both(Memlog, inst, trial, rng.choice((None, rng.randrange(1, 8 * n + 4))),
+                  rng.random() < 0.5, run_rngs)
 
 
 @pytest.mark.parametrize("cls,seed", [(Rls, 101), (OneEa, 202), (Memlog, 303)])

@@ -12,6 +12,7 @@ from elitist_lo_lab.heuristics import (
     OneEa,
     Rls,
     STRATEGIES,
+    lowest_set_bits,
     make_strategy,
     memlog_query_bound,
     oea_step,
@@ -223,18 +224,13 @@ def test_memlog_bound_and_optimum(n):
 
 
 class SpyMemlog(Memlog):
-    """Memlog that snapshots its state after every learn and checks there
-    that the `free` cache is derived from B1 and, while halving, that P0 is
-    the slice `free[lo:lo + p0_size]` of it."""
+    """Memlog that snapshots its state after every learn."""
 
     def __init__(self):
         self.snapshots = []
 
     def learn(self, outcome, state):
         super().learn(outcome, state)
-        assert state.free == set_bits(((1 << state.n) - 1) ^ state.b1)
-        if state.halving:
-            assert state.free[state.lo:state.lo + state.p0_size] == set_bits(state.p0_mask)
         self.snapshots.append((state.b1, state.record, state.halving,
                                state.p0_mask, state.p0_size))
 
@@ -311,7 +307,7 @@ def test_memlog_state_packing_within_budget():
         spy = SpyMemlog()
         # a run seed equal to the instance seed would start on the optimum
         run_one_plus_one(spy, inst, seed=n + 1)
-        assert len({b1 for b1, *_ in spy.snapshots}) > 2  # B1 changes under the cache
+        assert len({b1 for b1, *_ in spy.snapshots}) > 2  # B1 changes during the run
         state = MemlogState(n)
         for b1, record, halving, p0_mask, p0_size in spy.snapshots:
             state.b1 = b1
@@ -319,28 +315,35 @@ def test_memlog_state_packing_within_budget():
             state.halving = halving
             packed = strategy.pack_state(state)
             assert len(packed) * 8 <= budget_bits + 7
-            assert packed == packed_from_scratch(n, b1, record, halving)
+            assert unpack_state(n, packed) == (b1, record, halving)
 
 
-def packed_from_scratch(n, b1, record, halving):
-    """memlog's packed state built in one piece: B1, then B2, then the flag."""
-    packed = b1 | (record << n) | (int(halving) << (n + record.bit_length()))
-    return packed.to_bytes((n + record.bit_length() + 2 + 7) // 8, "little")
+def unpack_state(n, packed):
+    """B1, B2 and the phase flag read back from memlog's packed bytes: B1 is
+    the low n bits, and above it sits B2's leading 1 outside halving, or B2
+    under a set phase flag while halving."""
+    word = int.from_bytes(packed, "little")
+    rest = word >> n
+    halving = rest != 1
+    record = rest ^ (1 << (rest.bit_length() - 1)) if halving else 1
+    return word & ((1 << n) - 1), record, halving
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), *range(1024, 1032)])
 def test_memlog_pack_state_after_every_b1_write(n):
     # Scripted outcomes reach both B1 write sites, the halving phase's
     # singleton and the probe's singleton LESS, which no oracle-driven run
-    # reaches; each write must replace the cached bytes of B1.
+    # reaches; after each, the packed state must hold B1, B2 and the phase
+    # flag within the declared budget.
     rng = random.Random(7000 + n)
     strategy = Memlog()
+    max_bits = strategy.state_budget_bits(n) + 7  # a packed state may pad to whole bytes
     full = (1 << n) - 1
     writes = {"halving": 0, "probe": 0}
     for trial in range(3 if n < 1024 else 1):
         x = BitString.random(n, rng)
         state = strategy.fresh_state(n, rng)
-        assert strategy.pack_state(state) == packed_from_scratch(n, 0, 1, False)
+        assert unpack_state(n, strategy.pack_state(state)) == (0, 1, False)
         while state.b1 != full:
             y = strategy.step(x, state, rng)
             was_halving, b1 = state.halving, state.b1
@@ -348,17 +351,38 @@ def test_memlog_pack_state_after_every_b1_write(n):
                 outcome = rng.choices((LESS, EQUAL, GREATER), (9, 9, 2))[0]
             else:
                 # a last unmarked position is always a LESS probe's singleton
-                outcome = (LESS if len(state.free) == 1
+                outcome = (LESS if (full ^ state.b1).bit_count() == 1
                            else rng.choices((LESS, GREATER), (9, 1))[0])
             strategy.learn(outcome, state)
             if state.b1 != b1:
                 writes["halving" if was_halving else "probe"] += 1
-            assert strategy.pack_state(state) == packed_from_scratch(
-                n, state.b1, state.record, state.halving)
+            packed = strategy.pack_state(state)
+            assert len(packed) * 8 <= max_bits
+            assert unpack_state(n, packed) == (state.b1, state.record, state.halving)
             if outcome == GREATER:
                 x = y
+        with pytest.raises(RuntimeError):  # every position is marked
+            strategy.step(x, state, rng)
     assert writes["halving"] > 0 or n == 1  # at n = 1 no phase halves
     assert writes["probe"] > 0
+
+
+def test_lowest_set_bits_matches_naive_scan():
+    rng = random.Random(3)
+    cases = [(0, 0), (0, 3), (rng.getrandbits(50), 0), ((1 << 4096) - 1, 0)]
+    for _ in range(500):
+        n = rng.randrange(1, 160)
+        cases.append((rng.getrandbits(n), rng.randrange(0, n + 2)))
+    for n in (64, 65, 200, 1024, 4096):
+        # masks with at least 64 set bits
+        mask = rng.getrandbits(n) | sum(1 << i for i in rng.sample(range(n), 64))
+        total = mask.bit_count()
+        cases += [(mask, 0), (mask, 1), (mask, 63), (mask, 64), (mask, total // 2),
+                  (mask, total), (mask, total + 1), (mask, rng.randrange(total + 1))]
+    for mask, count in cases:
+        positions = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+        want = sum(1 << i for i in positions[:count])
+        assert lowest_set_bits(mask, count) == want
 
 
 # -- registry -----------------------------------------------------------------------

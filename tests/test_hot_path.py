@@ -1,24 +1,21 @@
-"""The per-query hot path against its straightforward reference.
+"""The protocol loop, `CountingOracle.compare` and `oea_step` against
+`lo_value`.
 
-`run_one_plus_one`'s protocol loop, `CountingOracle.compare` and `oea_step`
-are written for speed: the runner binds its calls once, `compare` inlines
-the fitness cache and the charge, offspring are built without
-re-validation and `oea_mask` memoizes its skip constant.  The reference
-versions below are the plain forms they replaced, kept verbatim.  Every
-run, counter, observer event and rng state must agree query for query.
-The observer each run passes keeps rls and oea on the protocol loop; the
-fused loop is compared against it in `test_fused_run.py`.
+`run_one_plus_one`'s protocol loop with the Python strategies is the
+reference that the fused loops must match (`test_fused_run.py`).  Here each
+protocol run, of rls, oea, memlog and scripted flip masks under both tie
+rules and under budgets 0, 1 and mid-run cuts, is checked query by query
+against `lo_value`, the direct-scan fitness: every observer event's outcome
+and acceptance, the query log, the record and the oracle's counters.  The
+observer each run passes keeps rls, oea and memlog on the protocol loop.
+`oea_step`'s draw stream is pinned against the uncached skip formula.
 """
 import math
 import random
 
 import pytest
 
-from elitist_lo_lab.framework import (
-    RunRecord,
-    StateBudgetExceeded,
-    run_one_plus_one,
-)
+from elitist_lo_lab.framework import run_one_plus_one
 from elitist_lo_lab.heuristics import Memlog, OneEa, Rls, oea_step, rls_step
 from elitist_lo_lab.lo_core import (
     EQUAL,
@@ -30,113 +27,7 @@ from elitist_lo_lab.lo_core import (
     random_instance,
 )
 
-
-# -- reference implementations ---------------------------------------------------
-
-
-class ReferenceOracle(CountingOracle):
-    """`CountingOracle` with the three-frame compare: cached fitness lookup,
-    decision, then a separate charge."""
-
-    def _fitness(self, word):
-        cached_word, f = self._incumbent
-        if word != cached_word:
-            cached_word, f = self._offspring
-            if word != cached_word:
-                f = self._bisect(word ^ self._z, 0, self.instance.n)
-            self._incumbent = (word, f)
-        return f
-
-    def _count(self, x, f):
-        best = self.best_fitness_seen
-        level = INIT_LEVEL if best is None else best
-        counts = self.per_level_counts
-        counts[level] = counts.get(level, 0) + 1
-        self.query_count += 1
-        if best is None or f > best:
-            self.best_fitness_seen = f
-        if f == self.instance.n:
-            self.optimum_found = True
-        if self.queries is not None:
-            self.queries.append(x)
-
-    def submit(self, x):
-        if x.n != self.instance.n:
-            raise ValueError(f"point has length {x.n}, instance has n={self.instance.n}")
-        f = self._fitness(x.word)
-        self._count(x, f)
-        return f
-
-    def compare(self, x, y):
-        n = self.instance.n
-        if x.n != n or y.n != n:
-            raise ValueError("dimension mismatch in compare")
-        fx = self._fitness(x.word)
-        diff = y.word ^ self._z
-        prefix = self._prefix
-        if diff & prefix[fx]:
-            best = self.best_fitness_seen
-            if best is None or best < fx:
-                self._count(y, self._bisect(diff, 0, fx - 1))
-            else:
-                self._count(y, fx - 1)
-            return LESS
-        if fx == n or diff & prefix[fx + 1]:
-            fy, outcome = fx, EQUAL
-        else:
-            fy, outcome = self._bisect(diff, fx + 1, n), GREATER
-        self._offspring = (y.word, fy)
-        self._count(y, fy)
-        return outcome
-
-
-def reference_run(strategy, inst, seed, budget=None, *, accept_equal=True,
-                  observer=None):
-    """The runner loop as it was: attribute lookups and a budget-check call
-    on every turn."""
-    n = inst.n
-    rng = random.Random(seed)
-    oracle = ReferenceOracle(inst, record_queries=True)
-    budget_bits = None
-    if hasattr(strategy, "state_budget_bits"):
-        budget_bits = strategy.state_budget_bits(n)
-    state = strategy.fresh_state(n, rng)
-
-    def finish(budget_exhausted):
-        return RunRecord(strategy.name, n, seed, oracle.query_count, oracle.optimum_found,
-                         budget_exhausted, sorted(oracle.per_level_counts.items()),
-                         queries=oracle.queries), oracle
-
-    def check_state_budget():
-        if budget_bits is None:
-            return
-        packed = strategy.pack_state(state)
-        if len(packed) * 8 > budget_bits + 7:
-            raise StateBudgetExceeded(strategy.name)
-
-    if budget is not None and budget < 1:
-        return finish(True)
-    incumbent = BitString.random(n, rng)
-    oracle.submit(incumbent)
-    if observer is not None:
-        observer(("init", incumbent))
-    budget_exhausted = False
-    while not oracle.optimum_found:
-        if budget is not None and oracle.query_count >= budget:
-            budget_exhausted = True
-            break
-        offspring = strategy.step(incumbent, state, rng)
-        if not isinstance(offspring, BitString) or offspring.n != n:
-            raise ValueError(f"strategy {strategy.name} emitted a wrong-length offspring")
-        outcome = oracle.compare(incumbent, offspring)
-        strategy.learn(outcome, state)
-        accepted = outcome == GREATER or (accept_equal and outcome == EQUAL)
-        if observer is not None:
-            observer(("step", incumbent, offspring, outcome, accepted))
-        if accepted:
-            incumbent = offspring
-        check_state_budget()
-    return finish(budget_exhausted)
+from test_lo_core import ReferenceCounters
 
 
 def reference_oea_step(x, rng):
@@ -167,7 +58,7 @@ class ScriptedMasks:
     def __init__(self, n, seed, count):
         rng = random.Random(seed)
         full = (1 << n) - 1
-        self._masks = [rng.choice((
+        self.masks = [rng.choice((
             0, full, 1 << rng.randrange(n), rng.getrandbits(n),
             rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n),
         )) for _ in range(count)]
@@ -177,7 +68,7 @@ class ScriptedMasks:
         return None
 
     def step(self, incumbent, state, rng):
-        mask = self._masks[self._next]
+        mask = self.masks[self._next]
         self._next += 1
         return incumbent.flip_mask(mask)
 
@@ -199,26 +90,46 @@ def _strategies(n, seed):
     yield lambda: ScriptedMasks(n, seed, SCRIPT_LENGTH)
 
 
-def _assert_same_run(make_strategy, inst, seed, budget, accept_equal):
-    ref_events, new_events, oracles = [], [], []
+def _assert_lo_value_run(strategy, inst, seed, budget, accept_equal):
+    """Run the protocol loop and check it against `lo_value`; return the
+    record and the (incumbent, offspring) pair of every step."""
+    events, oracles = [], []
 
     def counting_oracle(instance, record_queries):
         oracles.append(CountingOracle(instance, record_queries=record_queries))
         return oracles[-1]
 
-    ref, ref_oracle = reference_run(make_strategy(), inst, seed, budget,
-                                    accept_equal=accept_equal, observer=ref_events.append)
-    new = run_one_plus_one(make_strategy(), inst, seed, budget, accept_equal=accept_equal,
-                           oracle=counting_oracle, observer=new_events.append,
+    rec = run_one_plus_one(strategy, inst, seed, budget, accept_equal=accept_equal,
+                           oracle=counting_oracle, observer=events.append,
                            record_queries=True)
-    assert new.total_queries == ref.total_queries
-    assert new.per_level == ref.per_level
-    assert new.hit_optimum == ref.hit_optimum
-    assert new.budget_exhausted == ref.budget_exhausted
-    assert new.queries == ref.queries
-    assert new_events == ref_events
-    assert oracles[0].best_fitness_seen == ref_oracle.best_fitness_seen
-    return new
+    ref = ReferenceCounters(inst)
+    queries, steps = [], []
+    if events:
+        kind, incumbent = events[0]
+        assert kind == "init"
+        # no strategy here draws in fresh_state, so the start point is the
+        # rng's first draw
+        assert incumbent == BitString.random(inst.n, random.Random(seed))
+        fx = ref.charge(incumbent)
+        queries.append(incumbent)
+    for kind, x, y, outcome, accepted in events[1:]:
+        assert kind == "step" and x == incumbent
+        fy = ref.charge(y)
+        assert outcome == (GREATER if fy > fx else LESS if fy < fx else EQUAL)
+        assert accepted == (outcome == GREATER or (accept_equal and outcome == EQUAL))
+        queries.append(y)
+        steps.append((x, y))
+        if accepted:
+            incumbent, fx = y, fy
+    ref.assert_matches(oracles[0])
+    assert rec.queries == queries
+    assert rec.total_queries == len(queries)
+    assert rec.per_level == sorted(ref.per_level.items())
+    assert rec.hit_optimum == ref.optimum
+    assert rec.budget_exhausted == (not ref.optimum)
+    if rec.budget_exhausted:
+        assert budget is not None and len(queries) == max(budget, 0)
+    return rec, steps
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -232,7 +143,12 @@ def test_runner_matches_reference_loop(n, accept_equal):
         # the scripted strategy runs out of masks, so its runs are always cut
         budgets = (SCRIPT_LENGTH // 2, SCRIPT_LENGTH) if scripted else (None, 2 * n + 5)
         for budget in budgets + (0, 1):
-            rec = _assert_same_run(make_strategy, inst, seed, budget, accept_equal)
+            strategy = make_strategy()
+            rec, steps = _assert_lo_value_run(strategy, inst, seed, budget, accept_equal)
+            if scripted:
+                assert [x.word ^ y.word for x, y in steps] == strategy.masks[:len(steps)]
+            elif index == 0:
+                assert all((x.word ^ y.word).bit_count() == 1 for x, y in steps)
             cut += rec.budget_exhausted and rec.total_queries > 1
     if n >= 3:  # at n <= 2 a run ends within two queries
         assert cut > 0  # some runs really were cut mid-way
@@ -245,32 +161,11 @@ def test_runner_matches_reference_loop_many_seeds():
         n = rng.choice((1, 2, 3, 5, 8))
         inst = random_instance(n, rng)
         for make_strategy in _strategies(n, seed=trial):
-            _assert_same_run(make_strategy, inst, trial, rng.choice((None, 3, 40)),
-                             accept_equal=rng.random() < 0.5)
+            _assert_lo_value_run(make_strategy(), inst, trial, rng.choice((None, 3, 40)),
+                                 accept_equal=rng.random() < 0.5)
 
 
 # -- compare on points never charged ---------------------------------------------
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_compare_matches_reference_on_uncharged_points(n):
-    rng = random.Random(300 + n)
-    inst = random_instance(n, rng)
-    for _ in range(30):
-        new, ref = CountingOracle(inst, record_queries=True), ReferenceOracle(inst, record_queries=True)
-        for step in range(6):
-            # the first compare runs with best_fitness_seen None; later x are
-            # fresh points, old offspring or optima
-            x = rng.choice((BitString.random(n, rng), inst.z, BitString(n, inst.z.word ^ 1)))
-            y = x.flip(rng.randrange(n)) if rng.random() < 0.5 else BitString.random(n, rng)
-            if step == 0:
-                assert new.best_fitness_seen is None
-            assert new.compare(x, y) == ref.compare(x, y)
-            assert new.query_count == ref.query_count
-            assert new.best_fitness_seen == ref.best_fitness_seen
-            assert new.per_level_counts == ref.per_level_counts
-            assert new.optimum_found == ref.optimum_found
-            assert new.queries == ref.queries
 
 
 def test_compare_less_before_any_charge():
@@ -305,7 +200,7 @@ def test_oea_step_draws_like_uncached_formula(seed):
             x = y_new
 
 
-def test_unchecked_offspring_are_valid_bitstrings():
+def test_offspring_are_valid_bitstrings():
     rng = random.Random(11)
     for n in (1, 2, 63, 64, 65, 300):
         x = BitString.random(n, rng)

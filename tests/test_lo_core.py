@@ -39,12 +39,14 @@ class ReferenceCounters:
         self.per_level: dict[int, int] = {}
         self.optimum = False
 
-    def charge(self, point: BitString) -> None:
+    def charge(self, point: BitString) -> int:
+        """Charge one query for point; return its fitness."""
         f = lo_value(self.inst, point)
         level = INIT_LEVEL if self.best is None else self.best
         self.per_level[level] = self.per_level.get(level, 0) + 1
         self.best = f if self.best is None else max(self.best, f)
         self.optimum = self.optimum or f == self.inst.n
+        return f
 
     def assert_matches(self, oracle: CountingOracle) -> None:
         assert oracle.best_fitness_seen == self.best
