@@ -27,7 +27,7 @@ from elitist_lo_lab.lo_core import (
     random_instance,
 )
 
-from test_lo_core import ReferenceCounters
+from test_lo_core import ReferenceCounters, expected_order
 
 
 def reference_oea_step(x, rng):
@@ -168,6 +168,28 @@ def test_runner_matches_reference_loop_many_seeds():
 # -- compare on points never charged ---------------------------------------------
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_compare_matches_reference_on_uncharged_points(n):
+    # sizes at the 64-bit word boundaries; test_lo_core covers other n
+    rng = random.Random(300 + n)
+    inst = random_instance(n, rng)
+    for _ in range(30):
+        oracle, ref = CountingOracle(inst, record_queries=True), ReferenceCounters(inst)
+        charged = []
+        for step in range(6):
+            # the first compare runs with best_fitness_seen None; later x are
+            # fresh points, old offspring or optima
+            x = rng.choice((BitString.random(n, rng), inst.z, BitString(n, inst.z.word ^ 1)))
+            y = x.flip(rng.randrange(n)) if rng.random() < 0.5 else BitString.random(n, rng)
+            if step == 0:
+                assert oracle.best_fitness_seen is None
+            assert oracle.compare(x, y) == expected_order(inst, x, y)
+            ref.charge(y)
+            charged.append(y)
+            ref.assert_matches(oracle)
+            assert oracle.queries == charged
+
+
 def test_compare_less_before_any_charge():
     # x = optimum, y one flip below it, nothing charged yet: the LESS branch
     # must bisect f(y) rather than compare against a missing best
@@ -200,7 +222,7 @@ def test_oea_step_draws_like_uncached_formula(seed):
             x = y_new
 
 
-def test_offspring_are_valid_bitstrings():
+def test_unchecked_offspring_are_valid_bitstrings():
     rng = random.Random(11)
     for n in (1, 2, 63, 64, 65, 300):
         x = BitString.random(n, rng)
