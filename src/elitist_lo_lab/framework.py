@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .heuristics import Memlog, OneEa, Rls, oea_mask
+from .heuristics import Memlog, OneEa, Rls, _log_keep, _stop_below
 from .lo_core import (
     EQUAL,
     GREATER,
@@ -201,13 +201,18 @@ def _run_fused(strategy: Rls | OneEa, inst: LoInstance, seed: int,
     charged to level f.  rls flips position i, whose significance rank
     r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
     r == f repairs position sigma[f] (GREATER), r > f is EQUAL.  The (1+1)
-    EA XORs its `oea_mask` into d and decides with the prefix masks as
+    EA XORs its mask into d and decides with the prefix masks as
     `CountingOracle.compare` does.  Only a GREATER offspring's fitness is
     bisected, on [f + 1, n], by the oracle's own `_bisect`.
 
     The rng draws are those of the protocol loop: `BitString.random` for
     the start point, then `randrange(n)` (inlined as its `getrandbits`
-    rejection loop) or `oea_mask` per query.
+    rejection loop) or `oea_mask` per query.  The EA's mask is `oea_mask`'s
+    geometric-skip loop, inlined, except on the draw that ends it: a draw u
+    below `_stop_below(n)[i]` at position i, where `oea_mask` would take
+    log(u) / log(1 - 1/n) and skip to n or beyond, ends the mask on one list
+    read and one compare (a u of 0.0, on which `oea_mask` stops at once, is
+    below every threshold).  Any other u takes `oea_mask`'s step.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)
@@ -237,9 +242,20 @@ def _run_fused(strategy: Rls | OneEa, inst: LoInstance, seed: int,
                 f = bisect(d, f + 1, n)
             elif r > f and accept_equal:
                 d ^= 1 << i
+    elif n == 1:  # oea_mask(1, rng) is 1 and draws nothing: one query repairs the bit
+        if f == 0 and queries < stop:
+            counts[0], queries, f = 1, 2, 1
     else:
+        draw, log, floor = rng.random, math.log, math.floor
+        log_keep, below = _log_keep(n), _stop_below(n)
         while f < n and queries < stop:
-            y = d ^ oea_mask(n, rng)
+            y, i = d, 0
+            while (u := draw()) >= below[i]:  # oea_mask's skip loop
+                i += floor(log(u) / log_keep)
+                if i >= n:
+                    break
+                y ^= 1 << i
+                i += 1
             counts[f] += 1
             queries += 1
             if y & prefix[f]:

@@ -10,7 +10,9 @@ unbiasedness coupling tests rely on.
 These classes are the plain reference form of each strategy, which
 `run_one_plus_one`'s protocol loop runs.  A plain run of exactly `Rls`,
 `OneEa` or `Memlog` takes a fused loop in `framework` instead, which must
-make the same draws and return the same record.
+make the same draws and return the same record.  The fused (1+1) EA loop
+inlines `oea_mask` and ends each mask on a threshold from `_stop_below`
+rather than `oea_mask`'s last log and floor.
 """
 from __future__ import annotations
 
@@ -30,6 +32,21 @@ def rls_step(x: BitString, rng: random.Random) -> BitString:
 def _log_keep(n: int) -> float:
     """log(1 - 1/n), the log-probability that a position is not flipped."""
     return math.log(1.0 - 1.0 / n)
+
+
+@functools.cache
+def _stop_below(n: int) -> list[float]:
+    """For n >= 2, thresholds on which `oea_mask`'s skip loop surely ends:
+    a draw u < below[i] taken at position i skips to n or beyond.
+
+    below[i] is (1 - 1/n)^(n - i) less a relative margin of 1e-9, so the
+    exact log(u) / _log_keep(n) for such a u exceeds n - i by about
+    1e-9 * n, far above the float error of the loop's quotient (every
+    threshold is at least 1/4, so no tiny u is involved).  below[n] is inf:
+    a mask whose last flip is at n - 1 ends on its next draw.
+    """
+    log_keep = _log_keep(n)
+    return [math.exp((n - i) * log_keep) * (1 - 1e-9) for i in range(n)] + [math.inf]
 
 
 def oea_mask(n: int, rng: random.Random) -> int:
@@ -88,8 +105,8 @@ class Rls:
 class OneEa:
     """The (1+1) EA: standard-bit-mutation offspring, no state.
 
-    A plain `OneEa` run takes `run_one_plus_one`'s fused loop, which draws
-    `oea_mask` without calling `step`; a subclass does not.
+    A plain `OneEa` run takes `run_one_plus_one`'s fused loop, which makes
+    the draws of `oea_mask` without calling `step`; a subclass does not.
     """
 
     name = "oea"

@@ -10,12 +10,15 @@ fused memlog loop selects each halving query from its list of unmarked
 positions, while the protocol loop's `Memlog` bisects `p0_mask` with
 `lowest_set_bits`, so the memlog checks compare two selects written
 independently; likewise the fused loop's packed-length arithmetic against
-`pack_state`.  The gate tests make `step`, `learn` and memlog's
-`pack_state` raise, so a default harness run that falls back to the
-protocol loop fails here, and so does an excluded case that stops calling
-`step`.
+`pack_state`.  The fused EA loop ends each mask on a `_stop_below`
+threshold rather than `oea_mask`'s last step, so that table is checked
+against the step draw by draw near every threshold.  The gate tests make
+`step`, `learn` and memlog's `pack_state` raise, so a default harness run
+that falls back to the protocol loop fails here, and so does an excluded
+case that stops calling `step`.
 """
 import hashlib
+import math
 import random
 import types
 
@@ -29,7 +32,14 @@ from elitist_lo_lab.harness import (
     rep_seed,
     run_experiment,
 )
-from elitist_lo_lab.heuristics import Memlog, MemlogState, OneEa, Rls
+from elitist_lo_lab.heuristics import (
+    Memlog,
+    MemlogState,
+    OneEa,
+    Rls,
+    _log_keep,
+    _stop_below,
+)
 from elitist_lo_lab.lo_core import BitString, CountingOracle, random_instance
 
 from test_harness_cli import BUDGET_DIGESTS, RUN_DIGESTS, _run_cli
@@ -99,6 +109,54 @@ def test_fused_matches_protocol(n, run_rngs):
                     cut += rec.budget_exhausted and rec.total_queries > 1
     if n >= 8:
         assert cut > 0  # some runs really were cut mid-way
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_fused_oea_matches_protocol_at_large_n(n, run_rngs):
+    # a whole run at these n takes minutes on the protocol loop, so every
+    # run is cut; at 20 000 queries most masks still flip one bit or none
+    for trial in range(2):
+        inst = random_instance(n, random.Random(7000 * n + trial))
+        for accept_equal in (True, False):
+            seed = random.Random(f"oea/{n}/{trial}/{accept_equal}").getrandbits(64)
+            rec = _run_both(OneEa, inst, seed, 20_000, accept_equal, run_rngs)
+            assert rec.budget_exhausted and rec.total_queries == 20_000
+
+
+# -- the (1+1) EA's stop thresholds ---------------------------------------------------
+
+
+STOP_SIZES = list(range(2, 301)) + [1024, 4096, 65536]
+
+
+def test_stop_thresholds_end_the_mask():
+    # the fused EA loop ends a mask on a draw u < below[i] at position i
+    # without taking oea_mask's step floor(log(u) / log_keep); that step
+    # must land at n or beyond for every such u
+    log, floor, nextafter = math.log, math.floor, math.nextafter
+    late = []
+    for n in STOP_SIZES:
+        log_keep, below = _log_keep(n), _stop_below(n)
+        assert len(below) == n + 1 and below[n] == math.inf
+        assert min(below) > 0.24  # so a draw of 0.0, which ends oea_mask, is below too
+        for i in range(n):
+            u = below[i]
+            for _ in range(64):  # the 64 doubles just below the threshold
+                u = nextafter(u, 0.0)
+                if floor(log(u) / log_keep) < n - i:
+                    late.append((n, i, u))
+    assert late == []
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(10**5):
+        n = rng.choice(STOP_SIZES)
+        i, u = rng.randrange(n), rng.random()
+        if u < _stop_below(n)[i]:
+            checked += 1
+            if floor(log(u) / _log_keep(n)) < n - i:
+                late.append((n, i, u))
+    assert late == []
+    assert checked > 30_000
 
 
 class HalvingSpy(Memlog):

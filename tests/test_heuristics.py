@@ -118,14 +118,14 @@ class ScriptedMaskStrategy:
     name = "scripted"
 
     def __init__(self, masks):
-        self._masks = list(masks)
+        self.masks = list(masks)
         self._next = 0
 
     def fresh_state(self, n, rng):
         return None
 
     def step(self, incumbent, state, rng):
-        mask = self._masks[self._next]
+        mask = self.masks[self._next]
         self._next += 1
         return incumbent.flip_mask(mask)
 

@@ -27,6 +27,7 @@ from elitist_lo_lab.lo_core import (
     random_instance,
 )
 
+from test_heuristics import ScriptedMaskStrategy
 from test_lo_core import ReferenceCounters, expected_order
 
 
@@ -49,31 +50,15 @@ def reference_oea_step(x, rng):
     return BitString(n, word)
 
 
-class ScriptedMasks:
-    """Replays flip masks drawn up front from its own seed: empty, single
-    bits, sparse and dense words, and the full mask."""
-
-    name = "scripted"
-
-    def __init__(self, n, seed, count):
-        rng = random.Random(seed)
-        full = (1 << n) - 1
-        self.masks = [rng.choice((
-            0, full, 1 << rng.randrange(n), rng.getrandbits(n),
-            rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n),
-        )) for _ in range(count)]
-        self._next = 0
-
-    def fresh_state(self, n, rng):
-        return None
-
-    def step(self, incumbent, state, rng):
-        mask = self.masks[self._next]
-        self._next += 1
-        return incumbent.flip_mask(mask)
-
-    def learn(self, outcome, state):
-        pass
+def scripted_masks(n, seed, count):
+    """`count` flip masks drawn from their own seed: empty, single bits,
+    sparse and dense words, and the full mask."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    return [rng.choice((
+        0, full, 1 << rng.randrange(n), rng.getrandbits(n),
+        rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n),
+    )) for _ in range(count)]
 
 
 # -- the runner, query for query -------------------------------------------------
@@ -87,7 +72,7 @@ def _strategies(n, seed):
     yield lambda: Rls()
     yield lambda: OneEa()
     yield lambda: Memlog()
-    yield lambda: ScriptedMasks(n, seed, SCRIPT_LENGTH)
+    yield lambda: ScriptedMaskStrategy(scripted_masks(n, seed, SCRIPT_LENGTH))
 
 
 def _assert_lo_value_run(strategy, inst, seed, budget, accept_equal):
