@@ -83,11 +83,15 @@ class KConfiguration:
     """A set P of k significant positions together with their target bits.
 
     Positions are 0-based and sorted; values[i] is the target bit at
-    positions[i].
+    positions[i].  `mask` has the bits of P set and `word` holds the target
+    bits at their positions, so a string y agrees with the configuration iff
+    (y.word ^ word) & mask is 0.
     """
 
     positions: tuple[int, ...]
     values: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
+    word: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.positions) != len(self.values):
@@ -96,6 +100,14 @@ class KConfiguration:
             raise ValueError("values must be bits")
         if list(self.positions) != sorted(set(self.positions)):
             raise ValueError("positions must be sorted and distinct")
+        if self.positions and self.positions[0] < 0:
+            raise ValueError("positions must be non-negative")
+        mask = word = 0
+        for pos, val in zip(self.positions, self.values):
+            mask |= 1 << pos
+            word |= val << pos
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "word", word)
 
     @property
     def k(self) -> int:
@@ -103,9 +115,24 @@ class KConfiguration:
 
 
 def enumerate_k_configurations(n: int, k: int) -> Iterable[KConfiguration]:
+    """Every k-configuration over n positions: position sets in
+    `combinations` order, each with its value tuples in `product` order."""
+    value_tuples = list(itertools.product((0, 1), repeat=k))
+    new = object.__new__
     for positions in itertools.combinations(range(n), k):
-        for values in itertools.product((0, 1), repeat=k):
-            yield KConfiguration(positions, values)
+        # words[j] is the target word of value_tuples[j]: the first position
+        # is the most significant digit of product's order
+        mask = 0
+        words = [0]
+        for pos in positions:
+            bit = 1 << pos
+            mask |= bit
+            words = [w | b for w in words for b in (0, bit)]
+        for values, word in zip(value_tuples, words):
+            # valid by construction, so __post_init__'s checks are skipped
+            cfg = new(KConfiguration)
+            cfg.__dict__.update(positions=positions, values=values, mask=mask, word=word)
+            yield cfg
 
 
 def level_entry_information_check(
@@ -124,22 +151,21 @@ def level_entry_information_check(
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range [0, {n}]")
     m = n - k
-    images: list[int] = []  # aligned with the enumeration order
+    images: list[int] = []
     for cfg in enumerate_k_configurations(n, k):
         y0 = entry_map(cfg, n)
         if not isinstance(y0, BitString) or y0.n != n:
             raise ValueError("entry map must return a length-n BitString")
-        for pos, val in zip(cfg.positions, cfg.values):
-            if (y0.word >> pos) & 1 != val:
-                raise ValueError(
-                    "inconsistent entry map: output disagrees with the "
-                    f"configuration at position {pos}"
-                )
+        wrong = (y0.word ^ cfg.word) & cfg.mask
+        if wrong:
+            raise ValueError(
+                "inconsistent entry map: output disagrees with the "
+                f"configuration at position {(wrong & -wrong).bit_length() - 1}"
+            )
         images.append(y0.word)
-    counts = Counter(images)
     total_sets = math.comb(n, k)
     # B = total_sets / count <= 2^(m+1)  <=>  count * 2^(m+1) >= total_sets
-    good = sum(1 for w in images if counts[w] << (m + 1) >= total_sets)
+    good = sum(c for c in Counter(images).values() if c << (m + 1) >= total_sets)
     prob = Fraction(good, len(images))
     return prob, prob >= Fraction(1, 2)
 
@@ -500,46 +526,73 @@ class LevelGameSolver:
         return tuple(sorted((m & low) | ((m >> 1) & ~low) for m in masks))
 
 
+# canonical_families: candidates per chunk of the family space, and maps
+# per block applied at once to the survivors of the first maps
+_FAMILY_CHUNK = 1 << 16
+_MAP_BLOCK = 32
+
+
 def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
     """All non-empty families of k-subsets of [n_positions], one representative
-    per position-relabeling orbit.
+    per position-relabeling orbit, in ascending order of their family masks.
 
     Family space is encoded as bitmasks over the lexicographic list of
     k-subsets; a family w is a representative iff it is the minimum of its
     orbit under the induced action of S_n, that is iff g(w) >= w for every
-    induced map g.  The candidates start as the whole family space and each
-    map keeps only those it does not lower, so the 2^20 families of the
-    (3, 3) case cost a few full-array passes instead of one per map.
+    induced map g other than the identity.  Each map keeps only the
+    candidates it does not lower, so the order of the maps changes the work
+    but not the result.  The maps that move the fewest k-subsets (for
+    0 < k < n the transpositions) cut the most: in the (6, 3) case the 15
+    transpositions leave 7,131 of the 2^20 families.  They run first, over
+    the family space in chunks of _FAMILY_CHUNK candidates, which bounds the
+    size of every temporary array; the survivors then meet the other maps
+    in blocks of _MAP_BLOCK.
     """
     sets = list(itertools.combinations(range(n_positions), k))
     ns = len(sets)
     if ns > 20:
         raise ValueError("family space too large to enumerate")
-    index_of = {s: i for i, s in enumerate(sets)}
-    induced = []
-    seen = set()
-    for perm in itertools.permutations(range(n_positions)):
-        mapping = tuple(
-            index_of[tuple(sorted(perm[p] for p in s))] for s in sets
-        )
-        if mapping not in seen:
-            seen.add(mapping)
-            induced.append(mapping)
+    # maps[g, i] is the index of the image of sets[i] under permutation g,
+    # found through the image's position bitmask
+    members = np.zeros((ns, n_positions), dtype=np.int64)
+    for i, s in enumerate(sets):
+        members[i, list(s)] = 1
+    perms = np.array(list(itertools.permutations(range(n_positions))), dtype=np.int64)
+    perms = perms.reshape(math.factorial(n_positions), n_positions)
+    index_of = np.zeros(1 << n_positions, dtype=np.int64)
+    index_of[members @ (1 << np.arange(n_positions))] = np.arange(ns)
+    maps = np.unique(index_of[(1 << perms) @ members.T], axis=0)
+    moved = (maps != np.arange(ns)).sum(axis=1)
+    order = np.argsort(moved, kind="stable")
+    order = order[moved[order] > 0]  # the identity lowers nothing
+    maps, moved = maps[order], moved[order]
+    first = int(np.count_nonzero(moved == moved[0])) if len(maps) else 0
 
+    # t_lo[g, w] is the image under map g of the half-mask w, built by
+    # doubling: the entries with the next source bit set are the old ones
+    # plus its target
     lo_bits = ns // 2
     lo_mask = (1 << lo_bits) - 1
-    cand = np.arange(1 << ns, dtype=np.uint32)
-    for mapping in induced:
-        # table[w] is the image of the half-mask w, built by doubling: the
-        # entries with the next source bit set are the old ones plus its target
-        tables = []
-        for targets in (mapping[:lo_bits], mapping[lo_bits:]):
-            table = np.zeros(1, dtype=np.uint32)
-            for target in targets:
-                table = np.concatenate((table, table | (1 << target)))
-            tables.append(table)
-        t_lo, t_hi = tables
-        cand = cand[(t_lo[cand & lo_mask] | t_hi[cand >> lo_bits]) >= cand]
+    targets = np.uint32(1) << maps.astype(np.uint32)
+    tables = []
+    for part in (targets[:, :lo_bits], targets[:, lo_bits:]):
+        table = np.zeros((len(maps), 1 << part.shape[1]), dtype=np.uint32)
+        for j in range(part.shape[1]):
+            table[:, 1 << j:2 << j] = table[:, :1 << j] | part[:, j:j + 1]
+        tables.append(table)
+    t_lo, t_hi = tables
+
+    survivors = []
+    for start in range(0, 1 << ns, _FAMILY_CHUNK):
+        cand = np.arange(start, min(start + _FAMILY_CHUNK, 1 << ns), dtype=np.uint32)
+        for g in range(first):
+            cand = cand[(t_lo[g][cand & lo_mask] | t_hi[g][cand >> lo_bits]) >= cand]
+        survivors.append(cand)
+    cand = np.concatenate(survivors)
+    for g in range(first, len(maps), _MAP_BLOCK):
+        block = slice(g, g + _MAP_BLOCK)
+        images = t_lo[block][:, cand & lo_mask] | t_hi[block][:, cand >> lo_bits]
+        cand = cand[(images >= cand).all(axis=0)]
     return [tuple(sets[i] for i in set_bits(fm)) for fm in cand.tolist() if fm]
 
 
@@ -575,7 +628,8 @@ DEFAULT_LOGB_FRACTIONS = (
 
 def induction_r_values(k: int, m: int, log2_B: float, p: np.ndarray,
                        eps: float) -> np.ndarray:
-    """The seven-term R(p) sum from the induction step, vectorized over p.
+    """The seven-term R(p) sum from the induction step, vectorized over an
+    ascending p.
 
     Zero-weight conventions: at p = 0 every first-branch term (the five terms
     carrying a factor p) vanishes; at p = 1 both second-branch terms vanish.
@@ -584,32 +638,45 @@ def induction_r_values(k: int, m: int, log2_B: float, p: np.ndarray,
         raise ValueError("the interior induction step needs m >= 2")
     S = k + m
     p = np.asarray(p, dtype=float)
+    if (p[1:] < p[:-1]).any():
+        raise ValueError("p must be ascending")
     R = np.zeros_like(p)
-    interior_lo = p > 0.0
-    interior_hi = p < 1.0
+    # p ascending: p > 0 is a suffix and p < 1 a prefix
+    lo = int(p.searchsorted(0.0, side="right"))
+    hi = int(p.searchsorted(1.0, side="left"))
 
     # first branch (factor p): X1, A1, Y1, Z, X2
-    pa = p[interior_lo]
+    pa = p[lo:]
     if pa.size:
-        L1 = log2_B + np.log2(m / S) - np.log2(pa)
-        M1 = np.log2(m / S) - np.log2(pa)
-        X1 = pa * eps * (S - 1) / m * (1.0 - L1 / (2.0 * (m - 1)))
-        A1 = pa * eps * (1.0 - L1 / (2.0 * (m - 1)))
-        Y1 = pa * eps * S * M1 / (2.0 * m)
-        Z = pa * eps * S * M1 / (2.0 * m * (m - 1))
-        X2 = pa * eps * S * log2_B / (2.0 * m * (m - 1))
-        R[interior_lo] += X1 + A1 + Y1 + Z + X2
+        log_m = np.log2(m / S)
+        log_pa = np.log2(pa)
+        L1 = log2_B + log_m - log_pa
+        M1 = log_m - log_pa
+        pe = pa * eps
+        shrink = 1.0 - L1 / (2.0 * (m - 1))
+        X1 = pe * (S - 1) / m * shrink
+        A1 = pe * shrink
+        peS = pe * S
+        peSM = peS * M1
+        Y1 = peSM / (2.0 * m)
+        Z = peSM / (2.0 * m * (m - 1))
+        X2 = peS * log2_B / (2.0 * m * (m - 1))
+        R[lo:] += X1 + A1 + Y1 + Z + X2
 
     # second branch (factor 1-p): A2, Y2
-    pb = p[interior_hi]
+    pb = p[:hi]
     if pb.size:
         if k == 0:
             raise ValueError("p < 1 requires k >= 1 (p_min = 1 when k = 0)")
-        L2 = log2_B + np.log2(k / S) - np.log2(1.0 - pb)
-        M2 = np.log2(k / S) - np.log2(1.0 - pb)
-        A2 = (1.0 - pb) * eps * (1.0 - L2 / (2.0 * m))
-        Y2 = (1.0 - pb) * eps * S * M2 / (2.0 * m)
-        R[interior_hi] += A2 + Y2
+        qb = 1.0 - pb
+        log_k = np.log2(k / S)
+        log_qb = np.log2(qb)
+        L2 = log2_B + log_k - log_qb
+        M2 = log_k - log_qb
+        qe = qb * eps
+        A2 = qe * (1.0 - L2 / (2.0 * m))
+        Y2 = qe * S * M2 / (2.0 * m)
+        R[:hi] += A2 + Y2
 
     return R
 
@@ -715,41 +782,36 @@ def verify_induction_step(
 
 def entry_map_constant(cfg: KConfiguration, n: int) -> BitString:
     """Write the configuration's bits and fill every free position with 0."""
-    word = 0
-    for pos, val in zip(cfg.positions, cfg.values):
-        word |= val << pos
-    return BitString(n, word)
+    return BitString(n, cfg.word)
 
 
 def entry_map_lowest_free_index(cfg: KConfiguration, n: int) -> BitString:
     """Encode the lowest free position's index, LSB first, into the free
     positions (ascending)."""
-    word = 0
-    for pos, val in zip(cfg.positions, cfg.values):
-        word |= val << pos
-    sig = set(cfg.positions)
-    free = [q for q in range(n) if q not in sig]
+    word = cfg.word
+    free = ~cfg.mask & ((1 << n) - 1)
     if free:
-        payload = free[0]
-        for i, q in enumerate(free):
-            word |= ((payload >> i) & 1) << q
+        payload = (free & -free).bit_length() - 1
+        while payload:
+            low = free & -free  # 0 once the free positions run out
+            if payload & 1:
+                word |= low
+            free ^= low
+            payload >>= 1
     return BitString(n, word)
 
 
 def entry_map_prefix_parity(cfg: KConfiguration, n: int) -> BitString:
     """Fill each free position q with the parity of the number of significant
     positions below q."""
-    word = 0
-    sig = set(cfg.positions)
-    for pos, val in zip(cfg.positions, cfg.values):
-        word |= val << pos
-    below = 0
-    for q in range(n):
-        if q in sig:
-            below += 1
-        else:
-            word |= (below & 1) << q
-    return BitString(n, word)
+    # prefix XOR of the mask shifted up by one: bit q is the parity of the
+    # significant positions below q
+    parity = cfg.mask << 1
+    shift = 1
+    while shift < n:
+        parity ^= parity << shift
+        shift <<= 1
+    return BitString(n, cfg.word | (parity & ~cfg.mask & ((1 << n) - 1)))
 
 
 ENTRY_MAPS = {

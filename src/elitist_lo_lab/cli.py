@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import harness
@@ -50,6 +51,18 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 def _json_lines(obj: dict) -> list[str]:
     return [json.dumps(obj, indent=2, sort_keys=True)]
+
+
+def _sweep_summary(report) -> str:
+    """One line on the cells swept and skipped and the worst swept cell;
+    the first NaN cell counts as the worst, as it does for the verdict."""
+    swept = [c for c in report.cells if not c.skipped]
+    worst = next((c for c in swept if math.isnan(c.max_r)), None)
+    if worst is None:
+        worst = max(swept, key=lambda c: c.max_r)
+    return (f"verify: {len(swept)} cells swept, {len(report.cells) - len(swept)} "
+            f"skipped; worst cell k={worst.k} m={worst.m} log2_B={worst.log2_B!r}: "
+            f"max R(p) = {worst.max_r!r} at p = {worst.argmax_p!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +124,7 @@ def main(argv=None) -> int:
             report = verify_induction_step(p_resolution=args.p_resolution,
                                            eps=args.eps, max_total=args.max_total)
             harness.emit(_json_lines(report.to_json_dict()), args.out)
+            print(_sweep_summary(report), file=sys.stderr)
             if not report.passed:
                 print(f"verification FAILED: max R(p) = {report.max_r!r}",
                       file=sys.stderr)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -184,3 +185,43 @@ def test_canonical_families_match_hypergraph_counts():
     assert counts[6, 2] == counts[6, 4] == 155     # 156 graphs on 6 vertices
     assert counts[6, 3] == 2135                    # 2136 3-uniform hypergraphs
     assert sum(counts.values()) == 2564            # the dominance sweep
+
+
+# sha256 of repr(canonical_families(total, k)), taken before the ordered,
+# chunked orbit filter; the (6, 3) case crosses chunk boundaries
+FAMILY_DIGESTS = {
+    (1, 0): "713bb2ae9152b9af4defb606b892235524b8d60af0c347fc81ae3fb047470c1f",
+    (1, 1): "4ac279b94d8c735ee76858c2b50da00526af1f31a8c2e829581bbbeae1fea620",
+    (2, 0): "713bb2ae9152b9af4defb606b892235524b8d60af0c347fc81ae3fb047470c1f",
+    (2, 1): "f0a5078088b8550a029a249bb384c73b221dd8aee00973348cc1831bb505051f",
+    (2, 2): "f5e5441ac66855177e23ba6802804d05ca4f3a9487456a8a77d2f1369f176ae5",
+    (3, 0): "713bb2ae9152b9af4defb606b892235524b8d60af0c347fc81ae3fb047470c1f",
+    (3, 1): "f6957dc55e80c999041b951832c2d936a7aedca25671cea24409e0c94bb46aef",
+    (3, 2): "7efb924b2f0c350d0b59f6a3ad02f1d882e8879a89b84ca226beb84d4aa3f545",
+    (3, 3): "637b73f7960358d303965c1dd410efea2cd6b7173c50bf8965ce82d34fad6640",
+    (4, 0): "713bb2ae9152b9af4defb606b892235524b8d60af0c347fc81ae3fb047470c1f",
+    (4, 1): "051fea4ec191fbce5ed0e1c7da20f7003588787a0dc0087fbe43398525389d19",
+    (4, 2): "0c461b85415bf88f95479f24e777644f61e21a0c2673a71dd411d00491e1a9f3",
+    (4, 3): "85b8c44b90f704bb45176c6893b19bf962859f88c1b4aeb95adc877688a90211",
+    (4, 4): "dc6c22e9ba8a7180c1c0b1a5e6753c1172ee808f33596ab6a68b3e8efb5b20aa",
+    (5, 0): "713bb2ae9152b9af4defb606b892235524b8d60af0c347fc81ae3fb047470c1f",
+    (5, 1): "0e02f92e5bb475d1c9c34526ab201bef3fe8eb9a9e48f2bb674e270e19324ebf",
+    (5, 2): "5a30ad8c40d93856d6c2736d2ee22c54018752827912345520a3c6585410d20f",
+    (5, 3): "978970d4c32ce4d63c167c2e734d8417d5c70f320053c3fe78635301bec2e68f",
+    (5, 4): "81d69401ff072057b25dcb856c2a43f3e9685256cb2df1a86ce5c7108cc291a1",
+    (5, 5): "11264c9ce155d6995c5bfdaf01c952d3f910e51c779f7fd6f07c7fd18513a0bc",
+    (6, 0): "713bb2ae9152b9af4defb606b892235524b8d60af0c347fc81ae3fb047470c1f",
+    (6, 1): "8246a6db8f695dd64a16d86da353d8ac08cd157a3851a1e513f189a6ea42c18f",
+    (6, 2): "15fd53255933884f64498be1a2beb05ff6324a97e2ffdc470355afa0dd7bf54b",
+    (6, 3): "b749fc685bbd92e83be4741d28f1e90310a880fb570eaa16002059cc221a9deb",
+    (6, 4): "88bb4bf71ac43965fd3de484a22df673f5f87aae222964233694fed9fa9bf5e4",
+    (6, 5): "cfe327311ea92810b36a3e91b4827aa546daa4f1ac7b1a16884e86d10b71396f",
+    (6, 6): "59011bdc6ff669762a6ce64d64e8ecff1ca24a1e4f7d478e50e8c689cd5d3d87",
+}
+
+
+@pytest.mark.parametrize("total, k", sorted(FAMILY_DIGESTS))
+def test_canonical_families_pinned_in_order(total, k):
+    fams = canonical_families(total, k)
+    digest = hashlib.sha256(repr(fams).encode()).hexdigest()
+    assert digest == FAMILY_DIGESTS[total, k]

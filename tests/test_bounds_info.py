@@ -100,6 +100,70 @@ def test_entry_check_rejects_large_n():
         level_entry_information_check(15, 13, entry_map_constant)
 
 
+@pytest.mark.parametrize("bad_image", [
+    lambda cfg, n: entry_map_constant(cfg, n).word,        # an int, not a BitString
+    lambda cfg, n: entry_map_constant(cfg, n + 1),         # one position too long
+    lambda cfg, n: BitString(n - 1, 0),                     # one position too short
+])
+def test_entry_check_rejects_non_bitstring_or_wrong_length(bad_image):
+    with pytest.raises(ValueError, match="length-n BitString"):
+        level_entry_information_check(5, 2, bad_image)
+
+
+# exact probabilities of the three (10, 8) checks the bound checks script runs
+ENTRY_PROBABILITIES_10_8 = {
+    "constant": Fraction(247, 256),
+    "lowest_free_index": Fraction(5569, 5760),
+    "prefix_parity": Fraction(11107, 11520),
+}
+
+
+@pytest.mark.parametrize("map_name", sorted(ENTRY_PROBABILITIES_10_8))
+def test_entry_check_pinned_at_10_8(map_name):
+    prob, ok = level_entry_information_check(10, 8, ENTRY_MAPS[map_name])
+    assert type(prob) is Fraction and prob == ENTRY_PROBABILITIES_10_8[map_name] and ok
+
+
+def _reference_image(name, cfg, n):
+    """The entry maps written out position by position over sets."""
+    word = sum(val << pos for pos, val in zip(cfg.positions, cfg.values))
+    free = [q for q in range(n) if q not in set(cfg.positions)]
+    if name == "lowest_free_index" and free:
+        for i, q in enumerate(free):
+            word |= ((free[0] >> i) & 1) << q
+    elif name == "prefix_parity":
+        for q in free:
+            word |= (sum(1 for pos in cfg.positions if pos < q) & 1) << q
+    return word
+
+
+@pytest.mark.parametrize("map_name", sorted(ENTRY_MAPS))
+def test_entry_maps_match_positionwise_reference(map_name):
+    entry_map = ENTRY_MAPS[map_name]
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for cfg in enumerate_k_configurations(n, k):
+                assert entry_map(cfg, n).word == _reference_image(map_name, cfg, n), (n, cfg)
+    # a caller-built configuration gets the same image as an enumerated one
+    cfg = KConfiguration((1, 4, 6), (1, 0, 1))
+    assert entry_map(cfg, 9).word == _reference_image(map_name, cfg, 9)
+
+
+def test_enumerated_configurations_keep_caller_validation():
+    # enumeration skips the checks its own output cannot fail; a configuration
+    # built by a caller still runs them
+    with pytest.raises(ValueError):
+        KConfiguration((2, 1), (0, 1))
+    with pytest.raises(ValueError):
+        KConfiguration((1, 2), (0, 2))
+    with pytest.raises(ValueError):
+        KConfiguration((-1, 2), (0, 1))
+    configs = list(enumerate_k_configurations(5, 2))
+    rebuilt = [KConfiguration(c.positions, c.values) for c in configs]
+    assert configs == rebuilt
+    assert [(c.mask, c.word) for c in configs] == [(c.mask, c.word) for c in rebuilt]
+
+
 # -- one-bit simulation -------------------------------------------------------------
 
 

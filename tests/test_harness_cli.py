@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from elitist_lo_lab import harness
-from elitist_lo_lab.bounds import PhiSolver
+from elitist_lo_lab.bounds import PhiSolver, verify_induction_step
 from elitist_lo_lab.cli import main as cli_main
 from elitist_lo_lab.harness import (
     CSV_HEADER,
@@ -459,6 +459,29 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
                      "--max-total", "60", "--out", str(bad)]) == 3
     # a failed verification is a complete report, not a failed write
     assert json.loads(bad.read_text())["pass"] is False
+
+
+def test_cli_verify_reports_cell_counts_on_stderr(capsys):
+    argv = ["verify", "--p-resolution", "64", "--max-total", "10"]
+    report = verify_induction_step(p_resolution=64, max_total=10)
+    assert _run_cli(argv) == 0
+    captured = capsys.readouterr()
+    # stdout is the report alone, exactly as before the summary line existed
+    assert captured.out == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    swept = [c for c in report.cells if not c.skipped]
+    worst = max(swept, key=lambda c: c.max_r)
+    assert worst.max_r == report.max_r
+    assert captured.err == (
+        f"verify: {len(swept)} cells swept, {len(report.cells) - len(swept)} skipped; "
+        f"worst cell k={worst.k} m={worst.m} log2_B={worst.log2_B!r}: "
+        f"max R(p) = {worst.max_r!r} at p = {worst.argmax_p!r}\n"
+    )
+    # a failed sweep names its worst cell before the failure line
+    assert _run_cli(argv + ["--eps", "1.0"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("verify: ")
+    assert lines[1].startswith("verification FAILED: max R(p) = ")
+    assert lines[1].split(" = ")[1] == lines[0].split(" = ")[1].split(" at p")[0]
 
 
 def test_cli_entry_point_installed():

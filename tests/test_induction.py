@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 
@@ -137,3 +139,20 @@ def test_argument_validation():
         verify_induction_step(max_total=1)  # no cell swept
     with pytest.raises(ValueError):
         induction_r_values(1, 1, 0.5, np.array([0.5]), 0.1)
+    with pytest.raises(ValueError, match="ascending"):
+        induction_r_values(3, 4, 1.0, np.array([0.5, 0.25]), 0.01)
+
+
+# sha256 of the sweep's JSON report at p_resolution=2048, taken before the
+# sweep sliced p instead of masking it
+SWEEP_DIGESTS = {
+    DEFAULT_EPS: "715bb88148f1e949ed5472d5cc2310fb78d4b43b2143a3ce58fed73b82fd0593",
+    1.0: "e35f69c7bc24c84838083af992d7731410fdfdf823abdf2dd7e512dc43126f61",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(SWEEP_DIGESTS))
+def test_sweep_report_pinned(eps):
+    report = verify_induction_step(eps=eps, p_resolution=2048)
+    text = json.dumps(report.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[eps]
