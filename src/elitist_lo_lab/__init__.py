@@ -8,7 +8,6 @@ from .lo_core import (
     Ordering,
     lo_value,
     random_instance,
-    significant_prefix,
 )
 from .framework import RunRecord, run_one_plus_one, verify_ranking_invariance
 from .heuristics import Memlog, OneEa, Rls, make_strategy
@@ -26,7 +25,6 @@ __all__ = [
     "make_strategy",
     "random_instance",
     "run_one_plus_one",
-    "significant_prefix",
     "verify_ranking_invariance",
 ]
 

@@ -1,10 +1,10 @@
 """Lower-bound machinery for the elitist level game.
 
 Contents:
-  * available_information -- the information measure B = binom(k+m, m) / C,
-    where C counts the k-configurations compatible with the algorithm's state;
   * level_entry_information_check -- exhaustive verification that a level
-    entry map leaves B <= 2^(m+1) with probability >= 1/2;
+    entry map leaves the information measure B = binom(k+m, m) / C, where C
+    counts the k-configurations compatible with the algorithm's state, at
+    most 2^(m+1) with probability >= 1/2;
   * onebit_simulation -- replay of a multi-bit level trace through one-bit
     flips, with the s + m length certificate;
   * PhiSolver -- the cardinality dynamic program relaxing the level game:
@@ -30,52 +30,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .lo_core import BitString, set_bits
-
-
-# -- information measure -------------------------------------------------------
-
-
-def available_information(k: int, m: int, C) -> Fraction:
-    """B = binom(k+m, m) / C, the factor by which the possible target
-    configurations have been narrowed down.  Exact rational."""
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be non-negative")
-    total = math.comb(k + m, m)
-    if not 1 <= C <= total:
-        raise ValueError(f"C={C} out of range [1, {total}] for k={k}, m={m}")
-    return Fraction(total, C)
-
-
-@dataclass(frozen=True)
-class InfoState:
-    """A level-game knowledge state: k unknown-significant and m insignificant
-    positions with C compatible configurations (so B = binom(k+m, m) / C).
-
-    The filter transitions mirror a one-bit query's outcomes: an
-    insignificant answer keeping c configurations moves to (k, m-1, c), a
-    significant answer keeping c moves to (k-1, m, c).
-    """
-
-    k: int
-    m: int
-    C: int
-
-    def __post_init__(self):
-        available_information(self.k, self.m, self.C)  # range validation
-
-    @property
-    def b(self) -> Fraction:
-        return available_information(self.k, self.m, self.C)
-
-    def filter_insignificant(self, c: int) -> "InfoState":
-        if not 1 <= c <= self.C:
-            raise ValueError("kept count must be in [1, C]")
-        return InfoState(self.k, self.m - 1, c)
-
-    def filter_significant(self, c: int) -> "InfoState":
-        if not 1 <= c <= self.C:
-            raise ValueError("kept count must be in [1, C]")
-        return InfoState(self.k - 1, self.m, c)
 
 
 @dataclass(frozen=True)
@@ -205,7 +159,6 @@ class OneBitSimulation:
 
     queries: list[BitString]
     outcomes: list[str]
-    step_slices: list[tuple[int, int]]
     steps_processed: int
     length_bound: int
     length_ok: bool
@@ -260,7 +213,6 @@ def onebit_simulation(
 
     out_queries: list[BitString] = []
     out_outcomes: list[str] = []
-    step_slices: list[tuple[int, int]] = []
     asked: set[int] = set()
     dominance_ok = True if check_information else None
     steps_processed = 0
@@ -271,7 +223,6 @@ def onebit_simulation(
             raise ValueError("trace point has the wrong length")
         steps_processed += 1
         flipped = y.word ^ start.word
-        step_start = len(out_queries)
         original_outcome = _outcome_of_flips(flipped, pmask, next_bit)
 
         for q in set_bits(flipped):
@@ -297,7 +248,6 @@ def onebit_simulation(
                     }
             if outcome in (DROP, LEAVE):
                 break
-        step_slices.append((step_start, len(out_queries)))
 
         if out_outcomes and out_outcomes[-1] == LEAVE:
             left = True
@@ -320,7 +270,6 @@ def onebit_simulation(
     return OneBitSimulation(
         queries=out_queries,
         outcomes=out_outcomes,
-        step_slices=step_slices,
         steps_processed=steps_processed,
         length_bound=bound,
         length_ok=len(out_queries) <= bound,

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .heuristics import Memlog, OneEa, Rls, _log_keep, _stop_below
@@ -49,7 +49,7 @@ class Strategy(Protocol):
         the runner calls it once per step.
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
-    observer, oracle, start point or query log) takes a fused loop of
+    observer, oracle or start point) takes a fused loop of
     `run_one_plus_one` that keeps the strategy's state in locals and never
     calls `step`, `learn` or `pack_state`; memlog's loop still calls
     `state_budget_bits` and checks the packed length after every query.
@@ -76,9 +76,6 @@ class RunRecord:
     hit_optimum: bool
     budget_exhausted: bool
     per_level: list[tuple[int, int]]
-    # full query log, only populated when the run recorded queries; not part
-    # of the serialized record
-    queries: list[BitString] | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,7 +102,6 @@ def _finish_record(algo: str, inst: LoInstance, seed: int,
         hit_optimum=oracle.optimum_found,
         budget_exhausted=budget_exhausted,
         per_level=sorted(oracle.per_level_counts.items()),
-        queries=oracle.queries,
     )
 
 
@@ -119,7 +115,6 @@ def run_one_plus_one(
     oracle: Callable[..., CountingOracle] | None = None,
     initial: BitString | None = None,
     observer: Callable | None = None,
-    record_queries: bool = False,
 ) -> RunRecord:
     """Run a (1+1) elitist strategy until the optimum is sampled or the
     budget (charged queries) is exhausted.
@@ -129,26 +124,26 @@ def run_one_plus_one(
     rule).  The initial point is uniform unless `initial` is given.
 
     `oracle`, when set, replaces the `CountingOracle` class: it is called as
-    oracle(inst, record_queries=...) and must return a CountingOracle.
+    oracle(inst) and must return a CountingOracle.
 
     `observer`, when set, receives ("init", point) once and then
-    ("step", incumbent, offspring, outcome, accepted) per step; used by
+    ("step", incumbent, offspring, outcome, accepted) per step.  It is the
+    runner's one white-box hook, used by `verify_ranking_invariance` and by
     white-box tests.
 
     When `type(strategy)` is exactly `Rls`, `OneEa` or `Memlog` and
-    `oracle`, `initial` and `observer` are None and `record_queries` is
-    False, the run takes that type's loop in `_FUSED` (`_run_fused` or
-    `_run_memlog`), which makes the same draws in the same order, raises the
-    same errors and returns the same record with `queries` None.  Every
-    other call runs the protocol loop below, which stays the reference.
+    `oracle`, `initial` and `observer` are None, the run takes that type's
+    loop in `_FUSED` (`_run_fused` or `_run_memlog`), which makes the same
+    draws in the same order, raises the same errors and returns the same
+    record.  Every other call runs the protocol loop below, which stays the
+    reference.
     """
     fused = _FUSED.get(type(strategy))
-    if (fused is not None and oracle is None and initial is None
-            and observer is None and not record_queries):
+    if fused is not None and oracle is None and initial is None and observer is None:
         return fused(strategy, inst, seed, budget, accept_equal)
     n = inst.n
     rng = random.Random(seed)
-    oracle = (oracle or CountingOracle)(inst, record_queries=record_queries)
+    oracle = (oracle or CountingOracle)(inst)
     budget_bits = pack = None
     if hasattr(strategy, "state_budget_bits"):
         budget_bits = strategy.state_budget_bits(n)
@@ -380,9 +375,8 @@ class MonotoneOracle(CountingOracle):
     accounting, which use raw LO values, are those of the oracle for f.
     """
 
-    def __init__(self, instance: LoInstance, transform: Callable[[int], int],
-                 record_queries: bool = False):
-        super().__init__(instance, record_queries=record_queries)
+    def __init__(self, instance: LoInstance, transform: Callable[[int], int]):
+        super().__init__(instance)
         self.transform = transform
 
     def submit(self, x: BitString) -> int:
@@ -390,33 +384,31 @@ class MonotoneOracle(CountingOracle):
 
 
 def verify_ranking_invariance(
-    strategy: Strategy | Callable[[], Strategy],
+    strategy: Callable[[], Strategy],
     inst: LoInstance,
     monotone_transform: Callable[[int], int],
     seed: int,
     budget: int = 1_000_000,
 ) -> bool:
-    """Run the strategy on the oracle for f and on the oracle for
-    transform(f) with the same seed; True iff the query sequences coincide.
+    """Run a fresh strategy from the zero-argument factory `strategy` (a
+    strategy class is one) on the oracle for f and another on the oracle
+    for transform(f), with the same seed; True iff the query sequences,
+    collected through `observer`, coincide.
 
     Any strategy that consults only comparison outcomes passes for every
     strictly increasing transform; one that learns numeric values through
     some other channel can fail (the tests' negative control does).
-
-    Accepts a strategy instance or a zero-argument factory; the factory form
-    gives each of the two runs a fresh object, which matters for test
-    strategies that hold state outside the runner's state object.
     """
     for v in range(inst.n):
         if not monotone_transform(v) < monotone_transform(v + 1):
             raise ValueError("transform is not strictly increasing on [0..n]")
-    if isinstance(strategy, type) or not hasattr(strategy, "step"):
-        first, second = strategy(), strategy()
-    else:
-        first, second = strategy, strategy
-    rec_plain = run_one_plus_one(first, inst, seed, budget, record_queries=True)
-    rec_mapped = run_one_plus_one(
-        second, inst, seed, budget, record_queries=True,
-        oracle=functools.partial(MonotoneOracle, transform=monotone_transform),
-    )
-    return rec_plain.queries == rec_mapped.queries
+    runs = []
+    for oracle in (None, functools.partial(MonotoneOracle, transform=monotone_transform)):
+        queries = []
+
+        def observe(event):  # the start point, then each step's offspring
+            queries.append(event[1] if event[0] == "init" else event[2])
+
+        run_one_plus_one(strategy(), inst, seed, budget, oracle=oracle, observer=observe)
+        runs.append(queries)
+    return runs[0] == runs[1]

@@ -146,19 +146,19 @@ class MemlogState:
     then one bit per halving outcome (1 = kept the first half, 0 = the
     second), so it is 1 outside halving.  While halving, `p0_mask` holds the
     candidate set P0 as a word and `p0_size` its size; both are recomputable
-    from B1 and B2.
+    from B1 and B2.  `p0_size` is 0 outside halving and at least 2 within
+    it, so it doubles as the phase flag.
 
     Only the protocol loop builds a `MemlogState`; `run_one_plus_one`'s
     fused memlog loop keeps B1, B2 and P0 in locals.
     """
 
-    __slots__ = ("n", "b1", "record", "halving", "p0_mask", "p0_size", "pending")
+    __slots__ = ("n", "b1", "record", "p0_mask", "p0_size", "pending")
 
     def __init__(self, n: int):
         self.n = n
         self.b1 = 0                       # marker word, one bit per position
         self.record = 1                   # B2: leading 1, then one bit per halving
-        self.halving = False
         self.p0_mask = 0                  # candidate cache, P0 as a word
         self.p0_size = 0
         self.pending = 0                  # flip mask of the pending query
@@ -197,7 +197,7 @@ class Memlog:
 
     def step(self, incumbent: BitString, state: MemlogState,
              rng: random.Random) -> BitString:
-        if not state.halving:
+        if not state.p0_size:
             # probe: flip all zero-B1 positions at once
             mask = ((1 << incumbent.n) - 1) ^ state.b1
             if mask == 0:
@@ -209,7 +209,7 @@ class Memlog:
         return incumbent.flip_mask(first)
 
     def learn(self, outcome: Ordering, state: MemlogState) -> None:
-        if not state.halving:
+        if not state.p0_size:
             if outcome == GREATER:
                 return  # fitness grew; probe again
             if outcome == EQUAL:
@@ -220,7 +220,6 @@ class Memlog:
             if count == 1:  # only scripted outcome sequences reach this
                 state.b1 |= zeros
                 return
-            state.halving = True
             state.p0_mask = zeros
             state.p0_size = count
             return
@@ -244,7 +243,6 @@ class Memlog:
 
     @staticmethod
     def _reset_halving(state: MemlogState) -> None:
-        state.halving = False
         state.record = 1
         state.p0_mask = 0
         state.p0_size = 0
@@ -262,7 +260,7 @@ class Memlog:
         ceil((n + len(B2) + 2) / 8) little-endian bytes."""
         n, record = state.n, state.record
         used = n + record.bit_length()  # bits below the phase flag
-        packed = state.b1 | record << n | state.halving << used
+        packed = state.b1 | record << n | bool(state.p0_size) << used
         return packed.to_bytes((used + 9) >> 3, "little")
 
 

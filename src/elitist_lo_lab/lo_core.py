@@ -64,36 +64,8 @@ class BitString:
         self.word = word
 
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitString":
-        bits = list(bits)
-        word = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit value must be 0 or 1, got {b!r}")
-            word |= b << i
-        return cls(len(bits), word)
-
-    @classmethod
-    def from_str(cls, s: str) -> "BitString":
-        """Parse e.g. "1101"; the first character is position 1."""
-        return cls.from_bits(int(c) for c in s)
-
-    @classmethod
     def random(cls, n: int, rng: random.Random) -> "BitString":
         return cls(n, rng.getrandbits(n))
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"position {i} out of range for n={self.n}")
-        return (self.word >> i) & 1
 
     def flip(self, i: int) -> "BitString":
         if not 0 <= i < self.n:
@@ -104,9 +76,6 @@ class BitString:
         """Flip the set bits of mask; a mask with bits outside the string
         leaves some outside the word, which the constructor rejects."""
         return BitString(self.n, self.word ^ mask)
-
-    def to01(self) -> str:
-        return "".join(str((self.word >> i) & 1) for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,7 +88,8 @@ class BitString:
         return hash((self.n, self.word))
 
     def __repr__(self) -> str:
-        return f"BitString({self.n}, {self.to01()!r})"
+        bits = "".join(str((self.word >> i) & 1) for i in range(self.n))
+        return f"BitString({self.n}, {bits!r})"
 
 
 @dataclass(frozen=True)
@@ -168,23 +138,6 @@ def random_instance(n: int, rng: random.Random) -> LoInstance:
     return LoInstance(n, z, tuple(sigma))
 
 
-def identity_instance(n: int) -> LoInstance:
-    """The all-ones target with the identity order (classic LeadingOnes)."""
-    return LoInstance(n, BitString.ones(n), tuple(range(n)))
-
-
-def significant_prefix(inst: LoInstance, k: int) -> list[tuple[int, int]]:
-    """White-box accessor: the first k significant positions and target bits.
-
-    Positions are reported 1-based.
-    Touches no oracle counter.
-    """
-    if not 0 <= k <= inst.n:
-        raise ValueError(f"k={k} out of range [0, {inst.n}]")
-    zw = inst.z.word
-    return [(pos + 1, (zw >> pos) & 1) for pos in inst.sigma[:k]]
-
-
 class CountingOracle:
     """Query-metered, comparison-only access to one LO instance.
 
@@ -213,13 +166,12 @@ class CountingOracle:
     Owned by exactly one run at a time; concurrent runs need disjoint oracles.
     """
 
-    def __init__(self, instance: LoInstance, record_queries: bool = False):
+    def __init__(self, instance: LoInstance):
         self.instance = instance
         self.query_count = 0
         self.best_fitness_seen: int | None = None
         self.per_level_counts: dict[int, int] = {}
         self.optimum_found = False
-        self.queries: list[BitString] | None = [] if record_queries else None
         self._n = instance.n
         self._z = instance.z.word
         self._prefix = list(accumulate((1 << pos for pos in instance.sigma),
@@ -237,7 +189,7 @@ class CountingOracle:
                 lo = mid
         return lo
 
-    def _count(self, x: BitString, f: int) -> None:
+    def _count(self, f: int) -> None:
         """Charge one query with known fitness f: update all counters."""
         best = self.best_fitness_seen
         level = INIT_LEVEL if best is None else best
@@ -248,8 +200,6 @@ class CountingOracle:
             self.best_fitness_seen = f
         if f == self._n:
             self.optimum_found = True
-        if self.queries is not None:
-            self.queries.append(x)
 
     # -- public API ----------------------------------------------------------
 
@@ -265,7 +215,7 @@ class CountingOracle:
             raise ValueError(f"point has length {x.n}, instance has n={n}")
         f = self._bisect(x.word ^ self._z, 0, n)
         self._incumbent = (x.word, f)
-        self._count(x, f)
+        self._count(f)
         return f
 
     def compare(self, x: BitString, y: BitString) -> Ordering:
@@ -300,5 +250,5 @@ class CountingOracle:
             else:
                 fy, outcome = self._bisect(diff, fx + 1, n), GREATER
             self._offspring = (y.word, fy)
-        self._count(y, fy)
+        self._count(fy)
         return outcome

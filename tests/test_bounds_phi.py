@@ -6,79 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from elitist_lo_lab.bounds import (
-    InfoState,
-    PhiSolver,
-    available_information,
-    phi_closed_form,
-)
+from elitist_lo_lab.bounds import PhiSolver, phi_closed_form
 from elitist_lo_lab.harness import PHI_EXACT_MAX_TOTAL
-
-
-# -- available information ------------------------------------------------------
-
-
-def test_available_information_examples():
-    assert available_information(3, 2, 10) == 1
-    assert available_information(3, 2, 5) == 2
-    for k, m in [(0, 3), (4, 1), (2, 2)]:
-        assert available_information(k, m, 1) == math.comb(k + m, m)
-
-
-def test_available_information_rejects_bad_count():
-    with pytest.raises(ValueError):
-        available_information(3, 2, 0)
-    with pytest.raises(ValueError):
-        available_information(3, 2, 11)
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_information_composes_with_insignificant_updates(data):
-    # after an insignificant-branch filter keeping c of C configurations the
-    # new state (k, m-1, c) must carry B_new = B * (m/(k+m)) / (c/C) exactly
-    k = data.draw(st.integers(0, 8))
-    m = data.draw(st.integers(1, 8))
-    total = math.comb(k + m, m)
-    C = data.draw(st.integers(1, total))
-    a = math.comb(k + m - 1, m - 1)
-    lo = max(1, C - math.comb(k + m - 1, m))
-    hi = min(C, a)
-    if lo > hi:
-        return
-    c = data.draw(st.integers(lo, hi))
-    state = InfoState(k, m, C)
-    p = Fraction(c, C)
-    assert state.filter_insignificant(c).b == state.b / p * Fraction(m, k + m)
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_information_composes_with_significant_updates(data):
-    # the significant branch keeping c of C moves to (k-1, m, c) with
-    # B_new = B * (k/(k+m)) / (c/C)
-    k = data.draw(st.integers(1, 8))
-    m = data.draw(st.integers(1, 8))
-    total = math.comb(k + m, m)
-    C = data.draw(st.integers(1, total))
-    lo = max(1, C - math.comb(k + m - 1, m - 1))
-    hi = min(C, math.comb(k + m - 1, m))
-    if lo > hi:
-        return
-    c = data.draw(st.integers(lo, hi))
-    state = InfoState(k, m, C)
-    p = Fraction(c, C)
-    assert state.filter_significant(c).b == state.b / p * Fraction(k, k + m)
-
-
-def test_info_state_validation():
-    with pytest.raises(ValueError):
-        InfoState(2, 2, 7)
-    with pytest.raises(ValueError):
-        InfoState(2, 2, 6).filter_insignificant(0)
 
 
 # -- the cardinality DP -----------------------------------------------------------

@@ -84,7 +84,6 @@ def _run_both(cls, inst, seed, budget, accept_equal, run_rngs):
     assert len(run_rngs) == 2
     assert fused.to_json() == proto.to_json()
     assert fused.per_level == proto.per_level
-    assert fused.queries is None
     assert fused_state == run_rngs[-1].getstate()
     run_rngs.clear()
     return fused
@@ -167,7 +166,7 @@ class HalvingSpy(Memlog):
 
     def learn(self, outcome, state):
         super().learn(outcome, state)
-        self.halving.append(state.halving)
+        self.halving.append(state.p0_size != 0)
 
 
 MEMLOG_SIZES = list(range(1, 40)) + [63, 64, 65, 255, 256, 257, 1024, 4096]
@@ -282,8 +281,7 @@ def test_harness_runs_take_the_fused_loop(algo, step_raises, tmp_path):
 
 
 @pytest.mark.parametrize("cls", [Rls, OneEa, Memlog])
-@pytest.mark.parametrize("case", ["subclass", "observer", "record_queries", "oracle",
-                                  "initial"])
+@pytest.mark.parametrize("case", ["subclass", "observer", "oracle", "initial"])
 def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
     n = 16
     inst = random_instance(n, random.Random(4))
@@ -293,8 +291,6 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
         strategy = PROTOCOL[cls]()
     elif case == "observer":
         kwargs["observer"] = lambda event: None
-    elif case == "record_queries":
-        kwargs["record_queries"] = True
     elif case == "oracle":
         kwargs["oracle"] = CountingOracle
     else:
@@ -323,7 +319,7 @@ def test_fused_memlog_packed_length_matches_pack_state():
         state = MemlogState(n)
         lengths = set()
         for b1, record, halving, p0_mask, p0_size in spy.snapshots:
-            state.b1, state.record, state.halving = b1, record, halving
+            state.b1, state.record, state.p0_size = b1, record, p0_size
             length = len(strategy.pack_state(state))
             assert _packed_len(n, record) == length
             lengths.add(length)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -24,7 +25,6 @@ from elitist_lo_lab.lo_core import (
     LESS,
     BitString,
     LoInstance,
-    identity_instance,
     lo_value,
     random_instance,
     set_bits,
@@ -43,9 +43,9 @@ def invert_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 def test_rls_step_n1_always_flips():
     rng = random.Random(0)
-    x = BitString.from_str("0")
+    x = BitString(1, 0)
     for _ in range(20):
-        assert rls_step(x, rng).to01() == "1"
+        assert rls_step(x, rng) == BitString(1, 1)
 
 
 @given(st.data())
@@ -60,7 +60,7 @@ def test_rls_step_hamming_distance_one(data):
 def test_rls_flip_position_uniformity():
     n, draws = 8, 100_000
     rng = random.Random(99)
-    x = BitString.zeros(n)
+    x = BitString(n)
     counts = [0] * n
     for _ in range(draws):
         y = rls_step(x, rng)
@@ -74,16 +74,16 @@ def test_rls_flip_position_uniformity():
 
 def test_oea_step_n1_always_flips():
     rng = random.Random(1)
-    x = BitString.from_str("1")
+    x = BitString(1, 1)
     for _ in range(20):
-        assert oea_step(x, rng).to01() == "0"
+        assert oea_step(x, rng) == BitString(1, 0)
 
 
 def test_oea_no_flip_probability():
     # Pr[offspring = x] = (1 - 1/n)^n; at n=8 this is (7/8)^8 ~ 0.3436
     n, draws = 8, 100_000
     rng = random.Random(7)
-    x = BitString.zeros(n)
+    x = BitString(n)
     same = sum(oea_step(x, rng) == x for _ in range(draws))
     assert abs(same / draws - (1 - 1 / n) ** n) < 0.01
 
@@ -91,7 +91,7 @@ def test_oea_no_flip_probability():
 def test_oea_expected_flips_is_one():
     n, draws = 8, 100_000
     rng = random.Random(8)
-    x = BitString.zeros(n)
+    x = BitString(n)
     total = sum(oea_step(x, rng).word.bit_count() for _ in range(draws))
     assert abs(total / draws - 1.0) < 0.02
 
@@ -99,7 +99,7 @@ def test_oea_expected_flips_is_one():
 def test_oea_per_position_marginal():
     n, draws = 8, 100_000
     rng = random.Random(9)
-    x = BitString.zeros(n)
+    x = BitString(n)
     counts = [0] * n
     for _ in range(draws):
         w = oea_step(x, rng).word
@@ -167,7 +167,7 @@ def run_coupled(strategy_cls, inst: LoInstance, seed: int):
     rank_of = invert_permutation(inst.sigma)
     masks = [_permute_mask(inc.word ^ off.word, rank_of)
              for _, inc, off, _, _ in steps]
-    ident = identity_instance(n)
+    ident = LoInstance(n, BitString(n, (1 << n) - 1), tuple(range(n)))
     events2 = []
     rec2 = run_one_plus_one(
         ScriptedMaskStrategy(masks), ident, seed=0,
@@ -224,15 +224,18 @@ def test_memlog_bound_and_optimum(n):
 
 
 class SpyMemlog(Memlog):
-    """Memlog that snapshots its state after every learn."""
+    """Memlog that snapshots its state, with `p0_size != 0` as the phase
+    flag, and its packed bytes after every learn."""
 
     def __init__(self):
         self.snapshots = []
+        self.packed = []
 
     def learn(self, outcome, state):
         super().learn(outcome, state)
-        self.snapshots.append((state.b1, state.record, state.halving,
+        self.snapshots.append((state.b1, state.record, state.p0_size != 0,
                                state.p0_mask, state.p0_size))
+        self.packed.append(self.pack_state(state))
 
 
 def candidate_positions(state: MemlogState) -> list[int]:
@@ -288,7 +291,7 @@ def _check_memlog_whitebox(n):
                 state.record = record
                 derived = candidate_positions(state)
                 assert derived == set_bits(p0_mask)
-                assert p0_size == len(derived) and p0_size >= 1
+                assert p0_size == len(derived) and p0_size >= 2
                 assert p0_mask & b1 == 0
             progress.append(f + b1.bit_count())
         # every clog+1 consecutive queries strictly increase f + |B1|
@@ -312,10 +315,28 @@ def test_memlog_state_packing_within_budget():
         for b1, record, halving, p0_mask, p0_size in spy.snapshots:
             state.b1 = b1
             state.record = record
-            state.halving = halving
+            state.p0_size = p0_size
             packed = strategy.pack_state(state)
             assert len(packed) * 8 <= budget_bits + 7
             assert unpack_state(n, packed) == (b1, record, halving)
+
+
+# sha256 of the `pack_state` bytes after every protocol step of the runs in
+# `test_memlog_pack_state_pin`, concatenated; recorded when `MemlogState`
+# kept its phase flag in a field of its own, so any changed byte shows here
+PACK_STATE_DIGEST = "05713db2c2cb789089a367a4efcd8c2e91bb374456bbab5a44152a879e9357d9"
+
+
+def test_memlog_pack_state_pin():
+    digest = hashlib.sha256()
+    steps = 0
+    for n in [*range(1, 18), 64, 65, 1024]:
+        spy = SpyMemlog()
+        run_one_plus_one(spy, random_instance(n, random.Random(n)), seed=n + 1)
+        steps += len(spy.packed)
+        digest.update(b"".join(spy.packed))
+    assert steps == 13268
+    assert digest.hexdigest() == PACK_STATE_DIGEST
 
 
 def unpack_state(n, packed):
@@ -346,7 +367,7 @@ def test_memlog_pack_state_after_every_b1_write(n):
         assert unpack_state(n, strategy.pack_state(state)) == (0, 1, False)
         while state.b1 != full:
             y = strategy.step(x, state, rng)
-            was_halving, b1 = state.halving, state.b1
+            was_halving, b1 = state.p0_size != 0, state.b1
             if was_halving:
                 outcome = rng.choices((LESS, EQUAL, GREATER), (9, 9, 2))[0]
             else:
@@ -358,7 +379,7 @@ def test_memlog_pack_state_after_every_b1_write(n):
                 writes["halving" if was_halving else "probe"] += 1
             packed = strategy.pack_state(state)
             assert len(packed) * 8 <= max_bits
-            assert unpack_state(n, packed) == (state.b1, state.record, state.halving)
+            assert unpack_state(n, packed) == (state.b1, state.record, state.p0_size != 0)
             if outcome == GREATER:
                 x = y
         with pytest.raises(RuntimeError):  # every position is marked

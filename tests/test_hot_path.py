@@ -5,8 +5,8 @@
 reference that the fused loops must match (`test_fused_run.py`).  Here each
 protocol run, of rls, oea, memlog and scripted flip masks under both tie
 rules and under budgets 0, 1 and mid-run cuts, is checked query by query
-against `lo_value`, the direct-scan fitness: every observer event's outcome
-and acceptance, the query log, the record and the oracle's counters.  The
+against `lo_value`, the direct-scan fitness: every observer event's query,
+outcome and acceptance, the record and the oracle's counters.  The
 observer each run passes keeps rls, oea and memlog on the protocol loop.
 `oea_step`'s draw stream is pinned against the uncached skip formula.
 """
@@ -80,13 +80,12 @@ def _assert_lo_value_run(strategy, inst, seed, budget, accept_equal):
     record and the (incumbent, offspring) pair of every step."""
     events, oracles = [], []
 
-    def counting_oracle(instance, record_queries):
-        oracles.append(CountingOracle(instance, record_queries=record_queries))
+    def counting_oracle(instance):
+        oracles.append(CountingOracle(instance))
         return oracles[-1]
 
     rec = run_one_plus_one(strategy, inst, seed, budget, accept_equal=accept_equal,
-                           oracle=counting_oracle, observer=events.append,
-                           record_queries=True)
+                           oracle=counting_oracle, observer=events.append)
     ref = ReferenceCounters(inst)
     queries, steps = [], []
     if events:
@@ -107,7 +106,6 @@ def _assert_lo_value_run(strategy, inst, seed, budget, accept_equal):
         if accepted:
             incumbent, fx = y, fy
     ref.assert_matches(oracles[0])
-    assert rec.queries == queries
     assert rec.total_queries == len(queries)
     assert rec.per_level == sorted(ref.per_level.items())
     assert rec.hit_optimum == ref.optimum
@@ -159,8 +157,7 @@ def test_compare_matches_reference_on_uncharged_points(n):
     rng = random.Random(300 + n)
     inst = random_instance(n, rng)
     for _ in range(30):
-        oracle, ref = CountingOracle(inst, record_queries=True), ReferenceCounters(inst)
-        charged = []
+        oracle, ref = CountingOracle(inst), ReferenceCounters(inst)
         for step in range(6):
             # the first compare runs with best_fitness_seen None; later x are
             # fresh points, old offspring or optima
@@ -170,9 +167,7 @@ def test_compare_matches_reference_on_uncharged_points(n):
                 assert oracle.best_fitness_seen is None
             assert oracle.compare(x, y) == expected_order(inst, x, y)
             ref.charge(y)
-            charged.append(y)
             ref.assert_matches(oracle)
-            assert oracle.queries == charged
 
 
 def test_compare_less_before_any_charge():

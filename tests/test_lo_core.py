@@ -12,17 +12,19 @@ from elitist_lo_lab.lo_core import (
     BitString,
     CountingOracle,
     LoInstance,
-    identity_instance,
     lo_value,
     random_instance,
     set_bits,
-    significant_prefix,
 )
 
 
+def bits(s: str) -> BitString:
+    """Parse e.g. "1101"; the first character is position 1."""
+    return BitString(len(s), int(s[::-1], 2))
+
+
 def make_instance(z: str, sigma_1based) -> LoInstance:
-    return LoInstance(len(z), BitString.from_str(z),
-                      tuple(p - 1 for p in sigma_1based))
+    return LoInstance(len(z), bits(z), tuple(p - 1 for p in sigma_1based))
 
 
 def expected_order(inst: LoInstance, x: BitString, y: BitString):
@@ -60,7 +62,7 @@ class ReferenceCounters:
 
 def test_lo_value_identity_order():
     inst = make_instance("1111", (1, 2, 3, 4))
-    assert lo_value(inst, BitString.from_str("1101")) == 2
+    assert lo_value(inst, bits("1101")) == 2
 
 
 def test_lo_value_optimum_is_n():
@@ -73,13 +75,13 @@ def test_lo_value_optimum_is_n():
 def test_lo_value_permuted_order():
     # sigma = (3,1,4,2,5): checks position 3 first, then 1, then 4, ...
     inst = make_instance("00000", (3, 1, 4, 2, 5))
-    assert lo_value(inst, BitString.from_str("01011")) == 2
+    assert lo_value(inst, bits("01011")) == 2
 
 
 def test_lo_value_dimension_mismatch():
     inst = make_instance("111", (1, 2, 3))
     with pytest.raises(ValueError):
-        lo_value(inst, BitString.from_str("11"))
+        lo_value(inst, bits("11"))
 
 
 @given(st.data())
@@ -102,7 +104,7 @@ def test_lo_value_prefix_agreement(data):
     inst = random_instance(n, rng)
     x = BitString(n, data.draw(st.integers(0, 2**n - 1)))
     k = data.draw(st.integers(0, n))
-    agrees = all(x.bit(pos) == inst.z.bit(pos) for pos in inst.sigma[:k])
+    agrees = all(not ((x.word ^ inst.z.word) >> pos) & 1 for pos in inst.sigma[:k])
     assert (lo_value(inst, x) >= k) == agrees
 
 
@@ -117,7 +119,7 @@ def test_lo_value_prefix_agreement_exhaustive_n4():
                 x = BitString(n, xw)
                 v = lo_value(inst, x)
                 for k in range(n + 1):
-                    agrees = all(x.bit(p) == inst.z.bit(p) for p in sigma[:k])
+                    agrees = all(not ((xw ^ zw) >> p) & 1 for p in sigma[:k])
                     assert (v >= k) == agrees
 
 
@@ -174,7 +176,7 @@ def test_oracle_incumbent_at_optimum():
 def test_oracle_n1():
     for z in ("0", "1"):
         inst = make_instance(z, (1,))
-        other = BitString.from_str("1" if z == "0" else "0")
+        other = bits("1" if z == "0" else "0")
         oracle = CountingOracle(inst)
         assert oracle.submit(other) == 0
         assert oracle.compare(other, other) == EQUAL
@@ -222,8 +224,8 @@ def test_random_instance_deterministic():
 
 
 def test_random_instance_n1():
-    seen = {random_instance(1, random.Random(s)).z.to01() for s in range(64)}
-    assert seen == {"0", "1"}
+    seen = {random_instance(1, random.Random(s)).z.word for s in range(64)}
+    assert seen == {0, 1}
 
 
 def test_random_instance_rejects_n0():
@@ -253,7 +255,7 @@ def test_random_instance_uniform_chi_square():
 def test_compare_equal_on_same_point():
     inst = make_instance("1011", (1, 2, 3, 4))
     oracle = CountingOracle(inst)
-    x = BitString.from_str("0011")
+    x = bits("0011")
     oracle.submit(x)
     assert oracle.compare(x, x) == EQUAL
 
@@ -272,16 +274,16 @@ def test_compare_optimum_dominates():
 def test_compare_less_example():
     inst = make_instance("1111", (1, 2, 3, 4))
     oracle = CountingOracle(inst)
-    x = BitString.from_str("1100")
+    x = bits("1100")
     oracle.submit(x)
-    assert oracle.compare(x, BitString.from_str("1010")) == LESS
+    assert oracle.compare(x, bits("1010")) == LESS
 
 
 def test_compare_dimension_mismatch():
     inst = make_instance("111", (1, 2, 3))
     oracle = CountingOracle(inst)
     with pytest.raises(ValueError):
-        oracle.compare(BitString.from_str("111"), BitString.from_str("11"))
+        oracle.compare(bits("111"), bits("11"))
 
 
 def test_compare_is_pure_apart_from_counters():
@@ -298,20 +300,20 @@ def test_compare_is_pure_apart_from_counters():
 def test_oracle_counters_and_charging():
     inst = make_instance("1111", (1, 2, 3, 4))
     oracle = CountingOracle(inst)
-    x = BitString.from_str("1100")  # fitness 2
+    x = bits("1100")  # fitness 2
     oracle.submit(x)
     assert oracle.query_count == 1
     assert oracle.best_fitness_seen == 2
     assert oracle.per_level_counts == {INIT_LEVEL: 1}
     # a worse query is charged to the current best level
-    oracle.compare(x, BitString.from_str("0111"))
+    oracle.compare(x, bits("0111"))
     assert oracle.per_level_counts == {INIT_LEVEL: 1, 2: 1}
     # the level-entering query is charged to the level being left
-    oracle.compare(x, BitString.from_str("1110"))
+    oracle.compare(x, bits("1110"))
     assert oracle.best_fitness_seen == 3
     assert oracle.per_level_counts == {INIT_LEVEL: 1, 2: 2}
     assert not oracle.optimum_found
-    oracle.compare(BitString.from_str("1110"), inst.z)
+    oracle.compare(bits("1110"), inst.z)
     assert oracle.optimum_found
     assert oracle.per_level_counts == {INIT_LEVEL: 1, 2: 2, 3: 1}
     assert oracle.query_count == sum(oracle.per_level_counts.values())
@@ -354,47 +356,16 @@ def test_best_fitness_seen_is_monotone():
     assert all(a <= b for a, b in zip(best_values, best_values[1:]))
 
 
-# -- significant_prefix ----------------------------------------------------------
-
-
-def test_significant_prefix_empty():
-    inst = make_instance("101", (2, 3, 1))
-    assert significant_prefix(inst, 0) == []
-
-
-def test_significant_prefix_example():
-    inst = make_instance("101", (2, 3, 1))
-    assert significant_prefix(inst, 2) == [(2, 0), (3, 1)]
-
-
-def test_significant_prefix_full():
-    inst = make_instance("101", (2, 3, 1))
-    assert significant_prefix(inst, 3) == [(2, 0), (3, 1), (1, 1)]
-
-
-def test_significant_prefix_out_of_range():
-    inst = make_instance("101", (2, 3, 1))
-    with pytest.raises(ValueError):
-        significant_prefix(inst, 4)
-
-
-def test_significant_prefix_touches_no_counter():
-    inst = make_instance("101", (2, 3, 1))
-    oracle = CountingOracle(inst)
-    significant_prefix(inst, 2)
-    assert oracle.query_count == 0
-
-
 # -- BitString ---------------------------------------------------------------------
 
 
 def test_bitstring_basics():
-    b = BitString.from_str("1101")
+    b = BitString(4, 0b1011)
     assert b.n == 4
-    assert b.to01() == "1101"
-    assert b.flip(1).to01() == "1001"
-    assert b == BitString.from_bits([1, 1, 0, 1])
-    assert len({b, BitString.from_str("1101")}) == 1
+    assert repr(b) == "BitString(4, '1101')"
+    assert b.flip(1) == bits("1001")
+    assert b == bits("1101")
+    assert len({b, bits("1101")}) == 1
 
 
 def test_bitstring_rejects_bad_input():
@@ -403,9 +374,7 @@ def test_bitstring_rejects_bad_input():
     with pytest.raises(ValueError):
         BitString(3, 8)
     with pytest.raises(IndexError):
-        BitString.from_str("101").flip(3)
-    with pytest.raises(ValueError):
-        BitString.from_bits([0, 2])
+        bits("101").flip(3)
 
 
 @pytest.mark.parametrize("z, sigma", [
@@ -417,9 +386,13 @@ def test_bitstring_rejects_bad_input():
 ], ids=["z-length", "sigma-length", "repeated", "out-of-range", "one-based"])
 def test_lo_instance_rejects_bad_fields(z, sigma):
     with pytest.raises(ValueError):
-        LoInstance(3, BitString.from_str(z), sigma)
+        LoInstance(3, bits(z), sigma)
 
 
 def test_identity_instance():
-    inst = identity_instance(5)
-    assert lo_value(inst, BitString.from_str("11010")) == 2
+    # the all-ones target in the identity order is classic LeadingOnes
+    n = 5
+    inst = LoInstance(n, BitString(n, (1 << n) - 1), tuple(range(n)))
+    for xw in range(1 << n):
+        x01 = format(xw, f"0{n}b")[::-1]  # position 1 first
+        assert lo_value(inst, BitString(n, xw)) == (x01 + "0").index("0")
