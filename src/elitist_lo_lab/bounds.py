@@ -679,41 +679,45 @@ def verify_induction_step(
         raise ValueError("p_resolution must be >= 2 to include both endpoints")
     cells: list[InductionCell] = []
     global_max = -math.inf
-    for k in k_grid:
-        for m in m_grid:
-            if k + m > max_total:
-                continue
-            for frac in logb_fractions:
-                log2_B = frac * 2.0 * m
-                if m < 2 or log2_B >= 2.0 * m:
-                    cells.append(InductionCell(
-                        k, m, log2_B, math.nan, math.nan, None, None,
-                        skipped=True,
-                        reason="trivial cell (m < 2 or log2 B >= 2m)",
-                    ))
+    base = np.arange(p_resolution, dtype=float)
+    # a huge eps overflows R to inf/NaN, which fails the cell below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in k_grid:
+            for m in m_grid:
+                if k + m > max_total:
                     continue
-                B = 2.0 ** log2_B
-                S = k + m
-                p_min = max(0.0, 1.0 - B * k / S)
-                p_max = min(1.0, B * m / S)
-                if p_min > p_max:
-                    cells.append(InductionCell(
-                        k, m, log2_B, p_min, p_max, None, None,
-                        skipped=True, reason="empty [p_min, p_max] interval",
-                    ))
-                    continue
-                p = np.linspace(p_min, p_max, p_resolution)
-                # a huge eps overflows R to inf/NaN, which fails the cell below
-                with np.errstate(over="ignore", invalid="ignore"):
+                for frac in logb_fractions:
+                    log2_B = frac * 2.0 * m
+                    if m < 2 or log2_B >= 2.0 * m:
+                        cells.append(InductionCell(
+                            k, m, log2_B, math.nan, math.nan, None, None,
+                            skipped=True,
+                            reason="trivial cell (m < 2 or log2 B >= 2m)",
+                        ))
+                        continue
+                    B = 2.0 ** log2_B
+                    S = k + m
+                    p_min = max(0.0, 1.0 - B * k / S)
+                    p_max = min(1.0, B * m / S)
+                    if p_min > p_max:
+                        cells.append(InductionCell(
+                            k, m, log2_B, p_min, p_max, None, None,
+                            skipped=True, reason="empty [p_min, p_max] interval",
+                        ))
+                        continue
+                    # np.linspace(p_min, p_max, p_resolution), step for step
+                    p = base * ((p_max - p_min) / (p_resolution - 1))
+                    p += p_min
+                    p[-1] = p_max
                     r = induction_r_values(k, m, log2_B, p, eps)
-                idx = int(np.argmax(r))
-                max_r = float(r[idx])
-                cells.append(InductionCell(
-                    k, m, log2_B, p_min, p_max, max_r, float(p[idx]), skipped=False,
-                ))
-                # argmax returns the first NaN, which then fails the sweep
-                if max_r > global_max or math.isnan(max_r):
-                    global_max = max_r
+                    idx = int(np.argmax(r))
+                    max_r = float(r[idx])
+                    cells.append(InductionCell(
+                        k, m, log2_B, p_min, p_max, max_r, float(p[idx]), skipped=False,
+                    ))
+                    # argmax returns the first NaN, which then fails the sweep
+                    if max_r > global_max or math.isnan(max_r):
+                        global_max = max_r
     if all(c.skipped for c in cells):
         raise ValueError("no cell swept: every grid cell is trivial or has "
                          f"k+m > max_total={max_total}")

@@ -12,7 +12,11 @@ positions, while the protocol loop's `Memlog` bisects `p0_mask` with
 independently; likewise the fused loop's packed-length arithmetic against
 `pack_state`.  The fused EA loop ends each mask on a `_stop_below`
 threshold rather than `oea_mask`'s last step, so that table is checked
-against the step draw by draw near every threshold.  The gate tests make
+against the step draw by draw near every threshold.  From a crossover n
+on, rls and EA runs skip levels over bulk-drawn words; that engine is
+checked against the protocol loop with tiny chunks, its numpy steps
+against `math.log` near every step boundary, and its crossover through
+harness runs on either side.  The gate tests make
 `step`, `learn` and memlog's `pack_state` raise, so a default harness run
 that falls back to the protocol loop fails here, and so does an excluded
 case that stops calling `step`.
@@ -22,6 +26,7 @@ import math
 import random
 import types
 
+import numpy as np
 import pytest
 
 from elitist_lo_lab import framework
@@ -120,6 +125,87 @@ def test_fused_oea_matches_protocol_at_large_n(n, run_rngs):
             seed = random.Random(f"oea/{n}/{trial}/{accept_equal}").getrandbits(64)
             rec = _run_both(OneEa, inst, seed, 20_000, accept_equal, run_rngs)
             assert rec.budget_exhausted and rec.total_queries == 20_000
+
+
+# -- the level-skipping engine -------------------------------------------------------
+
+
+@pytest.fixture
+def skip_everywhere(monkeypatch):
+    """Every plain rls and (1+1) EA run skips levels; returns a setter for
+    the chunk size."""
+    monkeypatch.setitem(framework._SKIP_FROM, Rls, 1)
+    monkeypatch.setitem(framework._SKIP_FROM, OneEa, 1)
+    return lambda chunk: monkeypatch.setattr(framework, "_CHUNK", chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("n", SIZES)
+def test_skip_levels_matches_protocol(n, chunk, skip_everywhere, run_rngs):
+    # chunks of one and seven queries' worth of words, so that many masks
+    # straddle chunks; a chunk of one costs about as much as one of 2048,
+    # so it skips the longest budget
+    skip_everywhere(chunk)
+    budgets = [0, 1, 2, 3 * n, 11 * chunk + 4]
+    if chunk > 1:
+        budgets.append(n * n // 3 + 1)
+    inst = random_instance(n, random.Random(8000 * n + chunk))
+    cut = 0
+    for cls in (Rls, OneEa):
+        for accept_equal in (True, False):
+            for budget in budgets:
+                seed = random.Random(f"skip/{n}/{chunk}/{budget}/{accept_equal}").getrandbits(64)
+                rec = _run_both(cls, inst, seed, budget, accept_equal, run_rngs)
+                cut += rec.budget_exhausted and rec.total_queries > 1
+    if n >= 8:
+        assert cut > 0  # some runs really were cut mid-way
+
+
+STEP_SIZES = list(range(2, 301)) + [1024, 4096]
+
+
+def _steps(u, n):
+    """`oea_mask`'s step for each draw u, capped at n (n for a u of 0.0)."""
+    log, floor, log_keep = math.log, math.floor, _log_keep(n)
+    return [min(floor(log(x) / log_keep), n) if x else n for x in u]
+
+
+def test_engine_steps_match_math_log():
+    # the 64 doubles on each side of every boundary exp(t * log_keep), where
+    # the step moves from t - 1 to t, and the boundary itself
+    wrong = []
+    for n in STEP_SIZES:
+        bounds = np.exp(np.arange(1, n + 1) * _log_keep(n))
+        u = (bounds.view(np.int64)[:, None] + np.arange(-64, 65)).view(np.float64).ravel()
+        if framework._oea_steps(u, n).tolist() != _steps(u.tolist(), n):
+            wrong.append(n)
+    assert wrong == []
+    rng = random.Random(17)
+    draws = {n: [0.0] for n in STEP_SIZES}
+    for _ in range(10**5):
+        draws[rng.choice(STEP_SIZES)].append(rng.random())
+    for n, u in draws.items():
+        assert framework._oea_steps(np.array(u), n).tolist() == _steps(u, n)
+
+
+@pytest.mark.parametrize("cls", [Rls, OneEa])
+def test_harness_runs_skip_levels_from_the_crossover(cls, monkeypatch, tmp_path):
+    cross = framework._SKIP_FROM[cls]
+    argv = ["run", "--algo", cls.name, "--n", f"{cross - 1},{cross}", "--reps", "3",
+            "--seed", "5", "--format", "json"]
+    real, skipped = framework._skip_levels, []
+
+    def spy(rls, inst, *args):
+        skipped.append(inst.n)
+        return real(rls, inst, *args)
+
+    monkeypatch.setattr(framework, "_skip_levels", spy)
+    assert _run_cli(argv + ["--out", str(tmp_path / "skip.json")]) == 0
+    assert skipped == [cross] * 3  # and never below the crossover
+    monkeypatch.setitem(framework._SKIP_FROM, cls, cross + 1)
+    assert _run_cli(argv + ["--out", str(tmp_path / "loop.json")]) == 0
+    assert skipped == [cross] * 3
+    assert (tmp_path / "skip.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
 
 
 # -- the (1+1) EA's stop thresholds ---------------------------------------------------
