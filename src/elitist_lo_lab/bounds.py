@@ -186,16 +186,13 @@ def onebit_simulation(
     cfg = secret.config
     k = cfg.k
     m = n - k
-    pmask = 0
-    for pos in cfg.positions:
-        pmask |= 1 << pos
+    pmask = cfg.mask
     next_bit = secret.next_significant
     # start must sit exactly on level k: agree with the configuration,
     # disagree with the target at the next significant position
-    for pos, val in zip(cfg.positions, cfg.values):
-        if (start.word >> pos) & 1 != val:
-            raise ValueError("trace does not start at fitness k: start point "
-                             f"disagrees with the configuration at {pos}")
+    if bad := (start.word ^ cfg.word) & pmask:
+        raise ValueError("trace does not start at fitness k: start point disagrees "
+                         f"with the configuration at {(bad & -bad).bit_length() - 1}")
 
     all_secrets = None
     compat_original: set | None = None

@@ -16,6 +16,8 @@ from .bounds import verify_induction_step
 from .heuristics import STRATEGIES
 
 CLI_BUDGET_CAP = 10 ** 9
+# largest `verify --p-resolution`: each of the sweep's p-grid arrays stays near 8 MB
+CLI_P_RESOLUTION_CAP = 2 ** 20
 
 
 class UsageError(ValueError):
@@ -92,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="induction-step sweep report as JSON")
     p_verify.add_argument("--eps", type=float, default=harness.DEFAULT_EPS)
-    p_verify.add_argument("--p-resolution", type=int, default=4096)
+    p_verify.add_argument("--p-resolution", type=int, default=4096,
+                          help=f"p grid points per cell (cap {CLI_P_RESOLUTION_CAP})")
     p_verify.add_argument("--max-total", type=int, default=200,
                           help="largest k+m cell swept")
     p_verify.add_argument("--out", default=None)
@@ -121,6 +124,8 @@ def main(argv=None) -> int:
         elif args.command == "phi":
             harness.emit(harness.cmd_phi(args.kmax, args.mmax, args.eps), args.out)
         elif args.command == "verify":
+            if args.p_resolution > CLI_P_RESOLUTION_CAP:
+                raise UsageError(f"p-resolution exceeds the CLI cap {CLI_P_RESOLUTION_CAP}")
             report = verify_induction_step(p_resolution=args.p_resolution,
                                            eps=args.eps, max_total=args.max_total)
             harness.emit(_json_lines(report.to_json_dict()), args.out)

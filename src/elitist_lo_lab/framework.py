@@ -21,9 +21,8 @@ import numpy as np
 
 from .heuristics import Memlog, OneEa, Rls, _log_keep, _stop_below
 from .lo_core import (
-    EQUAL,
-    GREATER,
     INIT_LEVEL,
+    LESS,
     BitString,
     CountingOracle,
     LoInstance,
@@ -51,13 +50,13 @@ class Strategy(Protocol):
         the runner calls it once per step.
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
-    observer, oracle or start point) takes a fused loop of
-    `run_one_plus_one` that keeps the strategy's state in locals and never
-    calls `step`, `learn` or `pack_state`; memlog's loop still calls
-    `state_budget_bits` and checks the packed length after every query.
-    From n = 128 (rls) or 64 (oea) on, the rls and (1+1) EA loop charges
-    each fitness level's queries at once from bulk-drawn rng words.
-    A subclass always runs the protocol loop and its own methods.
+    observer, oracle or start point) takes its body in `_LOOPS`, which
+    keeps the strategy's state in locals and never calls `step`, `learn`
+    or `pack_state`; memlog's still calls `state_budget_bits` and checks
+    the packed length after every query.  From n = `_SKIP_FROM[cls]` on,
+    the rls and (1+1) EA bodies charge each fitness level's queries at
+    once from bulk-drawn rng words.  A subclass always runs the protocol
+    loop and its own methods.
     """
 
     name: str
@@ -115,7 +114,6 @@ def run_one_plus_one(
     seed: int,
     budget: int | None = None,
     *,
-    accept_equal: bool = True,
     oracle: Callable[..., CountingOracle] | None = None,
     initial: BitString | None = None,
     observer: Callable | None = None,
@@ -123,9 +121,14 @@ def run_one_plus_one(
     """Run a (1+1) elitist strategy until the optimum is sampled or the
     budget (charged queries) is exhausted.
 
-    The incumbent is replaced iff compare(offspring, incumbent) is GREATER,
-    or EQUAL when accept_equal (the default; the protocol permits either tie
-    rule).  The initial point is uniform unless `initial` is given.
+    The incumbent is replaced iff compare(offspring, incumbent) is not
+    LESS, so ties are accepted; the protocol permits either tie rule.  The
+    initial point is uniform unless `initial` is given.
+
+    `seed` seeds the run's rng, whose first draw, the start point's
+    `getrandbits(n)`, is the one `random_instance(n, random.Random(seed))`
+    draws z with: one integer passed to both starts the run at the optimum.
+    Derive two, as the harness does (`mix64(rs ^ 0x1)`, `mix64(rs ^ 0x2)`).
 
     `oracle`, when set, replaces the `CountingOracle` class: it is called as
     oracle(inst) and must return a CountingOracle.
@@ -135,18 +138,13 @@ def run_one_plus_one(
     runner's one white-box hook, used by `verify_ranking_invariance` and by
     white-box tests.
 
-    When `type(strategy)` is exactly `Rls`, `OneEa` or `Memlog` and
-    `oracle`, `initial` and `observer` are None, the run takes that type's
-    loop in `_FUSED` (`_run_fused` or `_run_memlog`), which makes the same
-    draws in the same order, raises the same errors and returns the same
-    record.  From n = `_SKIP_FROM[type(strategy)]` on, a plain rls or
-    (1+1) EA run skips whole fitness levels (`_skip_levels`): it draws the
-    same rng words in bulk and leaves the same final rng state.  Every
-    other call runs the protocol loop below, which stays the reference.
+    When `type(strategy)` is a key of `_LOOPS` and `oracle`, `initial` and
+    `observer` are None, `_run_fused` runs it with the same draws, errors,
+    record and final rng state.  Every other call runs the protocol loop
+    below, which stays the reference.
     """
-    fused = _FUSED.get(type(strategy))
-    if fused is not None and oracle is None and initial is None and observer is None:
-        return fused(strategy, inst, seed, budget, accept_equal)
+    if type(strategy) in _LOOPS and oracle is None and initial is None and observer is None:
+        return _run_fused(strategy, inst, seed, budget)
     n = inst.n
     rng = random.Random(seed)
     oracle = (oracle or CountingOracle)(inst)
@@ -178,7 +176,7 @@ def run_one_plus_one(
             raise ValueError(f"strategy {strategy.name} emitted a wrong-length offspring")
         outcome = compare(incumbent, offspring)
         learn(outcome, state)
-        accepted = outcome == GREATER or (accept_equal and outcome == EQUAL)
+        accepted = outcome != LESS
         if observer is not None:
             observer(("step", incumbent, offspring, outcome, accepted))
         if accepted:
@@ -192,88 +190,168 @@ def run_one_plus_one(
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
 
 
-def _run_fused(strategy: Rls | OneEa, inst: LoInstance, seed: int,
-               budget: int | None, accept_equal: bool) -> RunRecord:
-    """The protocol loop for an `Rls` or a `OneEa`, over ints.
+def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
+               budget: int | None) -> RunRecord:
+    """The protocol loop for a plain `Rls`, `OneEa` or `Memlog`, over ints.
 
-    Both keep no state, so the loop keeps only the diff word d = x ^ z of
-    the incumbent x, its fitness f and the per-level counts.  Since the
-    incumbent is always the best point charged so far, each query is
-    charged to level f.  rls flips position i, whose significance rank
-    r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
-    r == f repairs position sigma[f] (GREATER), r > f is EQUAL.  The (1+1)
-    EA XORs its mask into d and decides with the prefix masks as
-    `CountingOracle.compare` does.  Only a GREATER offspring's fitness is
-    bisected, on [f + 1, n], by the oracle's own `_bisect`.
-
-    The rng draws are those of the protocol loop: `BitString.random` for
-    the start point, then `randrange(n)` (inlined as its `getrandbits`
-    rejection loop) or `oea_mask` per query.  The EA's mask is `oea_mask`'s
-    geometric-skip loop, inlined, except on the draw that ends it: a draw u
-    below `_stop_below(n)[i]` at position i, where `oea_mask` would take
-    log(u) / log(1 - 1/n) and skip to n or beyond, ends the mask on one list
-    read and one compare (a u of 0.0, on which `oea_mask` stops at once, is
-    below every threshold).  Any other u takes `oea_mask`'s step.
-
-    From n = `_SKIP_FROM[type(strategy)]` on, the queries after the start
-    point go to `_skip_levels` instead, which draws the same words in bulk
-    and charges a level's queries at once.
+    It draws the start point, charged to INIT_LEVEL; the body
+    `_LOOPS[type(strategy)]` runs the queries after it and returns
+    (queries, f).  A body keeps the diff word d = x ^ z of the incumbent x,
+    its fitness f and the per-level counts.  The incumbent is always the
+    best point charged so far, so each query is charged to level f and
+    decided by `CountingOracle.compare`'s two prefix ANDs.  Only a GREATER
+    offspring's fitness is bisected, by the oracle's own `_bisect`.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)
     if budget is not None and budget < 1:
         return RunRecord(algo, n, seed, 0, False, True, [])
     oracle = CountingOracle(inst)
-    prefix, bisect = oracle._prefix, oracle._bisect
     d = BitString.random(n, rng).word ^ oracle._z
-    f = bisect(d, 0, n)
+    f = oracle._bisect(d, 0, n)
     counts = [0] * (n + 1)
-    queries = 1  # the start point, charged to INIT_LEVEL
     stop = math.inf if budget is None else budget
-    rls = type(strategy) is Rls
-    if n == 1 and not rls:  # oea_mask(1, rng) is 1 and draws nothing: one query repairs the bit
+    queries, f = _LOOPS[type(strategy)](strategy, inst, rng, oracle, d, f, counts, stop)
+    per_level = [(INIT_LEVEL, 1)] + [(level, c) for level, c in enumerate(counts) if c]
+    return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
+
+
+def _rls_loop(strategy: Rls, inst: LoInstance, rng: random.Random, oracle: CountingOracle,
+              d: int, f: int, counts: list[int], stop: float) -> tuple[int, int]:
+    """rls after the start point.  Each query flips position i, drawn by
+    `randrange(n)`'s `getrandbits` rejection loop, whose significance rank
+    r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
+    r == f repairs position sigma[f] (GREATER), r > f is EQUAL.  From
+    n = `_SKIP_FROM[Rls]` on, `_skip_levels` runs the queries instead."""
+    n = inst.n
+    if n >= _SKIP_FROM[Rls]:
+        return _skip_levels(True, inst, rng, d, f, counts, stop)
+    bisect = oracle._bisect
+    rank = [0] * n
+    for r, pos in enumerate(inst.sigma):
+        rank[pos] = r
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    queries = 1
+    while f < n and queries < stop:
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        counts[f] += 1
+        queries += 1
+        r = rank[i]
+        if r >= f:  # not LESS: accept
+            d ^= 1 << i
+            if r == f:
+                f = bisect(d, f + 1, n)
+    return queries, f
+
+
+def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, oracle: CountingOracle,
+              d: int, f: int, counts: list[int], stop: float) -> tuple[int, int]:
+    """The (1+1) EA after the start point.  Each query XORs into d the mask
+    of `oea_mask`'s geometric-skip loop, inlined, except on the draw that
+    ends it: a draw u below `_stop_below(n)[i]` at position i, whose step
+    would reach n, ends the mask on one list read and one compare (a u of
+    0.0, on which `oea_mask` stops at once, is below every threshold).  From
+    n = `_SKIP_FROM[OneEa]` on, `_skip_levels` runs the queries instead."""
+    n = inst.n
+    queries = 1
+    if n == 1:  # oea_mask(1, rng) is 1 and draws nothing: one query repairs the bit
         if f == 0 and queries < stop:
             counts[0], queries, f = 1, 2, 1
-    elif n >= _SKIP_FROM[type(strategy)]:
-        queries, f = _skip_levels(rls, inst, rng, d, f, counts, queries, stop, accept_equal)
-    elif rls:
-        rank = [0] * n
-        for r, pos in enumerate(inst.sigma):
-            rank[pos] = r
-        getrandbits, k = rng.getrandbits, n.bit_length()
-        while f < n and queries < stop:
-            i = getrandbits(k)
-            while i >= n:
-                i = getrandbits(k)
-            counts[f] += 1
-            queries += 1
-            r = rank[i]
-            if r == f:
-                d ^= 1 << i
-                f = bisect(d, f + 1, n)
-            elif r > f and accept_equal:
-                d ^= 1 << i
-    else:
-        draw, log, floor = rng.random, math.log, math.floor
-        log_keep, below = _log_keep(n), _stop_below(n)
-        while f < n and queries < stop:
-            y, i = d, 0
-            while (u := draw()) >= below[i]:  # oea_mask's skip loop
-                i += floor(log(u) / log_keep)
-                if i >= n:
-                    break
-                y ^= 1 << i
-                i += 1
-            counts[f] += 1
-            queries += 1
-            if y & prefix[f]:
-                continue
+        return queries, f
+    if n >= _SKIP_FROM[OneEa]:
+        return _skip_levels(False, inst, rng, d, f, counts, stop)
+    prefix, bisect = oracle._prefix, oracle._bisect
+    draw, log, floor = rng.random, math.log, math.floor
+    log_keep, below = _log_keep(n), _stop_below(n)
+    while f < n and queries < stop:
+        y, i = d, 0
+        while (u := draw()) >= below[i]:  # oea_mask's skip loop
+            i += floor(log(u) / log_keep)
+            if i >= n:
+                break
+            y ^= 1 << i
+            i += 1
+        counts[f] += 1
+        queries += 1
+        if not y & prefix[f]:  # not LESS: accept
+            d = y
             if not y & prefix[f + 1]:
-                d = y
                 f = bisect(d, f + 1, n)
-            elif accept_equal:
-                d = y
-    return _fused_record(algo, n, seed, queries, f, counts)
+    return queries, f
+
+
+def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
+                 oracle: CountingOracle, d: int, f: int, counts: list[int],
+                 stop: float) -> tuple[int, int]:
+    """memlog after the start point; it draws nothing more from the rng.
+
+    `MemlogState`'s fields live in locals: the marker word `b1`, `p0_mask`,
+    `p0_size` (0 outside halving, so it doubles as the phase flag) and the
+    B2 `record`.  Each probe or halving mask is decided by the two prefix
+    ANDs, and `learn`'s updates follow.
+
+    In place of `lowest_set_bits`' bisection, the loop selects P0's first
+    half from `free`, the ascending list of unmarked positions: halving
+    keeps the first or the second half of P0 in position order, so P0 is
+    always the slice `free[lo:lo + p0_size]`, and the first half is cut off
+    `p0_mask` just above `free[lo + half - 1]`.  Marking a position deletes
+    its entry of `free`.
+
+    In place of `pack_state`, after every query the length it would return,
+    n // 8 whole bytes of B1 plus ceil((n % 8 + len(B2) + 2) / 8) bytes for
+    B1's top bits, B2 and the phase flag, is checked against
+    `state_budget_bits` as the protocol loop checks it.
+    """
+    n = inst.n
+    budget_bits = strategy.state_budget_bits(n)
+    max_bytes = math.inf if budget_bits is None else (budget_bits + 7) // 8
+    whole, top = n >> 3, n & 7
+    prefix, bisect = oracle._prefix, oracle._bisect
+    full = (1 << n) - 1
+    b1, free, record = 0, list(range(n)), 1
+    lo = p0_mask = p0_size = 0
+    queries = 1
+    while f < n and queries < stop:
+        if not p0_size:  # probe: flip all zero-B1 positions at once
+            mask = full ^ b1
+            if not mask:
+                raise RuntimeError("memlog probe with all positions marked")
+        else:  # P0's first half is free[lo:lo + half]: cut p0_mask above its last
+            half = (p0_size + 1) >> 1
+            mask = p0_mask & ((2 << free[lo + half - 1]) - 1)
+        y = d ^ mask
+        counts[f] += 1
+        queries += 1
+        if y & prefix[f]:  # LESS
+            if p0_size:
+                record = (record << 1) | 1
+                p0_mask, p0_size = mask, half
+            else:  # search zeros(B1); a single one is marked just below
+                p0_mask, p0_size = mask, len(free)
+        elif y & prefix[f + 1]:  # EQUAL: accept
+            if not p0_size:
+                raise RuntimeError("memlog invariant violated: probe came back EQUAL")
+            record <<= 1
+            p0_mask ^= mask
+            p0_size -= half
+            lo += half
+            d = y
+        else:  # GREATER: accept; fitness only grew, so B1 stays valid
+            d = y
+            f = bisect(d, f + 1, n)
+            record, lo, p0_mask, p0_size = 1, 0, 0, 0
+        if p0_size == 1:  # mark the singleton P0 in B1
+            b1 |= p0_mask
+            del free[lo]
+            record, lo, p0_mask, p0_size = 1, 0, 0, 0
+        if (size := whole + ((top + record.bit_length() + 9) >> 3)) > max_bytes:
+            raise StateBudgetExceeded(
+                f"{strategy.name}: packed state is {size * 8} bits, "
+                f"declared budget {budget_bits}"
+            )
+    return queries, f
 
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
@@ -375,8 +453,7 @@ def _oea_chunks(rng: random.Random, n: int, rank: np.ndarray):
 
 
 def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int,
-                 counts: list[int], queries: int, stop: float,
-                 accept_equal: bool) -> tuple[int, int]:
+                 counts: list[int], stop: float) -> tuple[int, int]:
     """The rest of a fused rls or (1+1) EA run, a level at a time.
 
     Takes the diff word d and fitness f after the start point and returns
@@ -386,13 +463,12 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     flips (n for an empty mask): r < f is LESS, r == f GREATER, r > f
     EQUAL.  So the whole stretch up to the next query of minimum rank f is
     charged to level f at once, and the accepted queries in it (minimum
-    rank >= f with accept_equal, else the GREATER one) XOR the parity of
-    their flips into `diff`, the diff word in rank order; the new f is its
-    lowest set bit.  A chunk gives, per query, its minimum rank and the
-    words it used, and per draw the rank it flips (n for none) and its
-    query's minimum rank.  At the end the rng is set back to the state
-    before the chunk that holds the last charged query's last draw and
-    redraws up to there.
+    rank >= f) XOR the parity of their flips into `diff`, the diff word in
+    rank order; the new f is its lowest set bit.  A chunk gives, per
+    query, its minimum rank and the words it used, and per draw the rank it
+    flips (n for none) and its query's minimum rank.  At the end the rng is
+    set back to the state before the chunk that holds the last charged
+    query's last draw and redraws up to there.
     """
     n = inst.n
     sigma = np.array(inst.sigma)
@@ -403,6 +479,7 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     diff = np.append(bits[sigma], 0).astype(np.int64)  # diff[n] takes rank n, never read
     chunk = (_rls_chunks if rls else _oea_chunks)(rng, n, rank)
     mark = rng.getstate(), 0
+    queries = 1  # the start point
     while f < n and queries < stop:
         state = rng.getstate()
         min_rank, flip_rank, flip_min, bounds, words = chunk(min(_CHUNK, stop - queries))
@@ -417,10 +494,9 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
             counts[f] += last + 1 - p
             queries += last + 1 - p
             mark = state, int(words[last])
-            if accept_equal or greater:
-                a, b = bounds[p if accept_equal else last], bounds[last + 1]
-                flipped = flip_rank[a:b][flip_min[a:b] >= f]
-                diff ^= np.bincount(flipped, minlength=n + 1) & 1
+            a, b = bounds[p], bounds[last + 1]
+            flipped = flip_rank[a:b][flip_min[a:b] >= f]
+            diff ^= np.bincount(flipped, minlength=n + 1) & 1
             p = last + 1
             if greater:
                 above = np.flatnonzero(diff[f + 1:n])
@@ -433,99 +509,8 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     return queries, f
 
 
-def _fused_record(algo: str, n: int, seed: int, queries: int, f: int,
-                  counts: list[int]) -> RunRecord:
-    """The record of a fused run that charged `queries` queries, the start
-    point to INIT_LEVEL and the rest as `counts`, and ended at fitness f:
-    below n only when the budget stopped it."""
-    per_level = [(INIT_LEVEL, 1)]
-    per_level += [(level, c) for level, c in enumerate(counts) if c]
-    return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
-
-
-def _run_memlog(strategy: Memlog, inst: LoInstance, seed: int,
-                budget: int | None, accept_equal: bool) -> RunRecord:
-    """The protocol loop for a `Memlog`, over ints.
-
-    `MemlogState`'s fields live in locals: the marker word `b1`, `p0_mask`,
-    `p0_size` (0 outside halving, so it doubles as the phase flag) and the
-    B2 `record`.  As in `_run_fused`, the incumbent is the diff word
-    d = x ^ z with fitness f, every query is charged to level f, and the
-    flip mask's outcome is decided by `compare`'s two prefix ANDs;
-    `learn`'s updates follow.  memlog draws from the rng only for the start
-    point.
-
-    In place of `lowest_set_bits`' bisection, the loop selects P0's first
-    half from `free`, the ascending list of unmarked positions: halving
-    keeps the first or the second half of P0 in position order, so P0 is
-    always the slice `free[lo:lo + p0_size]`, and the first half is cut off
-    `p0_mask` just above `free[lo + half - 1]`.  Marking a position deletes
-    its entry of `free`.
-
-    In place of `pack_state`, after every query the length it would return,
-    n // 8 whole bytes of B1 plus ceil((n % 8 + len(B2) + 2) / 8) bytes for
-    B1's top bits, B2 and the phase flag, is checked against
-    `state_budget_bits` as the protocol loop checks it.
-    """
-    algo, n = strategy.name, inst.n
-    rng = random.Random(seed)
-    budget_bits = strategy.state_budget_bits(n)
-    if budget is not None and budget < 1:
-        return RunRecord(algo, n, seed, 0, False, True, [])
-    max_bytes = math.inf if budget_bits is None else (budget_bits + 7) // 8
-    whole, top = n >> 3, n & 7
-    oracle = CountingOracle(inst)
-    prefix, bisect = oracle._prefix, oracle._bisect
-    d = BitString.random(n, rng).word ^ oracle._z
-    f = bisect(d, 0, n)
-    counts = [0] * (n + 1)
-    queries = 1  # the start point, charged to INIT_LEVEL
-    stop = math.inf if budget is None else budget
-    full = (1 << n) - 1
-    b1, free, record = 0, list(range(n)), 1
-    lo = p0_mask = p0_size = 0
-    while f < n and queries < stop:
-        if not p0_size:  # probe: flip all zero-B1 positions at once
-            mask = full ^ b1
-            if not mask:
-                raise RuntimeError("memlog probe with all positions marked")
-        else:  # P0's first half is free[lo:lo + half]: cut p0_mask above its last
-            half = (p0_size + 1) >> 1
-            mask = p0_mask & ((2 << free[lo + half - 1]) - 1)
-        y = d ^ mask
-        counts[f] += 1
-        queries += 1
-        if y & prefix[f]:  # LESS
-            if p0_size:
-                record = (record << 1) | 1
-                p0_mask, p0_size = mask, half
-            else:  # search zeros(B1); a single one is marked just below
-                p0_mask, p0_size = mask, len(free)
-        elif y & prefix[f + 1]:  # EQUAL
-            if not p0_size:
-                raise RuntimeError("memlog invariant violated: probe came back EQUAL")
-            record <<= 1
-            p0_mask ^= mask
-            p0_size -= half
-            lo += half
-            if accept_equal:
-                d = y
-        else:  # GREATER: accept; fitness only grew, so B1 stays valid
-            d = y
-            f = bisect(d, f + 1, n)
-            record, lo, p0_mask, p0_size = 1, 0, 0, 0
-        if p0_size == 1:  # mark the singleton P0 in B1
-            b1 |= p0_mask
-            del free[lo]
-            record, lo, p0_mask, p0_size = 1, 0, 0, 0
-        if (size := whole + ((top + record.bit_length() + 9) >> 3)) > max_bytes:
-            raise StateBudgetExceeded(
-                f"{algo}: packed state is {size * 8} bits, declared budget {budget_bits}"
-            )
-    return _fused_record(algo, n, seed, queries, f, counts)
-
-
-_FUSED = {Rls: _run_fused, OneEa: _run_fused, Memlog: _run_memlog}
+# The fused bodies; `run_one_plus_one` takes `_run_fused` iff type(strategy) is a key.
+_LOOPS = {Rls: _rls_loop, OneEa: _oea_loop, Memlog: _memlog_loop}
 
 
 def make_monotone_transform(n: int, rng: random.Random) -> Callable[[int], int]:

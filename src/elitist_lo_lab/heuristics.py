@@ -9,13 +9,14 @@ unbiasedness coupling tests rely on.
 
 These classes are the plain reference form of each strategy, which
 `run_one_plus_one`'s protocol loop runs.  A plain run of exactly `Rls`,
-`OneEa` or `Memlog` takes a fused loop in `framework` instead, which must
-make the same draws and return the same record.  The fused (1+1) EA loop
-inlines `oea_mask` and ends each mask on a threshold from `_stop_below`
-rather than `oea_mask`'s last log and floor.  From a measured n on, the
-fused rls and (1+1) EA runs draw their rng words in bulk and compute the
-same positions and steps with numpy (`framework._skip_levels`); this
-module stays numpy-free.
+`OneEa` or `Memlog` takes `framework._run_fused` instead, with that type's
+body from `framework._LOOPS`, which must make the same draws and return
+the same record.  Every run accepts ties (an offspring that is not LESS).
+The fused (1+1) EA body inlines `oea_mask` and ends each mask on a
+threshold from `_stop_below` rather than `oea_mask`'s last log and floor.
+From n = `framework._SKIP_FROM[cls]` on, the fused rls and (1+1) EA runs
+draw their rng words in bulk and compute the same positions and steps
+with numpy (`framework._skip_levels`); this module stays numpy-free.
 """
 from __future__ import annotations
 

@@ -223,10 +223,13 @@ def test_onebit_skips_previously_queried_strings():
 
 
 def test_onebit_rejects_bad_start():
+    # the error names the lowest position where the start point disagrees
     n = 5
-    secret = _secret(n, (0, 1), 0b00011, 4)
-    with pytest.raises(ValueError):
-        onebit_simulation(BitString(n, 0), [BitString(n, 1)], secret)
+    secret = _secret(n, (0, 1, 3), 0b01011, 4)
+    for word, pos in ((0, 0), (0b00001, 1), (0b00011, 3), (0b01001, 1), (0b11010, 0)):
+        with pytest.raises(ValueError, match=f"with the configuration at {pos}$"):
+            onebit_simulation(BitString(n, word), [BitString(n, 1)], secret)
+    assert onebit_simulation(BitString(n, 0b01011), [], secret).queries == []
 
 
 def test_onebit_length_certificate_random_traces():

@@ -2,8 +2,8 @@
 gate between them.
 
 `run_one_plus_one` runs a plain `Rls`, `OneEa` or `Memlog` (no observer,
-oracle, start point or query log) in a loop over ints that never calls the
-strategy's per-query methods.  A trivial subclass keeps the same draws on
+oracle or start point) in a loop over ints that never calls the strategy's
+per-query methods.  A trivial subclass keeps the same draws on
 the protocol loop, which stays the reference: every record and the run's
 final rng state must agree, and so must memlog's state-budget errors.  The
 fused memlog loop selects each halving query from its list of unmarked
@@ -80,12 +80,12 @@ def run_rngs(monkeypatch):
     return made
 
 
-def _run_both(cls, inst, seed, budget, accept_equal, run_rngs):
+def _run_both(cls, inst, seed, budget, run_rngs):
     """The fused and the protocol record of one run, checked equal,
     including the rng state each run leaves."""
-    fused = run_one_plus_one(cls(), inst, seed, budget, accept_equal=accept_equal)
+    fused = run_one_plus_one(cls(), inst, seed, budget)
     fused_state = run_rngs[-1].getstate()
-    proto = run_one_plus_one(PROTOCOL[cls](), inst, seed, budget, accept_equal=accept_equal)
+    proto = run_one_plus_one(PROTOCOL[cls](), inst, seed, budget)
     assert len(run_rngs) == 2
     assert fused.to_json() == proto.to_json()
     assert fused.per_level == proto.per_level
@@ -104,13 +104,12 @@ def test_fused_matches_protocol(n, run_rngs):
     for trial in range(4 if n < 64 else 1):
         inst = random_instance(n, random.Random(7000 * n + trial))
         for cls in (Rls, OneEa):
-            for accept_equal in (True, False):
-                for budget in budgets:
-                    seed = random.Random(f"{n}/{trial}/{budget}/{accept_equal}").getrandbits(64)
-                    rec = _run_both(cls, inst, seed, budget, accept_equal, run_rngs)
-                    if budget == 0:
-                        assert rec.per_level == [] and rec.budget_exhausted
-                    cut += rec.budget_exhausted and rec.total_queries > 1
+            for budget in budgets:
+                seed = random.Random(f"{n}/{trial}/{budget}/True").getrandbits(64)
+                rec = _run_both(cls, inst, seed, budget, run_rngs)
+                if budget == 0:
+                    assert rec.per_level == [] and rec.budget_exhausted
+                cut += rec.budget_exhausted and rec.total_queries > 1
     if n >= 8:
         assert cut > 0  # some runs really were cut mid-way
 
@@ -121,10 +120,9 @@ def test_fused_oea_matches_protocol_at_large_n(n, run_rngs):
     # run is cut; at 20 000 queries most masks still flip one bit or none
     for trial in range(2):
         inst = random_instance(n, random.Random(7000 * n + trial))
-        for accept_equal in (True, False):
-            seed = random.Random(f"oea/{n}/{trial}/{accept_equal}").getrandbits(64)
-            rec = _run_both(OneEa, inst, seed, 20_000, accept_equal, run_rngs)
-            assert rec.budget_exhausted and rec.total_queries == 20_000
+        seed = random.Random(f"oea/{n}/{trial}/True").getrandbits(64)
+        rec = _run_both(OneEa, inst, seed, 20_000, run_rngs)
+        assert rec.budget_exhausted and rec.total_queries == 20_000
 
 
 # -- the level-skipping engine -------------------------------------------------------
@@ -152,11 +150,10 @@ def test_skip_levels_matches_protocol(n, chunk, skip_everywhere, run_rngs):
     inst = random_instance(n, random.Random(8000 * n + chunk))
     cut = 0
     for cls in (Rls, OneEa):
-        for accept_equal in (True, False):
-            for budget in budgets:
-                seed = random.Random(f"skip/{n}/{chunk}/{budget}/{accept_equal}").getrandbits(64)
-                rec = _run_both(cls, inst, seed, budget, accept_equal, run_rngs)
-                cut += rec.budget_exhausted and rec.total_queries > 1
+        for budget in budgets:
+            seed = random.Random(f"skip/{n}/{chunk}/{budget}/True").getrandbits(64)
+            rec = _run_both(cls, inst, seed, budget, run_rngs)
+            cut += rec.budget_exhausted and rec.total_queries > 1
     if n >= 8:
         assert cut > 0  # some runs really were cut mid-way
 
@@ -263,23 +260,22 @@ def test_fused_memlog_matches_protocol(n, run_rngs):
     mid_cuts = 0
     for trial in range(3 if n < 64 else 1):
         inst = random_instance(n, random.Random(9000 * n + trial))
-        for accept_equal in (True, False):
-            seed = random.Random(f"memlog/{n}/{trial}/{accept_equal}").getrandbits(64)
-            spy = HalvingSpy()
-            run_one_plus_one(spy, inst, seed, accept_equal=accept_equal)
-            run_rngs.clear()
-            # a budget of i + 2 stops the run right after step i (0-based)
-            open_at = [i + 2 for i, halving in enumerate(spy.halving) if halving]
-            budgets = [None, 0, 1, 2]
-            if open_at:
-                budgets.append(open_at[len(open_at) // 2])
-            for budget in budgets:
-                rec = _run_both(Memlog, inst, seed, budget, accept_equal, run_rngs)
-                if budget == 0:
-                    assert rec.per_level == [] and rec.budget_exhausted
-            if open_at:
-                assert rec.budget_exhausted and rec.total_queries == budgets[-1]
-                mid_cuts += 1
+        seed = random.Random(f"memlog/{n}/{trial}/True").getrandbits(64)
+        spy = HalvingSpy()
+        run_one_plus_one(spy, inst, seed)
+        run_rngs.clear()
+        # a budget of i + 2 stops the run right after step i (0-based)
+        open_at = [i + 2 for i, halving in enumerate(spy.halving) if halving]
+        budgets = [None, 0, 1, 2]
+        if open_at:
+            budgets.append(open_at[len(open_at) // 2])
+        for budget in budgets:
+            rec = _run_both(Memlog, inst, seed, budget, run_rngs)
+            if budget == 0:
+                assert rec.per_level == [] and rec.budget_exhausted
+        if open_at:
+            assert rec.budget_exhausted and rec.total_queries == budgets[-1]
+            mid_cuts += 1
     if n >= 8:
         assert mid_cuts > 0  # some runs really were cut inside a halving phase
 
@@ -289,8 +285,9 @@ def test_fused_memlog_matches_protocol_many_small_cases(run_rngs):
     for trial in range(200):
         n = rng.randrange(1, 40)
         inst = random_instance(n, rng)
-        _run_both(Memlog, inst, trial, rng.choice((None, rng.randrange(1, 8 * n + 4))),
-                  rng.random() < 0.5, run_rngs)
+        budget = rng.choice((None, rng.randrange(1, 8 * n + 4)))
+        rng.random()  # unused; keeps this stream's cases unchanged
+        _run_both(Memlog, inst, trial, budget, run_rngs)
 
 
 @pytest.mark.parametrize("cls,seed", [(Rls, 101), (OneEa, 202), (Memlog, 303)])
@@ -391,7 +388,7 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
 
 
 def _packed_len(n, record):
-    """The byte length `_run_memlog` checks in place of `pack_state`."""
+    """The byte length `_memlog_loop` checks in place of `pack_state`."""
     return (n >> 3) + (((n & 7) + record.bit_length() + 9) >> 3)
 
 

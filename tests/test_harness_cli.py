@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from elitist_lo_lab import harness
+from elitist_lo_lab import cli, harness
 from elitist_lo_lab.bounds import PhiSolver, verify_induction_step
 from elitist_lo_lab.cli import main as cli_main
 from elitist_lo_lab.harness import (
@@ -360,6 +360,25 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert _run_cli(argv) == 1
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr().out == ""
+
+
+def test_cli_verify_p_resolution_cap(tmp_path, monkeypatch, capsys):
+    # the sweep itself never runs here, so nothing the size of the grid is allocated
+    reached = []
+
+    def sweep(p_resolution, **kwargs):
+        reached.append(p_resolution)
+        raise ValueError("sweep reached")
+
+    monkeypatch.setattr(cli, "verify_induction_step", sweep)
+    out = tmp_path / "verify.json"
+    for value in (cli.CLI_P_RESOLUTION_CAP + 1, 10**12):
+        assert _run_cli(["verify", "--p-resolution", str(value), "--out", str(out)]) == 1
+        assert "usage error: p-resolution exceeds the CLI cap" in capsys.readouterr().err
+    assert reached == [] and os.listdir(tmp_path) == []
+    assert _run_cli(["verify", "--p-resolution", str(cli.CLI_P_RESOLUTION_CAP)]) == 1
+    assert reached == [cli.CLI_P_RESOLUTION_CAP]
+    assert "sweep reached" in capsys.readouterr().err
 
 
 def test_cli_io_error():

@@ -1,14 +1,17 @@
 """The package's public surface, and no src name that only tests use.
 
-`elitist_lo_lab.__all__` is pinned.  Every module-level function and class
-in src, and every method, must be named somewhere outside its own
-definition: in src, `scripts/`, `perfbench/` or `tests/test_acceptance.py`.
-A name that only the other tests use belongs in those tests, or goes with
-them.  Dunder methods, which Python calls, and overrides, which their base
-class calls, are exempt.
+`elitist_lo_lab.__all__` is pinned, and so are `run_one_plus_one`'s
+parameters.  Every module-level function and class in src, and every
+method, must be named somewhere outside its own definition: in src,
+`scripts/`, `perfbench/` or `tests/test_acceptance.py`.  A name that only
+the other tests use belongs in those tests, or goes with them; so does a
+keyword parameter that no command, script or criterion passes.  Dunder
+methods, which Python calls, and overrides, which their base class calls,
+are exempt.
 """
 import ast
 import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -76,6 +79,13 @@ def definitions(tree: ast.Module, module):
 def test_public_surface_is_pinned():
     assert elitist_lo_lab.__all__ == PUBLIC
     assert all(hasattr(elitist_lo_lab, name) for name in PUBLIC)
+
+
+def test_runner_parameters_are_pinned():
+    # `initial` stays for criterion 9's coupling (`run_coupled`)
+    params = inspect.signature(elitist_lo_lab.run_one_plus_one).parameters
+    assert list(params) == ["strategy", "inst", "seed", "budget", "oracle", "initial",
+                            "observer"]
 
 
 def test_every_src_name_has_a_user_outside_the_tests():
