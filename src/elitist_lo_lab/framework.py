@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -34,6 +35,12 @@ class StateBudgetExceeded(RuntimeError):
     """A strategy's serialized state outgrew its declared bit budget."""
 
 
+def _over_budget(name: str, size: int, budget_bits: int) -> StateBudgetExceeded:
+    """The error for a packed state of `size` bytes over `budget_bits`."""
+    return StateBudgetExceeded(f"{name}: packed state is {size * 8} bits, "
+                               f"declared budget {budget_bits}")
+
+
 class Strategy(Protocol):
     """A (1+1) step rule.
 
@@ -52,11 +59,11 @@ class Strategy(Protocol):
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
     observer, oracle or start point) takes its body in `_LOOPS`, which
     keeps the strategy's state in locals and never calls `step`, `learn`
-    or `pack_state`; memlog's still calls `state_budget_bits` and checks
-    the packed length after every query.  From n = `_SKIP_FROM[cls]` on,
-    the rls and (1+1) EA bodies charge each fitness level's queries at
-    once from bulk-drawn rng words.  A subclass always runs the protocol
-    loop and its own methods.
+    or `pack_state`; memlog's runs a halving search at a time and still
+    calls `state_budget_bits`, whose bound it applies in closed form.
+    From n = `_SKIP_FROM[cls]` on, the rls and (1+1) EA bodies charge each
+    fitness level's queries at once from bulk-drawn rng words.  A subclass
+    always runs the protocol loop and its own methods.
     """
 
     name: str
@@ -182,10 +189,7 @@ def run_one_plus_one(
         if accepted:
             incumbent = offspring
         if pack is not None and len(packed := pack(state)) > max_bytes:
-            raise StateBudgetExceeded(
-                f"{strategy.name}: packed state is {len(packed) * 8} bits, "
-                f"declared budget {budget_bits}"
-            )
+            raise _over_budget(strategy.name, len(packed), budget_bits)
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
 
@@ -282,75 +286,81 @@ def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, oracle: Cou
     return queries, f
 
 
+def _longest_record(n: int, budget_bits: int | None) -> float:
+    """The most bits a B2 record, its leading 1 included, may have for the
+    packed `Memlog` state, n // 8 bytes of B1 and (n % 8 + len(B2) + 9) // 8
+    more, to fit in (budget_bits + 7) // 8 bytes; inf for a None budget."""
+    if budget_bits is None:
+        return math.inf
+    return 8 * (((budget_bits + 7) >> 3) - (n >> 3) + 1) - (n & 7) - 10
+
+
 def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
                  oracle: CountingOracle, d: int, f: int, counts: list[int],
                  stop: float) -> tuple[int, int]:
-    """memlog after the start point; it draws nothing more from the rng.
+    """memlog after the start point, a search at a time; it draws nothing
+    more from the rng.
 
-    `MemlogState`'s fields live in locals: the marker word `b1`, `p0_mask`,
-    `p0_size` (0 outside halving, so it doubles as the phase flag) and the
-    B2 `record`.  Each probe or halving mask is decided by the two prefix
-    ANDs, and `learn`'s updates follow.
+    A search is the probe, which flips all of `free`, the ascending list of
+    unmarked positions (`unmarked` as a word), and after a LESS probe the
+    halving queries, each flipping P0's first half free[lo:mid] for
+    P0 = free[lo:hi], up to the query that marks a position or comes back
+    GREATER.  f is fixed within a search, so a query is LESS iff it flips
+    a gap (an unmarked position of rank < f, a bit of `gaps`), else GREATER
+    iff it flips sigma[f], which is never marked, else EQUAL.  With iy and
+    ig the indices in `free` of the lowest gap and of sigma[f],
+    lo <= iy < hi and lo <= ig hold, so iy < mid and ig < mid decide each
+    query.  The accepted EQUAL halves are free[:lo]: d takes them in one
+    XOR at the mark of free[lo], the lowest gap, or with the GREATER half
+    before the new f is scanned for, one AND per level gained.
 
-    In place of `lowest_set_bits`' bisection, the loop selects P0's first
-    half from `free`, the ascending list of unmarked positions: halving
-    keeps the first or the second half of P0 in position order, so P0 is
-    always the slice `free[lo:lo + p0_size]`, and the first half is cut off
-    `p0_mask` just above `free[lo + half - 1]`.  Marking a position deletes
-    its entry of `free`.
-
-    In place of `pack_state`, after every query the length it would return,
-    n // 8 whole bytes of B1 plus ceil((n % 8 + len(B2) + 2) / 8) bytes for
-    B1's top bits, B2 and the phase flag, is checked against
-    `state_budget_bits` as the protocol loop checks it.
+    In place of `pack_state`: B2 has one bit per query of a search after a
+    query that goes on with it, and one bit after its last query.  So the
+    first query raises `StateBudgetExceeded` if `_longest_record` is below
+    1, and otherwise query `over` = `_longest_record` + 1 of a search that
+    goes on past it raises, as the protocol loop's check does.
     """
-    n = inst.n
+    n, sigma, prefix = inst.n, inst.sigma, oracle._prefix
     budget_bits = strategy.state_budget_bits(n)
-    max_bytes = math.inf if budget_bits is None else (budget_bits + 7) // 8
-    whole, top = n >> 3, n & 7
-    prefix, bisect = oracle._prefix, oracle._bisect
-    full = (1 << n) - 1
-    b1, free, record = 0, list(range(n)), 1
-    lo = p0_mask = p0_size = 0
+    over = _longest_record(n, budget_bits) + 1
+    if over < 2 and f < n and stop > 1:
+        raise _over_budget(strategy.name, (n >> 3) + (((n & 7) + 10) >> 3), budget_bits)
+    unmarked, free = (1 << n) - 1, list(range(n))
     queries = 1
     while f < n and queries < stop:
-        if not p0_size:  # probe: flip all zero-B1 positions at once
-            mask = full ^ b1
-            if not mask:
-                raise RuntimeError("memlog probe with all positions marked")
-        else:  # P0's first half is free[lo:lo + half]: cut p0_mask above its last
-            half = (p0_size + 1) >> 1
-            mask = p0_mask & ((2 << free[lo + half - 1]) - 1)
-        y = d ^ mask
-        counts[f] += 1
-        queries += 1
-        if y & prefix[f]:  # LESS
-            if p0_size:
-                record = (record << 1) | 1
-                p0_mask, p0_size = mask, half
-            else:  # search zeros(B1); a single one is marked just below
-                p0_mask, p0_size = mask, len(free)
-        elif y & prefix[f + 1]:  # EQUAL: accept
-            if not p0_size:
-                raise RuntimeError("memlog invariant violated: probe came back EQUAL")
-            record <<= 1
-            p0_mask ^= mask
-            p0_size -= half
-            lo += half
-            d = y
-        else:  # GREATER: accept; fitness only grew, so B1 stays valid
-            d = y
-            f = bisect(d, f + 1, n)
-            record, lo, p0_mask, p0_size = 1, 0, 0, 0
-        if p0_size == 1:  # mark the singleton P0 in B1
-            b1 |= p0_mask
-            del free[lo]
-            record, lo, p0_mask, p0_size = 1, 0, 0, 0
-        if (size := whole + ((top + record.bit_length() + 9) >> 3)) > max_bytes:
-            raise StateBudgetExceeded(
-                f"{strategy.name}: packed state is {size * 8} bits, "
-                f"declared budget {budget_bits}"
-            )
+        ig = bisect_left(free, sigma[f])
+        assert free[ig] == sigma[f], "memlog invariant violated: sigma[f] is marked"
+        gaps = prefix[f] & unmarked
+        iy = bisect_left(free, (gaps & -gaps).bit_length() - 1) if gaps else n
+        lo, hi, mid, h = 0, len(free), len(free), 1
+        while True:
+            if iy < mid:  # LESS: keep the first half
+                hi = mid
+            elif ig < mid:  # GREATER: accept
+                break
+            else:  # EQUAL: accept, keep the second half
+                lo = mid
+            if hi - lo == 1:
+                break
+            h += 1
+            mid = (lo + hi + 1) >> 1
+        if h > stop - queries or h > over:  # the budget or the state budget cuts it
+            if over < h and over <= stop - queries:
+                raise _over_budget(strategy.name, (n >> 3) + (((n & 7) + over + 9) >> 3),
+                                   budget_bits)
+            counts[f] += stop - queries
+            return stop, f
+        counts[f] += h
+        queries += h
+        if ig < mid:  # GREATER
+            d ^= unmarked & ((2 << free[mid - 1]) - 1)
+            f += 1
+            while f < n and not d & prefix[f + 1]:
+                f += 1
+        else:  # mark free[lo]
+            if lo:
+                d ^= unmarked & ((1 << free[lo]) - 1)
+            unmarked ^= 1 << free.pop(lo)
     return queries, f
 
 

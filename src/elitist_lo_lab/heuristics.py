@@ -154,7 +154,8 @@ class MemlogState:
     it, so it doubles as the phase flag.
 
     Only the protocol loop builds a `MemlogState`; `run_one_plus_one`'s
-    fused memlog loop keeps B1, B2 and P0 in locals.
+    fused memlog loop keeps B1's zeros as a word and a list, and P0 and
+    B2's length as small ints.
     """
 
     __slots__ = ("n", "b1", "record", "p0_mask", "p0_size", "pending")
@@ -188,10 +189,11 @@ class Memlog:
     including the initial sample.
 
     A halving query flips P0's first half, `lowest_set_bits` of `p0_mask`.
-    A plain `Memlog` run takes `run_one_plus_one`'s fused loop, which
-    applies these rules to ints without calling `step`, `learn` or
-    `pack_state` (it still calls `state_budget_bits`) and selects the first
-    half from a list of the unmarked positions; a subclass does not.
+    A plain `Memlog` run takes `run_one_plus_one`'s fused loop, which runs
+    a search (the probe and its halving queries) at a time on small ints,
+    from where P0's first half ends against the lowest unmarked position
+    of rank < f and against sigma[f], without calling `step`, `learn` or
+    `pack_state` (it still calls `state_budget_bits`); a subclass does not.
     """
 
     name = "memlog"

@@ -6,11 +6,12 @@ oracle or start point) in a loop over ints that never calls the strategy's
 per-query methods.  A trivial subclass keeps the same draws on
 the protocol loop, which stays the reference: every record and the run's
 final rng state must agree, and so must memlog's state-budget errors.  The
-fused memlog loop selects each halving query from its list of unmarked
-positions, while the protocol loop's `Memlog` bisects `p0_mask` with
-`lowest_set_bits`, so the memlog checks compare two selects written
-independently; likewise the fused loop's packed-length arithmetic against
-`pack_state`.  The fused EA loop ends each mask on a `_stop_below`
+fused memlog loop decides a whole halving search from two indices into its
+list of unmarked positions, while the protocol loop's `Memlog` bisects
+`p0_mask` with `lowest_set_bits` query by query, so the memlog checks
+compare two searches written independently (searches that end GREATER
+partway, runs cut after every step of a search, every case at n <= 2);
+likewise the fused loop's closed-form record cap against `pack_state`.  The fused EA loop ends each mask on a `_stop_below`
 threshold rather than `oea_mask`'s last step, so that table is checked
 against the step draw by draw near every threshold.  From a crossover n
 on, rls and EA runs skip levels over bulk-drawn words; that engine is
@@ -22,6 +23,8 @@ that falls back to the protocol loop fails here, and so does an excluded
 case that stops calling `step`.
 """
 import hashlib
+import itertools
+import json
 import math
 import random
 import types
@@ -45,7 +48,14 @@ from elitist_lo_lab.heuristics import (
     _log_keep,
     _stop_below,
 )
-from elitist_lo_lab.lo_core import BitString, CountingOracle, random_instance
+from elitist_lo_lab.lo_core import (
+    GREATER,
+    LESS,
+    BitString,
+    CountingOracle,
+    LoInstance,
+    random_instance,
+)
 
 from test_harness_cli import BUDGET_DIGESTS, RUN_DIGESTS, _run_cli
 from test_heuristics import SpyMemlog
@@ -388,7 +398,8 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
 
 
 def _packed_len(n, record):
-    """The byte length `_memlog_loop` checks in place of `pack_state`."""
+    """The byte length `_memlog_loop` puts in its `StateBudgetExceeded`
+    message in place of `pack_state`'s."""
     return (n >> 3) + (((n & 7) + record.bit_length() + 9) >> 3)
 
 
@@ -435,3 +446,177 @@ def test_fused_memlog_state_budget_matches_protocol():
                 messages.add(fused)
         assert fused.startswith("{")  # the declared budget holds
     assert len(messages) > 20
+
+
+# -- memlog a search at a time -------------------------------------------------------
+
+
+class SearchSpy(Memlog):
+    """Notes per query whether a halving phase was open and the outcome."""
+
+    def __init__(self):
+        self.steps = []
+
+    def learn(self, outcome, state):
+        self.steps.append((state.p0_size != 0, outcome))
+        super().learn(outcome, state)
+
+
+def _searches(inst, seed):
+    """The searches of a whole protocol run as (first, length, last
+    outcome), with query i numbered i + 2, the budget that stops the run
+    right after it."""
+    spy = SearchSpy()
+    run_one_plus_one(spy, inst, seed)
+    starts = [i for i, (halving, _) in enumerate(spy.steps) if not halving]
+    ends = starts[1:] + [len(spy.steps)]
+    return [(a + 2, b - a, spy.steps[b - 1][1]) for a, b in zip(starts, ends)]
+
+
+def _memlog_both(inst, seed, budget, run_rngs, **state_budget):
+    """One fused and one protocol memlog run, checked to give the same
+    record or `StateBudgetExceeded` message and to leave the same rng
+    state; `bits=b` gives both a state budget of b bits."""
+    outs = []
+    for cls in (Memlog, ProtocolMemlog):
+        strategy = cls()
+        if "bits" in state_budget:
+            strategy.state_budget_bits = lambda n: state_budget["bits"]
+        try:
+            out = run_one_plus_one(strategy, inst, seed, budget).to_json()
+        except StateBudgetExceeded as exc:
+            out = str(exc)
+        outs.append((out, run_rngs[-1].getstate()))
+    assert len(run_rngs) == 2 and outs[0] == outs[1]
+    run_rngs.clear()
+    return outs[0][0]
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 64, 100, 257])
+def test_fused_memlog_greater_partway_matches_protocol(n, run_rngs):
+    # sigma[f] before the lowest gap in `free`: after a LESS probe the
+    # search keeps the half that holds the gap until a first half holds
+    # sigma[f] and no gap, and that halving query comes back GREATER; each
+    # such search is cut right before, at and after its GREATER query
+    partway = 0
+    for trial in range(3):
+        inst = random_instance(n, random.Random(f"partway/{n}/{trial}"))
+        seed = random.Random(f"partway/{n}/{trial}/seed").getrandbits(64)
+        searches = _searches(inst, seed)
+        run_rngs.clear()
+        greater = [first + length - 1 for first, length, last in searches
+                   if length > 1 and last == GREATER]
+        partway += len(greater)
+        _memlog_both(inst, seed, None, run_rngs)
+        for query in greater[:4]:
+            for budget in (query - 1, query, query + 1):
+                _memlog_both(inst, seed, budget, run_rngs)
+    assert partway > 0
+
+
+@pytest.mark.parametrize("n", [7, 16, 31, 64, 100, 257])
+def test_fused_memlog_budget_cuts_a_search_after_each_step(n, run_rngs):
+    # the longest search of a run, cut after each of its queries, and
+    # after the query before its probe
+    inst = random_instance(n, random.Random(f"steps/{n}"))
+    seed = random.Random(f"steps/{n}/seed").getrandbits(64)
+    first, length, _ = max(_searches(inst, seed), key=lambda s: s[1])
+    run_rngs.clear()
+    assert length >= n.bit_length()
+    cut = set()
+    for budget in range(first - 1, first + length):
+        rec = json.loads(_memlog_both(inst, seed, budget, run_rngs))
+        cut.add(rec["total_queries"])
+    assert cut == set(range(first - 1, first + length))
+
+
+@pytest.mark.parametrize("top", range(8))
+def test_fused_memlog_state_budget_cuts_a_search_at_each_step(top, run_rngs):
+    # one byte over B1's whole bytes fits a record of 6 - n % 8 bits, so the
+    # state budget stops the first search longer than that after its query
+    # 7 - n % 8, from the probe (n % 8 = 6 or 7) to query 7 (n % 8 = 0); a
+    # query budget that ends the run on that query keeps the error, one
+    # that ends it a query earlier does not
+    n = 128 + top
+    bits = 8 * ((n >> 3) + 1)
+    assert framework._longest_record(n, bits) == 6 - top
+    size = (n >> 3) + ((top + max(7 - top, 1) + 9) >> 3)
+    message = f"memlog: packed state is {8 * size} bits, declared budget {bits}"
+    for trial in range(3):
+        inst = random_instance(n, random.Random(f"state/{n}/{trial}"))
+        seed = random.Random(f"state/{n}/{trial}/seed").getrandbits(64)
+        assert _memlog_both(inst, seed, None, run_rngs, bits=bits) == message
+        spy = SearchSpy()
+        spy.state_budget_bits = lambda n: bits
+        with pytest.raises(StateBudgetExceeded):
+            run_one_plus_one(spy, inst, seed)
+        run_rngs.clear()
+        last = len(spy.steps) + 1  # the budget that ends the run on the failing query
+        assert _memlog_both(inst, seed, last, run_rngs, bits=bits) == message
+        assert _memlog_both(inst, seed, last - 1, run_rngs, bits=bits).startswith("{")
+
+
+def test_fused_memlog_state_budget_stops_a_one_query_run(run_rngs):
+    # at n = 6 a one-byte budget fits no record at all, so even a run whose
+    # probe reaches the optimum fails after it, as it does at n = 14 on
+    # two bytes
+    for n in (6, 14):
+        seed = 5
+        start = random.Random(seed).getrandbits(n)
+        inst = random_instance(n, random.Random(n))
+        inst = LoInstance(n, BitString(n, start ^ ((1 << n) - 1)), inst.sigma)
+        bits = 8 * ((n >> 3) + 1)
+        assert framework._longest_record(n, bits) == 0
+        rec = json.loads(_memlog_both(inst, seed, None, run_rngs))
+        assert rec["total_queries"] == 2 and rec["hit_optimum"]
+        assert _memlog_both(inst, seed, None, run_rngs, bits=bits) == (
+            f"memlog: packed state is {8 * ((n >> 3) + 2)} bits, declared budget {bits}")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
+    # every target, order and start point, every query budget, and state
+    # budgets of none, 0 and 1 bits and the declared one; at n = 1 the probe always comes back
+    # GREATER, and at n = 2 a LESS probe (f = 1) opens P0 = both positions,
+    # and the one halving query, on position 0, marks the gap sigma[0]
+    # (LESS) or repairs sigma[1] (GREATER)
+    starts = {}
+    for seed in range(64):
+        starts.setdefault(random.Random(seed).getrandbits(n), seed)
+    assert len(starts) == 1 << n
+    outcomes = set()
+    for z in range(1 << n):
+        for sigma in itertools.permutations(range(n)):
+            inst = LoInstance(n, BitString(n, z), sigma)
+            for seed in starts.values():
+                searches = _searches(inst, seed)
+                run_rngs.clear()
+                outcomes.update((length, last) for _, length, last in searches)
+                for budget in [None, *range(0, 2 + sum(s[1] for s in searches))]:
+                    _memlog_both(inst, seed, budget, run_rngs)
+                for bits in (None, 0, 1, Memlog().state_budget_bits(n)):
+                    _memlog_both(inst, seed, None, run_rngs, bits=bits)
+    if n == 1:
+        assert outcomes == {(1, GREATER)}
+    else:
+        assert outcomes == {(1, GREATER), (2, LESS), (2, GREATER)}
+
+
+def test_longest_record_matches_pack_state():
+    # the closed form against `pack_state`'s own byte count, for every n to
+    # 4096, every record length to ceil(log2 n) + 2 and budgets from a byte
+    # below B1's whole bytes to a byte past the declared one, in steps of 3
+    # bits so that every remainder mod 8 occurs
+    strategy = Memlog()
+    assert framework._longest_record(64, None) == math.inf
+    for n in range(1, 4097):
+        state = MemlogState(n)
+        declared = strategy.state_budget_bits(n)
+        budgets = [*range(max(0, 8 * (n >> 3) - 8), declared + 9, 3), declared]
+        longest = [framework._longest_record(n, bits) for bits in budgets]
+        for length in range(1, (n - 1).bit_length() + 3):
+            state.record = 1 << (length - 1)
+            packed = len(strategy.pack_state(state))
+            for bits, most in zip(budgets, longest):
+                assert (length <= most) == (packed <= (bits + 7) // 8), (n, length, bits)
+        assert longest[-1] >= (n - 1).bit_length() + 2  # the declared budget fits them all
