@@ -435,41 +435,59 @@ class LevelGameSolver:
             raise ValueError("the candidate family must not repeat position sets")
         if k >= n_positions:
             raise ValueError("need at least one position outside every set (m >= 1)")
-        return self._value(n_positions, tuple(sorted(masks)))
-
-    # masks are over positions 0..u-1; duplicates encode posterior multiplicity
-    def _value(self, u: int, masks: tuple[int, ...]) -> float:
-        key = (u, masks)
+        key = (n_positions, tuple(sorted(masks)))
         cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+        return self._value(*key) if cached is None else cached
+
+    def _value(self, u: int, masks: tuple[int, ...]) -> float:
+        """Solve and memoize a state that is not in the memo yet.
+
+        masks are distinct, ascending and over positions 0..u-1: `value`
+        rejects repeats, and removing a position q that every member of a
+        group contains, or that every member lacks, is one-to-one on that
+        group and keeps its order.  So the drops and the keeps of q, each
+        reduced that way, are already their children's memo keys, and no
+        sort is needed.
+        """
+        memo = self._memo
         C = len(masks)
-        kappa = masks[0].bit_count()
-        mu = u - kappa
+        mu = u - masks[0].bit_count()
+        keep_ratio = (mu - 1) / mu
+        child = u - 1
         best = math.inf
         for q in range(u):
             qb = 1 << q
-            drops = [P for P in masks if P & qb]
+            low = qb - 1
+            high = ~low
+            drops = []
+            keeps = []
+            for P in masks:
+                # remove position q and close the index gap
+                if P & qb:
+                    drops.append((P & low) | ((P >> 1) & high))
+                else:
+                    keeps.append((P & low) | ((P >> 1) & high))
             nd = len(drops)
             if nd == C:
                 continue  # known-significant position: querying it is pure waste
             cost = 1.0
             if nd:
-                cost += (nd / C) * self._value(u - 1, self._reduce(drops, q))
-            p_eq = ((C - nd) / C) * ((mu - 1) / mu)
+                key = (child, tuple(drops))
+                v = memo.get(key)
+                if v is None:
+                    v = self._value(*key)
+                cost += (nd / C) * v
+            p_eq = ((C - nd) / C) * keep_ratio
             if p_eq > 0.0:
-                keeps = [P for P in masks if not P & qb]
-                cost += p_eq * self._value(u - 1, self._reduce(keeps, q))
+                key = (child, tuple(keeps))
+                v = memo.get(key)
+                if v is None:
+                    v = self._value(*key)
+                cost += p_eq * v
             if cost < best:
                 best = cost
-        self._memo[key] = best
+        memo[(u, masks)] = best
         return best
-
-    @staticmethod
-    def _reduce(masks: list[int], q: int) -> tuple[int, ...]:
-        """Remove position q and close the index gap."""
-        low = (1 << q) - 1
-        return tuple(sorted((m & low) | ((m >> 1) & ~low) for m in masks))
 
 
 # canonical_families: candidates per chunk of the family space, and maps
@@ -514,20 +532,25 @@ def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], 
     maps, moved = maps[order], moved[order]
     first = int(np.count_nonzero(moved == moved[0])) if len(maps) else 0
 
-    # t_lo[g, w] is the image under map g of the half-mask w, built by
-    # doubling: the entries with the next source bit set are the old ones
-    # plus its target
     lo_bits = ns // 2
     lo_mask = (1 << lo_bits) - 1
     targets = np.uint32(1) << maps.astype(np.uint32)
-    tables = []
-    for part in (targets[:, :lo_bits], targets[:, lo_bits:]):
-        table = np.zeros((len(maps), 1 << part.shape[1]), dtype=np.uint32)
-        for j in range(part.shape[1]):
-            table[:, 1 << j:2 << j] = table[:, :1 << j] | part[:, j:j + 1]
-        tables.append(table)
-    t_lo, t_hi = tables
 
+    def half_tables(block: slice) -> list[np.ndarray]:
+        """t_lo[g, w] and t_hi[g, w], the images under the block's maps of
+        the low and high half-masks w, built by doubling: the entries with
+        the next source bit set are the old ones plus its target.  A
+        block's tables are built just before it is applied, so the tables of
+        all the maps are never held at once."""
+        tables = []
+        for part in (targets[block, :lo_bits], targets[block, lo_bits:]):
+            table = np.zeros((len(part), 1 << part.shape[1]), dtype=np.uint32)
+            for j in range(part.shape[1]):
+                table[:, 1 << j:2 << j] = table[:, :1 << j] | part[:, j:j + 1]
+            tables.append(table)
+        return tables
+
+    t_lo, t_hi = half_tables(slice(0, first))
     survivors = []
     for start in range(0, 1 << ns, _FAMILY_CHUNK):
         cand = np.arange(start, min(start + _FAMILY_CHUNK, 1 << ns), dtype=np.uint32)
@@ -536,8 +559,8 @@ def canonical_families(n_positions: int, k: int) -> list[tuple[tuple[int, ...], 
         survivors.append(cand)
     cand = np.concatenate(survivors)
     for g in range(first, len(maps), _MAP_BLOCK):
-        block = slice(g, g + _MAP_BLOCK)
-        images = t_lo[block][:, cand & lo_mask] | t_hi[block][:, cand >> lo_bits]
+        t_lo, t_hi = half_tables(slice(g, g + _MAP_BLOCK))
+        images = t_lo[:, cand & lo_mask] | t_hi[:, cand >> lo_bits]
         cand = cand[(images >= cand).all(axis=0)]
     return [tuple(sets[i] for i in set_bits(fm)) for fm in cand.tolist() if fm]
 
@@ -591,38 +614,59 @@ def induction_r_values(k: int, m: int, log2_B: float, p: np.ndarray,
     lo = int(p.searchsorted(0.0, side="right"))
     hi = int(p.searchsorted(1.0, side="left"))
 
-    # first branch (factor p): X1, A1, Y1, Z, X2
+    # With S = k + m, pe = p*eps and qe = (1-p)*eps:
+    #   L1 = log2_B + log2(m/S) - log2(p)    M1 = log2(m/S) - log2(p)
+    #   shrink = 1 - L1 / (2(m-1))
+    #   X1 = pe*(S-1)/m*shrink  A1 = pe*shrink  Y1 = pe*S*M1 / (2m)
+    #   Z = pe*S*M1 / (2m(m-1))  X2 = pe*S*log2_B / (2m(m-1))
+    #   L2 = log2_B + log2(k/S) - log2(1-p)  M2 = log2(k/S) - log2(1-p)
+    #   A2 = qe*(1 - L2/(2m))  Y2 = qe*S*M2 / (2m)
+    # Each term is built in place (out=) by the same IEEE operations, in the
+    # same left-to-right order, so reusing the buffers moves no bit.  Each
+    # branch's sum is added to R's zeros, which turns a -0.0 sum into +0.0.
+
+    # first branch (factor p): X1 + A1 + Y1 + Z + X2
     pa = p[lo:]
     if pa.size:
         log_m = np.log2(m / S)
         log_pa = np.log2(pa)
-        L1 = log2_B + log_m - log_pa
         M1 = log_m - log_pa
+        t = np.subtract(log2_B + log_m, log_pa, out=log_pa)         # L1
+        t /= 2.0 * (m - 1)
+        shrink = np.subtract(1.0, t, out=t)
         pe = pa * eps
-        shrink = 1.0 - L1 / (2.0 * (m - 1))
-        X1 = pe * (S - 1) / m * shrink
-        A1 = pe * shrink
-        peS = pe * S
-        peSM = peS * M1
-        Y1 = peSM / (2.0 * m)
-        Z = peSM / (2.0 * m * (m - 1))
-        X2 = peS * log2_B / (2.0 * m * (m - 1))
-        R[lo:] += X1 + A1 + Y1 + Z + X2
+        acc = pe * (S - 1)
+        acc /= m
+        acc *= shrink                                               # X1
+        acc += np.multiply(pe, shrink, out=shrink)                  # + A1
+        peS = np.multiply(pe, S, out=pe)
+        peSM = np.multiply(peS, M1, out=M1)
+        acc += np.divide(peSM, 2.0 * m, out=t)                      # + Y1
+        acc += np.divide(peSM, 2.0 * m * (m - 1), out=peSM)         # + Z
+        X2 = np.multiply(peS, log2_B, out=peS)
+        X2 /= 2.0 * m * (m - 1)
+        acc += X2                                                   # + X2
+        R[lo:] += acc
 
-    # second branch (factor 1-p): A2, Y2
+    # second branch (factor 1-p): A2 + Y2
     pb = p[:hi]
     if pb.size:
         if k == 0:
             raise ValueError("p < 1 requires k >= 1 (p_min = 1 when k = 0)")
-        qb = 1.0 - pb
+        qe = np.subtract(1.0, pb)
         log_k = np.log2(k / S)
-        log_qb = np.log2(qb)
-        L2 = log2_B + log_k - log_qb
+        log_qb = np.log2(qe)
         M2 = log_k - log_qb
-        qe = qb * eps
-        A2 = qe * (1.0 - L2 / (2.0 * m))
-        Y2 = qe * S * M2 / (2.0 * m)
-        R[:hi] += A2 + Y2
+        qe *= eps
+        t = np.subtract(log2_B + log_k, log_qb, out=log_qb)         # L2
+        t /= 2.0 * m
+        A2 = np.subtract(1.0, t, out=t)
+        A2 *= qe
+        Y2 = np.multiply(qe, S, out=qe)
+        Y2 *= M2
+        Y2 /= 2.0 * m
+        A2 += Y2
+        R[:hi] += A2
 
     return R
 

@@ -225,3 +225,20 @@ def test_canonical_families_pinned_in_order(total, k):
     fams = canonical_families(total, k)
     digest = hashlib.sha256(repr(fams).encode()).hexdigest()
     assert digest == FAMILY_DIGESTS[total, k]
+
+
+# sha256 of the game values' float.hex() over the dominance sweep, one solver
+# for every canonical family with 2 <= total <= 6 in sweep order, taken before
+# the solver dropped its per-child sort and its call per memo hit
+GAME_SWEEP_DIGEST = "d0d0ef2cda1de14703cd431ac123df95707b95200b869e78647aff99a6368b6a"
+
+
+def test_game_values_pinned_over_the_sweep():
+    solver = LevelGameSolver()
+    digest = hashlib.sha256()
+    for total in range(2, 7):
+        for k in range(total):
+            for fam in canonical_families(total, k):
+                digest.update(solver.value(total, k, fam).hex().encode())
+    assert digest.hexdigest() == GAME_SWEEP_DIGEST
+    assert solver.memo_states == 4104

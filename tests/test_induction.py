@@ -149,10 +149,45 @@ SWEEP_DIGESTS = {
     DEFAULT_EPS: "715bb88148f1e949ed5472d5cc2310fb78d4b43b2143a3ce58fed73b82fd0593",
     1.0: "e35f69c7bc24c84838083af992d7731410fdfdf823abdf2dd7e512dc43126f61",
 }
+# the same at p_resolution=4096, the default of `lolab verify` and of
+# verify_induction_step, taken before R was computed in place
+SWEEP_DIGESTS_4096 = {
+    DEFAULT_EPS: "9b387d4a6499b3fc37e59baebb79f2df162da28b029ce8d6ddfd413ac83b6daf",
+    1.0: "c4e5064fe51dddf7e3a64e7dcef2e22ae03bc4cbdb50bd6e19af74db4e633df5",
+}
+
+
+def _sweep_digest(eps, p_resolution):
+    report = verify_induction_step(eps=eps, p_resolution=p_resolution)
+    return hashlib.sha256(json.dumps(report.to_json_dict()).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("eps", sorted(SWEEP_DIGESTS))
 def test_sweep_report_pinned(eps):
-    report = verify_induction_step(eps=eps, p_resolution=2048)
-    text = json.dumps(report.to_json_dict())
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[eps]
+    assert _sweep_digest(eps, 2048) == SWEEP_DIGESTS[eps]
+
+
+@pytest.mark.parametrize("eps", sorted(SWEEP_DIGESTS_4096))
+def test_sweep_report_pinned_at_default_resolution(eps):
+    assert _sweep_digest(eps, 4096) == SWEEP_DIGESTS_4096[eps]
+
+
+# sha256 of R.tobytes() on grids whose p repeats 0.0 and 1.0, so the p > 0
+# suffix and the p < 1 prefix start and end inside a run of equal points, and
+# on k = 0 with every point at 1.0; taken before R was computed in place
+_EDGE_GRID = [0.0, 0.0, 0.0, 0.125, 0.5, 0.75, 1.0, 1.0]
+R_DIGESTS = [
+    ((3, 4, 1.0, _EDGE_GRID, DEFAULT_EPS),
+     "1c3c11b6c27051cf119aacfe854c7ee7c94272991d6126c0260ea224d0c918cd"),
+    ((3, 4, 1.0, _EDGE_GRID, 1.0),
+     "2c43b2be279470e07558601aed23b8e2b188c806ca8b145313cf8fffd7253488"),
+    ((0, 4, 2.0, [1.0] * 5, DEFAULT_EPS),
+     "6a6500e73b5871331a28ad43604289620d6d09ef69df0be78c14a19a1b7ee576"),
+]
+
+
+@pytest.mark.parametrize("args, digest", R_DIGESTS, ids=["eps-default", "eps-1", "k0"])
+def test_r_values_pinned_at_repeated_endpoints(args, digest):
+    k, m, log2_B, p, eps = args
+    r = induction_r_values(k, m, log2_B, np.array(p), eps)
+    assert hashlib.sha256(r.tobytes()).hexdigest() == digest
