@@ -61,6 +61,8 @@ class Strategy(Protocol):
     keeps the strategy's state in locals and never calls `step`, `learn`
     or `pack_state`; memlog's runs a halving search at a time and still
     calls `state_budget_bits`, whose bound it applies in closed form.
+    Such a run builds no `CountingOracle` and no table of prefix masks: a
+    body that needs the incumbent's prefix mask keeps it as one int.
     From n = `_SKIP_FROM[cls]` on, the rls and (1+1) EA bodies charge each
     fitness level's queries at once from bulk-drawn rng words.  A subclass
     always runs the protocol loop and its own methods.
@@ -198,41 +200,55 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
                budget: int | None) -> RunRecord:
     """The protocol loop for a plain `Rls`, `OneEa` or `Memlog`, over ints.
 
-    It draws the start point, charged to INIT_LEVEL; the body
-    `_LOOPS[type(strategy)]` runs the queries after it and returns
-    (queries, f).  A body keeps the diff word d = x ^ z of the incumbent x,
-    its fitness f and the per-level counts.  The incumbent is always the
-    best point charged so far, so each query is charged to level f and
-    decided by `CountingOracle.compare`'s two prefix ANDs.  Only a GREATER
-    offspring's fitness is bisected, by the oracle's own `_bisect`.
+    It draws the start point, charged to INIT_LEVEL, and finds its fitness
+    by `_climb`, a scan over sigma; the body `_LOOPS[type(strategy)]` runs
+    the queries after it and returns (queries, f).  A body keeps the diff
+    word d = x ^ z of the incumbent x, its fitness f, the mask
+    prefix = prefix[f] of the positions sigma[:f] and the per-level
+    counts.  The incumbent is always the best point charged so far, so
+    each query is charged to level f and decided as
+    `CountingOracle.compare` decides it: LESS iff it meets prefix, else
+    GREATER iff it clears sigma[f].  f never falls, so no table of prefix
+    masks is built: after a GREATER query `_climb` ORs into prefix each
+    position that f passes.  So a run takes O(n) memory where the oracle's
+    table takes about n^2/8 bytes.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)
     if budget is not None and budget < 1:
         return RunRecord(algo, n, seed, 0, False, True, [])
-    oracle = CountingOracle(inst)
-    d = BitString.random(n, rng).word ^ oracle._z
-    f = oracle._bisect(d, 0, n)
+    d = BitString.random(n, rng).word ^ inst.z.word
+    f, prefix = _climb(d, 0, 0, inst.sigma)
     counts = [0] * (n + 1)
     stop = math.inf if budget is None else budget
-    queries, f = _LOOPS[type(strategy)](strategy, inst, rng, oracle, d, f, counts, stop)
+    queries, f = _LOOPS[type(strategy)](strategy, inst, rng, d, f, prefix, counts, stop)
     per_level = [(INIT_LEVEL, 1)] + [(level, c) for level, c in enumerate(counts) if c]
     return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
 
 
-def _rls_loop(strategy: Rls, inst: LoInstance, rng: random.Random, oracle: CountingOracle,
-              d: int, f: int, counts: list[int], stop: float) -> tuple[int, int]:
+def _climb(d: int, f: int, prefix: int, sigma: tuple[int, ...]) -> tuple[int, int]:
+    """The fitness of the point z ^ d, known to be at least f, and its
+    prefix mask, from f and prefix[f]: f rises past each position sigma[f]
+    that d clears, and prefix takes each position passed."""
+    n = len(sigma)
+    while f < n and not d >> sigma[f] & 1:
+        prefix |= 1 << sigma[f]
+        f += 1
+    return f, prefix
+
+
+def _rls_loop(strategy: Rls, inst: LoInstance, rng: random.Random, d: int, f: int,
+              prefix: int, counts: list[int], stop: float) -> tuple[int, int]:
     """rls after the start point.  Each query flips position i, drawn by
     `randrange(n)`'s `getrandbits` rejection loop, whose significance rank
     r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
     r == f repairs position sigma[f] (GREATER), r > f is EQUAL.  From
     n = `_SKIP_FROM[Rls]` on, `_skip_levels` runs the queries instead."""
-    n = inst.n
+    n, sigma = inst.n, inst.sigma
     if n >= _SKIP_FROM[Rls]:
         return _skip_levels(True, inst, rng, d, f, counts, stop)
-    bisect = oracle._bisect
     rank = [0] * n
-    for r, pos in enumerate(inst.sigma):
+    for r, pos in enumerate(sigma):
         rank[pos] = r
     getrandbits, k = rng.getrandbits, n.bit_length()
     queries = 1
@@ -246,12 +262,12 @@ def _rls_loop(strategy: Rls, inst: LoInstance, rng: random.Random, oracle: Count
         if r >= f:  # not LESS: accept
             d ^= 1 << i
             if r == f:
-                f = bisect(d, f + 1, n)
+                f, prefix = _climb(d, f, prefix, sigma)
     return queries, f
 
 
-def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, oracle: CountingOracle,
-              d: int, f: int, counts: list[int], stop: float) -> tuple[int, int]:
+def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, d: int, f: int,
+              prefix: int, counts: list[int], stop: float) -> tuple[int, int]:
     """The (1+1) EA after the start point.  Each query XORs into d the mask
     of `oea_mask`'s geometric-skip loop, inlined, except on the draw that
     ends it: a draw u below `_stop_below(n)[i]` at position i, whose step
@@ -266,7 +282,7 @@ def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, oracle: Cou
         return queries, f
     if n >= _SKIP_FROM[OneEa]:
         return _skip_levels(False, inst, rng, d, f, counts, stop)
-    prefix, bisect = oracle._prefix, oracle._bisect
+    sigma = inst.sigma
     draw, log, floor = rng.random, math.log, math.floor
     log_keep, below = _log_keep(n), _stop_below(n)
     while f < n and queries < stop:
@@ -279,10 +295,10 @@ def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, oracle: Cou
             i += 1
         counts[f] += 1
         queries += 1
-        if not y & prefix[f]:  # not LESS: accept
+        if not y & prefix:  # not LESS: accept
             d = y
-            if not y & prefix[f + 1]:
-                f = bisect(d, f + 1, n)
+            if not y >> sigma[f] & 1:  # GREATER
+                f, prefix = _climb(d, f, prefix, sigma)
     return queries, f
 
 
@@ -295,9 +311,8 @@ def _longest_record(n: int, budget_bits: int | None) -> float:
     return 8 * (((budget_bits + 7) >> 3) - (n >> 3) + 1) - (n & 7) - 10
 
 
-def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
-                 oracle: CountingOracle, d: int, f: int, counts: list[int],
-                 stop: float) -> tuple[int, int]:
+def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random, d: int, f: int,
+                 prefix: int, counts: list[int], stop: float) -> tuple[int, int]:
     """memlog after the start point, a search at a time; it draws nothing
     more from the rng.
 
@@ -312,7 +327,7 @@ def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
     lo <= iy < hi and lo <= ig hold, so iy < mid and ig < mid decide each
     query.  The accepted EQUAL halves are free[:lo]: d takes them in one
     XOR at the mark of free[lo], the lowest gap, or with the GREATER half
-    before the new f is scanned for, one AND per level gained.
+    before the new f is scanned for (`_climb`, inlined).
 
     In place of `pack_state`: B2 has one bit per query of a search after a
     query that goes on with it, and one bit after its last query.  So the
@@ -320,7 +335,7 @@ def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
     1, and otherwise query `over` = `_longest_record` + 1 of a search that
     goes on past it raises, as the protocol loop's check does.
     """
-    n, sigma, prefix = inst.n, inst.sigma, oracle._prefix
+    n, sigma = inst.n, inst.sigma
     budget_bits = strategy.state_budget_bits(n)
     over = _longest_record(n, budget_bits) + 1
     if over < 2 and f < n and stop > 1:
@@ -330,7 +345,7 @@ def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
     while f < n and queries < stop:
         ig = bisect_left(free, sigma[f])
         assert free[ig] == sigma[f], "memlog invariant violated: sigma[f] is marked"
-        gaps = prefix[f] & unmarked
+        gaps = prefix & unmarked
         iy = bisect_left(free, (gaps & -gaps).bit_length() - 1) if gaps else n
         lo, hi, mid, h = 0, len(free), len(free), 1
         while True:
@@ -354,8 +369,12 @@ def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random,
         queries += h
         if ig < mid:  # GREATER
             d ^= unmarked & ((2 << free[mid - 1]) - 1)
+            # `_climb` inlined, past sigma[f] untested: the call and the
+            # test cost 2-4% of a whole run at n = 1024 and 4096
+            prefix |= 1 << sigma[f]
             f += 1
-            while f < n and not d & prefix[f + 1]:
+            while f < n and not d >> sigma[f] & 1:
+                prefix |= 1 << sigma[f]
                 f += 1
         else:  # mark free[lo]
             if lo:

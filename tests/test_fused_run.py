@@ -5,7 +5,11 @@ gate between them.
 oracle or start point) in a loop over ints that never calls the strategy's
 per-query methods.  A trivial subclass keeps the same draws on
 the protocol loop, which stays the reference: every record and the run's
-final rng state must agree, and so must memlog's state-budget errors.  The
+final rng state must agree, and so must memlog's state-budget errors.
+Only the protocol loop builds a `CountingOracle` and its n + 1 prefix
+masks; a fused loop keeps prefix[f] as one int as f rises, so every fused
+run here runs with the oracle's constructor made to raise, and one run per
+strategy at n = 4096 must stay under a traced-memory bound.  The
 fused memlog loop decides a whole halving search from two indices into its
 list of unmarked positions, while the protocol loop's `Memlog` bisects
 `p0_mask` with `lowest_set_bits` query by query, so the memlog checks
@@ -22,11 +26,13 @@ harness runs on either side.  The gate tests make
 that falls back to the protocol loop fails here, and so does an excluded
 case that stops calling `step`.
 """
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import random
+import tracemalloc
 import types
 
 import numpy as np
@@ -90,10 +96,28 @@ def run_rngs(monkeypatch):
     return made
 
 
+class OracleBuilt(RuntimeError):
+    pass
+
+
+@contextlib.contextmanager
+def _no_oracle():
+    """A context in which building a `CountingOracle` raises: a fused run
+    keeps its prefix mask itself and must build none."""
+    def built(self, instance):
+        raise OracleBuilt("a fused run built a CountingOracle")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CountingOracle, "__init__", built)
+        yield
+
+
 def _run_both(cls, inst, seed, budget, run_rngs):
     """The fused and the protocol record of one run, checked equal,
-    including the rng state each run leaves."""
-    fused = run_one_plus_one(cls(), inst, seed, budget)
+    including the rng state each run leaves; the fused run builds no
+    oracle."""
+    with _no_oracle():
+        fused = run_one_plus_one(cls(), inst, seed, budget)
     fused_state = run_rngs[-1].getstate()
     proto = run_one_plus_one(PROTOCOL[cls](), inst, seed, budget)
     assert len(run_rngs) == 2
@@ -133,6 +157,22 @@ def test_fused_oea_matches_protocol_at_large_n(n, run_rngs):
         seed = random.Random(f"oea/{n}/{trial}/True").getrandbits(64)
         rec = _run_both(OneEa, inst, seed, 20_000, run_rngs)
         assert rec.budget_exhausted and rec.total_queries == 20_000
+
+
+@pytest.mark.parametrize("cls,budget", [(Rls, 20_000), (OneEa, 20_000), (Memlog, None)])
+def test_fused_run_memory_is_linear_in_n(cls, budget):
+    # the oracle's table of prefix masks alone takes about n^2/8 bytes,
+    # 2 MB at n = 4096; a fused run keeps one mask and a few lists of n ints
+    n = 4096
+    inst = random_instance(n, random.Random(n))
+    tracemalloc.start()
+    try:
+        rec = run_one_plus_one(cls(), inst, 21, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.hit_optimum if budget is None else rec.total_queries == budget
+    assert peak < 1_500_000
 
 
 # -- the level-skipping engine -------------------------------------------------------
@@ -476,14 +516,16 @@ def _searches(inst, seed):
 def _memlog_both(inst, seed, budget, run_rngs, **state_budget):
     """One fused and one protocol memlog run, checked to give the same
     record or `StateBudgetExceeded` message and to leave the same rng
-    state; `bits=b` gives both a state budget of b bits."""
+    state, the fused one without building an oracle; `bits=b` gives both a
+    state budget of b bits."""
     outs = []
     for cls in (Memlog, ProtocolMemlog):
         strategy = cls()
         if "bits" in state_budget:
             strategy.state_budget_bits = lambda n: state_budget["bits"]
         try:
-            out = run_one_plus_one(strategy, inst, seed, budget).to_json()
+            with _no_oracle() if cls is Memlog else contextlib.nullcontext():
+                out = run_one_plus_one(strategy, inst, seed, budget).to_json()
         except StateBudgetExceeded as exc:
             out = str(exc)
         outs.append((out, run_rngs[-1].getstate()))
