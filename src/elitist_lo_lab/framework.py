@@ -28,17 +28,12 @@ from .lo_core import (
     CountingOracle,
     LoInstance,
     Ordering,
+    _climb,
 )
 
 
 class StateBudgetExceeded(RuntimeError):
     """A strategy's serialized state outgrew its declared bit budget."""
-
-
-def _over_budget(name: str, size: int, budget_bits: int) -> StateBudgetExceeded:
-    """The error for a packed state of `size` bytes over `budget_bits`."""
-    return StateBudgetExceeded(f"{name}: packed state is {size * 8} bits, "
-                               f"declared budget {budget_bits}")
 
 
 class Strategy(Protocol):
@@ -58,14 +53,16 @@ class Strategy(Protocol):
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
     observer, oracle or start point) takes its body in `_LOOPS`, which
-    keeps the strategy's state in locals and never calls `step`, `learn`
-    or `pack_state`; memlog's runs a halving search at a time and still
-    calls `state_budget_bits`, whose bound it applies in closed form.
-    Such a run builds no `CountingOracle` and no table of prefix masks: a
-    body that needs the incumbent's prefix mask keeps it as one int.
-    From n = `_SKIP_FROM[cls]` on, the rls and (1+1) EA bodies charge each
-    fitness level's queries at once from bulk-drawn rng words.  A subclass
-    always runs the protocol loop and its own methods.
+    keeps the strategy's state in locals and calls none of its methods;
+    memlog's runs a halving search at a time, and its declared state
+    budget holds by construction, so nothing checks it.  These classes
+    have empty `__slots__`, so a plain instance cannot override a method
+    or the budget.  Such a run builds no `CountingOracle`: a body keeps
+    the incumbent's prefix mask as one int and extends it with `_climb`,
+    as the oracle does.  From n = `_SKIP_FROM[cls]` on, the rls and (1+1)
+    EA bodies charge each fitness level's queries at once from bulk-drawn
+    rng words.  A subclass always runs the protocol loop and its own
+    methods.
     """
 
     name: str
@@ -191,7 +188,8 @@ def run_one_plus_one(
         if accepted:
             incumbent = offspring
         if pack is not None and len(packed := pack(state)) > max_bytes:
-            raise _over_budget(strategy.name, len(packed), budget_bits)
+            raise StateBudgetExceeded(f"{strategy.name}: packed state is "
+                                      f"{len(packed) * 8} bits, declared budget {budget_bits}")
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
 
@@ -208,10 +206,9 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     counts.  The incumbent is always the best point charged so far, so
     each query is charged to level f and decided as
     `CountingOracle.compare` decides it: LESS iff it meets prefix, else
-    GREATER iff it clears sigma[f].  f never falls, so no table of prefix
-    masks is built: after a GREATER query `_climb` ORs into prefix each
-    position that f passes.  So a run takes O(n) memory where the oracle's
-    table takes about n^2/8 bytes.
+    GREATER iff it clears sigma[f].  f never falls, so after a GREATER
+    query `_climb`, the oracle's own climb, ORs into prefix each position
+    that f passes, and a run takes O(n) memory.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)
@@ -221,24 +218,13 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     f, prefix = _climb(d, 0, 0, inst.sigma)
     counts = [0] * (n + 1)
     stop = math.inf if budget is None else budget
-    queries, f = _LOOPS[type(strategy)](strategy, inst, rng, d, f, prefix, counts, stop)
+    queries, f = _LOOPS[type(strategy)](inst, rng, d, f, prefix, counts, stop)
     per_level = [(INIT_LEVEL, 1)] + [(level, c) for level, c in enumerate(counts) if c]
     return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
 
 
-def _climb(d: int, f: int, prefix: int, sigma: tuple[int, ...]) -> tuple[int, int]:
-    """The fitness of the point z ^ d, known to be at least f, and its
-    prefix mask, from f and prefix[f]: f rises past each position sigma[f]
-    that d clears, and prefix takes each position passed."""
-    n = len(sigma)
-    while f < n and not d >> sigma[f] & 1:
-        prefix |= 1 << sigma[f]
-        f += 1
-    return f, prefix
-
-
-def _rls_loop(strategy: Rls, inst: LoInstance, rng: random.Random, d: int, f: int,
-              prefix: int, counts: list[int], stop: float) -> tuple[int, int]:
+def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
+              counts: list[int], stop: float) -> tuple[int, int]:
     """rls after the start point.  Each query flips position i, drawn by
     `randrange(n)`'s `getrandbits` rejection loop, whose significance rank
     r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
@@ -266,8 +252,8 @@ def _rls_loop(strategy: Rls, inst: LoInstance, rng: random.Random, d: int, f: in
     return queries, f
 
 
-def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, d: int, f: int,
-              prefix: int, counts: list[int], stop: float) -> tuple[int, int]:
+def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
+              counts: list[int], stop: float) -> tuple[int, int]:
     """The (1+1) EA after the start point.  Each query XORs into d the mask
     of `oea_mask`'s geometric-skip loop, inlined, except on the draw that
     ends it: a draw u below `_stop_below(n)[i]` at position i, whose step
@@ -302,17 +288,8 @@ def _oea_loop(strategy: OneEa, inst: LoInstance, rng: random.Random, d: int, f: 
     return queries, f
 
 
-def _longest_record(n: int, budget_bits: int | None) -> float:
-    """The most bits a B2 record, its leading 1 included, may have for the
-    packed `Memlog` state, n // 8 bytes of B1 and (n % 8 + len(B2) + 9) // 8
-    more, to fit in (budget_bits + 7) // 8 bytes; inf for a None budget."""
-    if budget_bits is None:
-        return math.inf
-    return 8 * (((budget_bits + 7) >> 3) - (n >> 3) + 1) - (n & 7) - 10
-
-
-def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random, d: int, f: int,
-                 prefix: int, counts: list[int], stop: float) -> tuple[int, int]:
+def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
+                 counts: list[int], stop: float) -> tuple[int, int]:
     """memlog after the start point, a search at a time; it draws nothing
     more from the rng.
 
@@ -329,17 +306,13 @@ def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random, d: int,
     XOR at the mark of free[lo], the lowest gap, or with the GREATER half
     before the new f is scanned for (`_climb`, inlined).
 
-    In place of `pack_state`: B2 has one bit per query of a search after a
-    query that goes on with it, and one bit after its last query.  So the
-    first query raises `StateBudgetExceeded` if `_longest_record` is below
-    1, and otherwise query `over` = `_longest_record` + 1 of a search that
-    goes on past it raises, as the protocol loop's check does.
+    It neither packs nor checks memlog's state: `Memlog`'s declared budget,
+    `state_budget_bits(n)`, fits a full B1 with the longest record a search
+    writes, and `Memlog` has no instance dict, so a plain run cannot
+    declare another.  A subclass with a smaller budget runs the protocol
+    loop, which checks it.
     """
     n, sigma = inst.n, inst.sigma
-    budget_bits = strategy.state_budget_bits(n)
-    over = _longest_record(n, budget_bits) + 1
-    if over < 2 and f < n and stop > 1:
-        raise _over_budget(strategy.name, (n >> 3) + (((n & 7) + 10) >> 3), budget_bits)
     unmarked, free = (1 << n) - 1, list(range(n))
     queries = 1
     while f < n and queries < stop:
@@ -359,10 +332,7 @@ def _memlog_loop(strategy: Memlog, inst: LoInstance, rng: random.Random, d: int,
                 break
             h += 1
             mid = (lo + hi + 1) >> 1
-        if h > stop - queries or h > over:  # the budget or the state budget cuts it
-            if over < h and over <= stop - queries:
-                raise _over_budget(strategy.name, (n >> 3) + (((n & 7) + over + 9) >> 3),
-                                   budget_bits)
+        if h > stop - queries:  # the budget cuts it
             counts[f] += stop - queries
             return stop, f
         counts[f] += h

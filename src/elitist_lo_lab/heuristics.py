@@ -11,7 +11,11 @@ These classes are the plain reference form of each strategy, which
 `run_one_plus_one`'s protocol loop runs.  A plain run of exactly `Rls`,
 `OneEa` or `Memlog` takes `framework._run_fused` instead, with that type's
 body from `framework._LOOPS`, which must make the same draws and return
-the same record.  Every run accepts ties (an offspring that is not LESS).
+the same record.  The three classes have empty `__slots__`, so a plain
+instance has exactly its class's methods and memlog's declared state
+budget, which holds by construction and which no fused run checks;
+another budget or method takes a subclass, which runs the protocol loop.
+Every run accepts ties (an offspring that is not LESS).
 The fused (1+1) EA body inlines `oea_mask` and ends each mask on a
 threshold from `_stop_below` rather than `oea_mask`'s last log and floor.
 From n = `framework._SKIP_FROM[cls]` on, the fused rls and (1+1) EA runs
@@ -94,6 +98,7 @@ class Rls:
     the draws of `rls_step` without calling `step`; a subclass does not.
     """
 
+    __slots__ = ()
     name = "rls"
 
     def fresh_state(self, n: int, rng: random.Random):
@@ -113,6 +118,7 @@ class OneEa:
     the draws of `oea_mask` without calling `step`; a subclass does not.
     """
 
+    __slots__ = ()
     name = "oea"
 
     def fresh_state(self, n: int, rng: random.Random):
@@ -189,13 +195,18 @@ class Memlog:
     including the initial sample.
 
     A halving query flips P0's first half, `lowest_set_bits` of `p0_mask`.
-    A plain `Memlog` run takes `run_one_plus_one`'s fused loop, which runs
-    a search (the probe and its halving queries) at a time on small ints,
-    from where P0's first half ends against the lowest unmarked position
-    of rank < f and against sigma[f], without calling `step`, `learn` or
-    `pack_state` (it still calls `state_budget_bits`); a subclass does not.
+    B2 gets one bit per halving query that leaves P0 with two or more
+    positions, so it has at most max(1, ceil(log2 n)) bits, its leading 1
+    included, and the declared budget, `state_budget_bits(n)`, fits a full
+    B1 with it and the phase flag by construction.  A plain `Memlog` run
+    takes `run_one_plus_one`'s fused loop, which runs a search (the probe
+    and its halving queries) at a time on small ints, from where P0's
+    first half ends against the lowest unmarked position of rank < f and
+    against sigma[f], and calls none of these methods; a subclass does
+    not, and the protocol loop checks its budget after every step.
     """
 
+    __slots__ = ()
     name = "memlog"
 
     def fresh_state(self, n: int, rng: random.Random) -> MemlogState:

@@ -8,11 +8,9 @@ are 1-based, as are the positions in `lolab game` spec files (parsed in
 """
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import accumulate
 
 
 def set_bits(mask: int) -> list[int]:
@@ -138,6 +136,18 @@ def random_instance(n: int, rng: random.Random) -> LoInstance:
     return LoInstance(n, z, tuple(sigma))
 
 
+def _climb(d: int, f: int, prefix: int, sigma: tuple[int, ...]) -> tuple[int, int]:
+    """The fitness of the point z ^ d, known to be at least f, and its
+    prefix mask, from f and prefix[f], the mask of the positions sigma[:f]:
+    f rises past each position sigma[f] that d clears, and prefix takes
+    each position passed."""
+    n = len(sigma)
+    while f < n and not d >> sigma[f] & 1:
+        prefix |= 1 << sigma[f]
+        f += 1
+    return f, prefix
+
+
 class CountingOracle:
     """Query-metered, comparison-only access to one LO instance.
 
@@ -149,19 +159,19 @@ class CountingOracle:
         time; the very first query is charged to INIT_LEVEL, and the query
         that enters a new level is charged to the level being left.
 
-    Fitness is read off prefix masks: `_prefix[k]` has the positions
-    sigma[:k] set, so f(x) >= k iff (x ^ z) & _prefix[k] is 0, and f(x) is
-    found by bisection on k, one AND per step.  `compare` needs at most two
-    ANDs to decide its outcome from f(x): y is LESS when it breaks the
-    prefix of length f(x), EQUAL when it keeps it but not the next one, and
-    GREATER otherwise, and only then is f(y) bisected on [f(x)+1, n].  A
-    LESS outcome leaves every counter as it is without f(y), because
-    f(y) < f(x) <= best_fitness_seen once x has been charged; for an x never
-    charged, f(y) is bisected on [0, f(x)-1] as well.  The oracle keeps the
-    (word, fitness) pairs of the incumbent and of the last EQUAL or GREATER
-    offspring, so an accepted offspring is never evaluated twice.  `submit`
-    and `compare` charge every query through `_count`, the only writer of
-    the counters.
+    The oracle keeps (word, fitness, prefix mask) for the incumbent and for
+    the last EQUAL or GREATER offspring, where the prefix mask of a point
+    of fitness f has the positions sigma[:f] set.  `compare` decides its
+    outcome from f(x) and that mask with at most one AND and one shift: y
+    is LESS when y ^ z meets the mask, EQUAL when it keeps the mask but
+    not position sigma[f(x)], and GREATER otherwise, and only then does
+    `_climb` find f(y), scanning sigma from f(x) on.  A LESS outcome
+    leaves every counter as it is without f(y), because
+    f(y) < f(x) <= best_fitness_seen once x has been charged; for an x
+    never charged, f(y) is climbed from 0.  So an accepted offspring is
+    never evaluated twice; in a run, whose incumbent's f never falls, the
+    climbs scan sigma once in all; and the oracle takes O(n) memory.  `submit` and `compare` charge every
+    query through `_count`, the only writer of the counters.
 
     Owned by exactly one run at a time; concurrent runs need disjoint oracles.
     """
@@ -174,20 +184,8 @@ class CountingOracle:
         self.optimum_found = False
         self._n = instance.n
         self._z = instance.z.word
-        self._prefix = list(accumulate((1 << pos for pos in instance.sigma),
-                                       operator.or_, initial=0))
-        self._incumbent = self._offspring = (None, 0)
-
-    def _bisect(self, diff: int, lo: int, hi: int) -> int:
-        """Fitness of the point z ^ diff, known to lie in [lo, hi]."""
-        prefix = self._prefix
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if diff & prefix[mid]:
-                hi = mid - 1
-            else:
-                lo = mid
-        return lo
+        self._sigma = instance.sigma
+        self._incumbent = self._offspring = (None, 0, 0)
 
     def _count(self, f: int) -> None:
         """Charge one query with known fitness f: update all counters."""
@@ -213,8 +211,8 @@ class CountingOracle:
         n = self._n
         if x.n != n:
             raise ValueError(f"point has length {x.n}, instance has n={n}")
-        f = self._bisect(x.word ^ self._z, 0, n)
-        self._incumbent = (x.word, f)
+        f, prefix = _climb(x.word ^ self._z, 0, 0, self._sigma)
+        self._incumbent = (x.word, f, prefix)
         self._count(f)
         return f
 
@@ -222,33 +220,33 @@ class CountingOracle:
         """Three-way order of f(y) versus f(x), charging one query for y.
 
         x is normally the incumbent, whose fitness was already charged; any
-        other x costs one more bisection.  Never exposes a numeric fitness to
-        the caller.
+        other x costs one more climb from 0.  Never exposes a numeric
+        fitness to the caller.
         """
         n = self._n
         if x.n != n or y.n != n:
             raise ValueError("dimension mismatch in compare")
         xw = x.word
-        cached_word, fx = self._incumbent
+        cached_word, fx, prefix = self._incumbent
         if xw != cached_word:
-            cached_word, fx = self._offspring
+            cached_word, fx, prefix = self._offspring
             if xw != cached_word:
-                fx = self._bisect(xw ^ self._z, 0, n)
-            self._incumbent = (xw, fx)
+                fx, prefix = _climb(xw ^ self._z, 0, 0, self._sigma)
+            self._incumbent = (xw, fx, prefix)
         diff = y.word ^ self._z
-        prefix = self._prefix
-        if diff & prefix[fx]:
+        if diff & prefix:
             best = self.best_fitness_seen
             if best is None or best < fx:  # x was never charged
-                fy = self._bisect(diff, 0, fx - 1)
+                fy = _climb(diff, 0, 0, self._sigma)[0]
             else:  # f(y) < fx <= best: fx - 1 moves the same counters
                 fy = fx - 1
             outcome = LESS
         else:
-            if fx == n or diff & prefix[fx + 1]:
+            if fx == n or diff >> self._sigma[fx] & 1:
                 fy, outcome = fx, EQUAL
             else:
-                fy, outcome = self._bisect(diff, fx + 1, n), GREATER
-            self._offspring = (y.word, fy)
+                fy, prefix = _climb(diff, fx, prefix, self._sigma)
+                outcome = GREATER
+            self._offspring = (y.word, fy, prefix)
         self._count(fy)
         return outcome

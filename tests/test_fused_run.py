@@ -3,28 +3,31 @@ gate between them.
 
 `run_one_plus_one` runs a plain `Rls`, `OneEa` or `Memlog` (no observer,
 oracle or start point) in a loop over ints that never calls the strategy's
-per-query methods.  A trivial subclass keeps the same draws on
-the protocol loop, which stays the reference: every record and the run's
-final rng state must agree, and so must memlog's state-budget errors.
-Only the protocol loop builds a `CountingOracle` and its n + 1 prefix
-masks; a fused loop keeps prefix[f] as one int as f rises, so every fused
-run here runs with the oracle's constructor made to raise, and one run per
-strategy at n = 4096 must stay under a traced-memory bound.  The
-fused memlog loop decides a whole halving search from two indices into its
-list of unmarked positions, while the protocol loop's `Memlog` bisects
-`p0_mask` with `lowest_set_bits` query by query, so the memlog checks
-compare two searches written independently (searches that end GREATER
-partway, runs cut after every step of a search, every case at n <= 2);
-likewise the fused loop's closed-form record cap against `pack_state`.  The fused EA loop ends each mask on a `_stop_below`
+methods.  A trivial subclass keeps the same draws on the protocol loop,
+which stays the reference: every record and the run's final rng state
+must agree.  Only the protocol loop builds a `CountingOracle`; both it and
+the fused loops keep the incumbent's prefix mask as one int and extend it
+with `lo_core._climb` as f rises, so every fused run here runs with the
+oracle's constructor made to raise, one run per strategy and loop at
+n = 4096 must stay under a traced-memory bound, and so must one oracle at
+n = 16384.  The fused memlog loop decides a whole halving search from two
+indices into its list of unmarked positions, while the protocol loop's
+`Memlog` bisects `p0_mask` with `lowest_set_bits` query by query, so the
+memlog checks compare two searches written independently (searches that
+end GREATER partway, runs cut after every step of a search, every case at
+n <= 2).  memlog's declared state budget holds by construction, which
+`pack_state` confirms here for a full state, so the fused loop checks no
+budget; a subclass that declares a smaller one runs the protocol loop,
+which enforces it.  The fused EA loop ends each mask on a `_stop_below`
 threshold rather than `oea_mask`'s last step, so that table is checked
 against the step draw by draw near every threshold.  From a crossover n
 on, rls and EA runs skip levels over bulk-drawn words; that engine is
 checked against the protocol loop with tiny chunks, its numpy steps
 against `math.log` near every step boundary, and its crossover through
-harness runs on either side.  The gate tests make
-`step`, `learn` and memlog's `pack_state` raise, so a default harness run
-that falls back to the protocol loop fails here, and so does an excluded
-case that stops calling `step`.
+harness runs on either side.  The gate tests make `step`, `learn` and
+memlog's `pack_state` and `state_budget_bits` raise, so a default harness
+run that falls back to the protocol loop fails here, and so does an
+excluded case that stops calling them.
 """
 import contextlib
 import hashlib
@@ -64,7 +67,6 @@ from elitist_lo_lab.lo_core import (
 )
 
 from test_harness_cli import BUDGET_DIGESTS, RUN_DIGESTS, _run_cli
-from test_heuristics import SpyMemlog
 
 
 class ProtocolRls(Rls):
@@ -159,10 +161,14 @@ def test_fused_oea_matches_protocol_at_large_n(n, run_rngs):
         assert rec.budget_exhausted and rec.total_queries == 20_000
 
 
-@pytest.mark.parametrize("cls,budget", [(Rls, 20_000), (OneEa, 20_000), (Memlog, None)])
+@pytest.mark.parametrize("cls,budget", [
+    (Rls, 20_000), (OneEa, 20_000), (Memlog, None),
+    (ProtocolRls, 20_000), (ProtocolOneEa, 20_000), (ProtocolMemlog, None),
+])
 def test_fused_run_memory_is_linear_in_n(cls, budget):
-    # the oracle's table of prefix masks alone takes about n^2/8 bytes,
-    # 2 MB at n = 4096; a fused run keeps one mask and a few lists of n ints
+    # a table of the n + 1 prefix masks would take about n^2/8 bytes, 2 MB
+    # at n = 4096; a fused run keeps one mask and a few lists of n ints,
+    # and the protocol loop's oracle a mask per cached point
     n = 4096
     inst = random_instance(n, random.Random(n))
     tracemalloc.start()
@@ -173,6 +179,20 @@ def test_fused_run_memory_is_linear_in_n(cls, budget):
         tracemalloc.stop()
     assert rec.hit_optimum if budget is None else rec.total_queries == budget
     assert peak < 1_500_000
+
+
+def test_oracle_memory_is_linear_in_n():
+    # a table of the n + 1 prefix masks would take about 36 MB at n = 16384
+    n = 16384
+    inst = random_instance(n, random.Random(n))
+    tracemalloc.start()
+    try:
+        oracle = CountingOracle(inst)
+        assert oracle.submit(inst.z) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 # -- the level-skipping engine -------------------------------------------------------
@@ -382,6 +402,7 @@ def step_raises(monkeypatch):
         monkeypatch.setattr(cls, "step", called)
         monkeypatch.setattr(cls, "learn", called)
     monkeypatch.setattr(Memlog, "pack_state", called)
+    monkeypatch.setattr(Memlog, "state_budget_bits", called)
 
 
 # `lolab scaling --n 8,16,32,64 --reps 50 --seed 2016` output, captured
@@ -437,55 +458,57 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
 # -- memlog's state budget ---------------------------------------------------------
 
 
-def _packed_len(n, record):
-    """The byte length `_memlog_loop` puts in its `StateBudgetExceeded`
-    message in place of `pack_state`'s."""
-    return (n >> 3) + (((n & 7) + record.bit_length() + 9) >> 3)
-
-
-def test_fused_memlog_packed_length_matches_pack_state():
+def test_declared_state_budget_fits_a_full_state():
+    # a full B1, the phase flag and a record of (n - 1).bit_length() + 2
+    # bits, longer than any a search writes, fit the declared budget
     strategy = Memlog()
-    grew = 0
-    for n in list(range(1, 18)) + [64, 65, 1024]:
-        inst = random_instance(n, random.Random(n))
-        spy = SpyMemlog()
-        run_one_plus_one(spy, inst, seed=n + 1)
+    for n in [*range(1, 4097), *(1 << k for k in range(13, 21))]:
         state = MemlogState(n)
-        lengths = set()
-        for b1, record, halving, p0_mask, p0_size in spy.snapshots:
-            state.b1, state.record, state.p0_size = b1, record, p0_size
-            length = len(strategy.pack_state(state))
-            assert _packed_len(n, record) == length
-            lengths.add(length)
-        grew += len(lengths) > 1
-    assert grew > 0  # some records grew the packed state by a byte
+        state.b1, state.p0_size = (1 << n) - 1, 2
+        state.record = 1 << ((n - 1).bit_length() + 1)
+        assert len(strategy.pack_state(state)) <= (strategy.state_budget_bits(n) + 7) // 8, n
 
 
-def _run_with_state_budget(strategy, inst, seed, bits):
-    strategy.state_budget_bits = lambda n: bits
-    try:
-        return run_one_plus_one(strategy, inst, seed).to_json()
-    except StateBudgetExceeded as exc:
-        return str(exc)
+def test_strategies_reject_attribute_assignment():
+    # so a plain instance, which runs the fused loop, has its class's
+    # methods and declared budget
+    for strategy in (Rls(), OneEa(), Memlog()):
+        with pytest.raises(AttributeError):
+            strategy.state_budget_bits = lambda n: 0
+        with pytest.raises(AttributeError):
+            strategy.step = lambda incumbent, state, rng: incumbent
 
 
-def test_fused_memlog_state_budget_matches_protocol():
-    # budgets from n // 8 bytes, which no packed state fits, up to the
-    # declared one; the runs at n = 5, 11-13, 65 and 257 cross a byte boundary
-    # inside a halving phase, so some budgets stop them there
-    messages = set()
-    for n in list(range(1, 18)) + [63, 64, 65, 257]:
-        inst = random_instance(n, random.Random(n))
-        seed = n + 1
-        default = Memlog().state_budget_bits(n)
-        for bits in [None, *range(8 * (n >> 3), default + 1)]:
-            fused = _run_with_state_budget(Memlog(), inst, seed, bits)
-            proto = _run_with_state_budget(ProtocolMemlog(), inst, seed, bits)
-            assert fused == proto
-            if fused.startswith("memlog: packed state is "):
-                messages.add(fused)
-        assert fused.startswith("{")  # the declared budget holds
-    assert len(messages) > 20
+class TightMemlog(Memlog):
+    """`Memlog` with a state budget one byte over B1's whole bytes; it
+    notes each packed state's size and whether a halving phase is open."""
+
+    def __init__(self):
+        self.packed = []
+
+    def state_budget_bits(self, n):
+        return 8 * ((n >> 3) + 1)
+
+    def pack_state(self, state):
+        packed = super().pack_state(state)
+        self.packed.append((len(packed), state.p0_size != 0))
+        return packed
+
+
+def test_smaller_state_budget_stops_a_search_on_the_protocol_loop():
+    # one byte over B1's whole bytes fits a record of 6 - n % 8 bits, so
+    # for n % 8 <= 5 the run fails inside the first search longer than
+    # that, after a halving query, with pack_state's size in the message
+    for n in range(128, 134):
+        inst = random_instance(n, random.Random(f"tight/{n}"))
+        strategy = TightMemlog()
+        bits = strategy.state_budget_bits(n)
+        with pytest.raises(StateBudgetExceeded) as exc:
+            run_one_plus_one(strategy, inst, n)
+        size, halving = strategy.packed[-1]
+        assert halving and len(strategy.packed) >= 2
+        assert all(8 * s <= bits for s, _ in strategy.packed[:-1])
+        assert str(exc.value) == f"memlog: packed state is {8 * size} bits, declared budget {bits}"
 
 
 # -- memlog a search at a time -------------------------------------------------------
@@ -513,21 +536,14 @@ def _searches(inst, seed):
     return [(a + 2, b - a, spy.steps[b - 1][1]) for a, b in zip(starts, ends)]
 
 
-def _memlog_both(inst, seed, budget, run_rngs, **state_budget):
+def _memlog_both(inst, seed, budget, run_rngs):
     """One fused and one protocol memlog run, checked to give the same
-    record or `StateBudgetExceeded` message and to leave the same rng
-    state, the fused one without building an oracle; `bits=b` gives both a
-    state budget of b bits."""
+    record and to leave the same rng state, the fused one without building
+    an oracle."""
     outs = []
     for cls in (Memlog, ProtocolMemlog):
-        strategy = cls()
-        if "bits" in state_budget:
-            strategy.state_budget_bits = lambda n: state_budget["bits"]
-        try:
-            with _no_oracle() if cls is Memlog else contextlib.nullcontext():
-                out = run_one_plus_one(strategy, inst, seed, budget).to_json()
-        except StateBudgetExceeded as exc:
-            out = str(exc)
+        with _no_oracle() if cls is Memlog else contextlib.nullcontext():
+            out = run_one_plus_one(cls(), inst, seed, budget).to_json()
         outs.append((out, run_rngs[-1].getstate()))
     assert len(run_rngs) == 2 and outs[0] == outs[1]
     run_rngs.clear()
@@ -572,56 +588,12 @@ def test_fused_memlog_budget_cuts_a_search_after_each_step(n, run_rngs):
     assert cut == set(range(first - 1, first + length))
 
 
-@pytest.mark.parametrize("top", range(8))
-def test_fused_memlog_state_budget_cuts_a_search_at_each_step(top, run_rngs):
-    # one byte over B1's whole bytes fits a record of 6 - n % 8 bits, so the
-    # state budget stops the first search longer than that after its query
-    # 7 - n % 8, from the probe (n % 8 = 6 or 7) to query 7 (n % 8 = 0); a
-    # query budget that ends the run on that query keeps the error, one
-    # that ends it a query earlier does not
-    n = 128 + top
-    bits = 8 * ((n >> 3) + 1)
-    assert framework._longest_record(n, bits) == 6 - top
-    size = (n >> 3) + ((top + max(7 - top, 1) + 9) >> 3)
-    message = f"memlog: packed state is {8 * size} bits, declared budget {bits}"
-    for trial in range(3):
-        inst = random_instance(n, random.Random(f"state/{n}/{trial}"))
-        seed = random.Random(f"state/{n}/{trial}/seed").getrandbits(64)
-        assert _memlog_both(inst, seed, None, run_rngs, bits=bits) == message
-        spy = SearchSpy()
-        spy.state_budget_bits = lambda n: bits
-        with pytest.raises(StateBudgetExceeded):
-            run_one_plus_one(spy, inst, seed)
-        run_rngs.clear()
-        last = len(spy.steps) + 1  # the budget that ends the run on the failing query
-        assert _memlog_both(inst, seed, last, run_rngs, bits=bits) == message
-        assert _memlog_both(inst, seed, last - 1, run_rngs, bits=bits).startswith("{")
-
-
-def test_fused_memlog_state_budget_stops_a_one_query_run(run_rngs):
-    # at n = 6 a one-byte budget fits no record at all, so even a run whose
-    # probe reaches the optimum fails after it, as it does at n = 14 on
-    # two bytes
-    for n in (6, 14):
-        seed = 5
-        start = random.Random(seed).getrandbits(n)
-        inst = random_instance(n, random.Random(n))
-        inst = LoInstance(n, BitString(n, start ^ ((1 << n) - 1)), inst.sigma)
-        bits = 8 * ((n >> 3) + 1)
-        assert framework._longest_record(n, bits) == 0
-        rec = json.loads(_memlog_both(inst, seed, None, run_rngs))
-        assert rec["total_queries"] == 2 and rec["hit_optimum"]
-        assert _memlog_both(inst, seed, None, run_rngs, bits=bits) == (
-            f"memlog: packed state is {8 * ((n >> 3) + 2)} bits, declared budget {bits}")
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
-    # every target, order and start point, every query budget, and state
-    # budgets of none, 0 and 1 bits and the declared one; at n = 1 the probe always comes back
-    # GREATER, and at n = 2 a LESS probe (f = 1) opens P0 = both positions,
-    # and the one halving query, on position 0, marks the gap sigma[0]
-    # (LESS) or repairs sigma[1] (GREATER)
+    # every target, order and start point and every query budget; at
+    # n = 1 the probe always comes back GREATER, and at n = 2 a LESS probe
+    # (f = 1) opens P0 = both positions, and the one halving query, on
+    # position 0, marks the gap sigma[0] (LESS) or repairs sigma[1] (GREATER)
     starts = {}
     for seed in range(64):
         starts.setdefault(random.Random(seed).getrandbits(n), seed)
@@ -636,29 +608,7 @@ def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
                 outcomes.update((length, last) for _, length, last in searches)
                 for budget in [None, *range(0, 2 + sum(s[1] for s in searches))]:
                     _memlog_both(inst, seed, budget, run_rngs)
-                for bits in (None, 0, 1, Memlog().state_budget_bits(n)):
-                    _memlog_both(inst, seed, None, run_rngs, bits=bits)
     if n == 1:
         assert outcomes == {(1, GREATER)}
     else:
         assert outcomes == {(1, GREATER), (2, LESS), (2, GREATER)}
-
-
-def test_longest_record_matches_pack_state():
-    # the closed form against `pack_state`'s own byte count, for every n to
-    # 4096, every record length to ceil(log2 n) + 2 and budgets from a byte
-    # below B1's whole bytes to a byte past the declared one, in steps of 3
-    # bits so that every remainder mod 8 occurs
-    strategy = Memlog()
-    assert framework._longest_record(64, None) == math.inf
-    for n in range(1, 4097):
-        state = MemlogState(n)
-        declared = strategy.state_budget_bits(n)
-        budgets = [*range(max(0, 8 * (n >> 3) - 8), declared + 9, 3), declared]
-        longest = [framework._longest_record(n, bits) for bits in budgets]
-        for length in range(1, (n - 1).bit_length() + 3):
-            state.record = 1 << (length - 1)
-            packed = len(strategy.pack_state(state))
-            for bits, most in zip(budgets, longest):
-                assert (length <= most) == (packed <= (bits + 7) // 8), (n, length, bits)
-        assert longest[-1] >= (n - 1).bit_length() + 2  # the declared budget fits them all

@@ -172,7 +172,7 @@ def test_compare_matches_reference_on_uncharged_points(n):
 
 def test_compare_less_before_any_charge():
     # x = optimum, y one flip below it, nothing charged yet: the LESS branch
-    # must bisect f(y) rather than compare against a missing best
+    # must climb to f(y) from 0 rather than compare against a missing best
     inst = random_instance(6, random.Random(5))
     for i in range(6):
         oracle = CountingOracle(inst)
