@@ -588,9 +588,10 @@ def phi_closed_form(k: int, m: int, B: float, eps: float) -> float:
 # sits safely below that.
 DEFAULT_EPS = 1.0 / 2048.0
 
-DEFAULT_K_GRID = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
-DEFAULT_M_GRID = (2, 3, 4, 5, 8, 13, 21, 34, 55)
-DEFAULT_LOGB_FRACTIONS = (
+# verify_induction_step's grid: m >= 2 and log2 B < 2m in every cell
+K_GRID = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
+M_GRID = (2, 3, 4, 5, 8, 13, 21, 34, 55)
+LOGB_FRACTIONS = (
     0.0, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2, 5 / 8, 3 / 4, 7 / 8, 15 / 16, 63 / 64,
 )
 
@@ -699,20 +700,19 @@ class InductionReport:
 
 
 def verify_induction_step(
-    k_grid: Sequence[int] = DEFAULT_K_GRID,
-    m_grid: Sequence[int] = DEFAULT_M_GRID,
-    logb_fractions: Sequence[float] = DEFAULT_LOGB_FRACTIONS,
     p_resolution: int = 4096,
     eps: float = DEFAULT_EPS,
     max_total: int = 200,
 ) -> InductionReport:
-    """Sweep R(p) over a (k, m, log2 B) grid; pass iff max R(p) <= 1.
+    """Sweep R(p) over the module grid; pass iff max R(p) <= 1.
 
-    log2 B is placed at logb_fractions * 2m, covering [0, 2m); cells with
-    m < 2 or log2 B >= 2m are reported as skipped (the closed form is trivial
-    or handled separately there).  Every sweep includes both endpoints
-    p_min and p_max.  Numeric evidence at the chosen eps, not a proof.
-    A grid with no swept cell raises ValueError rather than pass vacuously.
+    The cells are k in K_GRID and m in M_GRID with k + m <= max_total, and
+    log2 B at each of LOGB_FRACTIONS * 2m, so m >= 2 and log2 B < 2m
+    throughout.  A cell whose [p_min, p_max] interval is empty is reported
+    as skipped; every other cell is swept over p_resolution points that
+    include both endpoints.  Numeric evidence at the chosen eps, not a
+    proof.  A max_total that leaves no cell swept raises ValueError rather
+    than pass vacuously.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
@@ -723,19 +723,12 @@ def verify_induction_step(
     base = np.arange(p_resolution, dtype=float)
     # a huge eps overflows R to inf/NaN, which fails the cell below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in k_grid:
-            for m in m_grid:
+        for k in K_GRID:
+            for m in M_GRID:
                 if k + m > max_total:
                     continue
-                for frac in logb_fractions:
+                for frac in LOGB_FRACTIONS:
                     log2_B = frac * 2.0 * m
-                    if m < 2 or log2_B >= 2.0 * m:
-                        cells.append(InductionCell(
-                            k, m, log2_B, math.nan, math.nan, None, None,
-                            skipped=True,
-                            reason="trivial cell (m < 2 or log2 B >= 2m)",
-                        ))
-                        continue
                     B = 2.0 ** log2_B
                     S = k + m
                     p_min = max(0.0, 1.0 - B * k / S)
@@ -760,8 +753,7 @@ def verify_induction_step(
                     if max_r > global_max or math.isnan(max_r):
                         global_max = max_r
     if all(c.skipped for c in cells):
-        raise ValueError("no cell swept: every grid cell is trivial or has "
-                         f"k+m > max_total={max_total}")
+        raise ValueError(f"no cell swept: every grid cell has k+m > max_total={max_total}")
     return InductionReport(
         eps=eps,
         p_resolution=p_resolution,

@@ -109,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "out", None) == "":
+            raise UsageError("--out must not be empty")
         if args.command == "run":
             records = harness.run_experiment(_experiment_config(args))
             harness.emit(harness.record_lines(records, args.format), args.out)

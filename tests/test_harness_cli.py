@@ -444,6 +444,25 @@ def test_cli_directory_out_fails_before_any_run(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_empty_out_fails_before_any_run_or_sweep(tmp_path, monkeypatch, capsys):
+    reached = []
+    monkeypatch.setattr(harness, "run_one_plus_one",
+                        lambda *args, **kwargs: reached.append("run"))
+    monkeypatch.setattr(harness, "cmd_phi", lambda *args: reached.append("phi"))
+    monkeypatch.setattr(cli, "verify_induction_step",
+                        lambda **kwargs: reached.append("verify"))
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    monkeypatch.chdir(inner)
+    run = ["--algo", "rls", "--n", "4", "--reps", "1"]
+    for argv in (["run", *run], ["scaling", *run], ["level-profile", *run],
+                 ["phi", "--kmax", "2", "--mmax", "2"], ["verify"]):
+        assert _run_cli(argv + ["--out", ""]) == 1
+        assert "usage error: --out must not be empty" in capsys.readouterr().err
+    assert reached == []
+    assert os.listdir(tmp_path) == ["inner"] and os.listdir(inner) == []
+
+
 def test_cli_existing_partial_file_is_not_clobbered(tmp_path):
     out = tmp_path / "r.csv"
     out.write_bytes(b"previous contents\n")

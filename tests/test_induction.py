@@ -75,6 +75,12 @@ def test_default_sweep_passes():
     # endpoints are always part of the sweep
     for cell in swept[:5]:
         assert cell.p_min <= cell.argmax_p <= cell.p_max
+    # every cell has m >= 2 and log2 B < 2m; only the 20 empty intervals are skipped
+    assert all(c.m >= 2 and c.log2_B < 2 * c.m for c in report.cells)
+    skipped = [c for c in report.cells if c.skipped]
+    assert len(skipped) == 20
+    assert all(c.reason == "empty [p_min, p_max] interval" and c.p_min > c.p_max
+               for c in skipped)
 
 
 def test_large_eps_fails():
@@ -93,34 +99,22 @@ def test_nan_cell_fails_the_sweep(monkeypatch):
         return r
 
     monkeypatch.setattr(bounds, "induction_r_values", nan_inside_k3)
-    report = verify_induction_step(k_grid=(0, 3, 5), m_grid=(4,),
-                                   logb_fractions=(0.25,), p_resolution=64)
+    report = verify_induction_step(p_resolution=64)
     assert not report.passed and math.isnan(report.max_r)
     monkeypatch.undo()
     # R overflows to NaN at a finite but huge eps, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = verify_induction_step(k_grid=(0, 3), m_grid=(4,),
-                                       logb_fractions=(0.25,), p_resolution=64, eps=1e308)
+        report = verify_induction_step(p_resolution=64, eps=1e308)
     assert not report.passed
 
 
-def test_trivial_cells_are_skipped():
-    report = verify_induction_step(
-        k_grid=(2,), m_grid=(1, 3), logb_fractions=(0.0, 1.0), p_resolution=16,
-    )
-    reasons = {(c.k, c.m, c.skipped) for c in report.cells}
-    # m=1 cells and the log2B = 2m fraction are trivial
-    assert (2, 1, True) in reasons
-    assert any(c.m == 3 and c.skipped and c.log2_B >= 6.0 for c in report.cells)
-    assert any(c.m == 3 and not c.skipped for c in report.cells)
-
-
 def test_k_zero_cells_sweep_only_p_equal_one():
-    report = verify_induction_step(k_grid=(0,), m_grid=(4,),
-                                   logb_fractions=(0.25,), p_resolution=64)
-    cell = [c for c in report.cells if not c.skipped][0]
-    assert cell.p_min == 1.0 and cell.p_max == 1.0
+    report = verify_induction_step(p_resolution=64)
+    cells = [c for c in report.cells if c.k == 0]
+    assert len(cells) == 99
+    assert all(not c.skipped and c.p_min == c.p_max == c.argmax_p == 1.0
+               and c.max_r <= 1.0 for c in cells)
     assert report.passed
 
 

@@ -4,14 +4,16 @@
 parameters.  Every module-level function and class in src, and every
 method, must be named somewhere outside its own definition: in src,
 `scripts/`, `perfbench/` or `tests/test_acceptance.py`.  A name that only
-the other tests use belongs in those tests, or goes with them; so does a
-keyword parameter that no command, script or criterion passes.  Dunder
+the other tests use belongs in those tests, or goes with them.  Dunder
 methods, which Python calls, and overrides, which their base class calls,
-are exempt.
+are exempt.  Likewise some file in `USERS` must pass each defaulted
+parameter of a src function, by keyword or by position; `KEPT_DEFAULTS`
+names the ones kept for a test, each with its reason.
 """
 import ast
 import importlib
 import inspect
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -76,6 +78,40 @@ def definitions(tree: ast.Module, module):
                     yield f"{node.name}.{name}", sub
 
 
+# Defaulted parameters that only tests pass, each kept for the reason given.
+KEPT_DEFAULTS = {
+    # criterion 9 passes it through `test_heuristics.run_coupled`
+    "run_one_plus_one(initial)",
+    # the peeking negative control needs it: a peeking strategy need not finish
+    "verify_ranking_invariance(budget)",
+}
+
+
+def calls(tree: ast.AST) -> Counter:
+    """(called name, positional argument count, keyword names) of each call;
+    a `*args` counts as every position and a `**kwargs` as the keyword "*"."""
+    out = Counter()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            starred = any(isinstance(a, ast.Starred) for a in sub.args)
+            keywords = frozenset(kw.arg or "*" for kw in sub.keywords)
+            out[name, math.inf if starred else len(sub.args), keywords] += 1
+    return out
+
+
+def defaulted(node: ast.FunctionDef, method: bool):
+    """(position, name) of each defaulted parameter; a method's position
+    leaves out self, and a keyword-only parameter has no position."""
+    args = node.args
+    positional = (args.posonlyargs + args.args)[method:]
+    first = len(positional) - len(args.defaults)
+    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
+    yield from ((math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
 def test_public_surface_is_pinned():
     assert elitist_lo_lab.__all__ == PUBLIC
     assert all(hasattr(elitist_lo_lab, name) for name in PUBLIC)
@@ -100,3 +136,27 @@ def test_every_src_name_has_a_user_outside_the_tests():
             if total[name] - uses(node)[name] == 0:
                 unused.append(f"{path.name}:{node.lineno} {qualname}")
     assert unused == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    passed = Counter()
+    for path in USERS:
+        passed += calls(ast.parse(path.read_text(), str(path)))
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owners = (n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, *funcs)))
+        for owner in owners:
+            method = isinstance(owner, ast.ClassDef)
+            for node in (n for n in owner.body if isinstance(n, funcs)):
+                name = owner.name if method and node.name == "__init__" else node.name
+                # a function's calls of itself pass nothing from outside
+                users = passed - calls(node)
+                for i, arg in defaulted(node, method):
+                    label = f"{node.name}({arg})"
+                    if label not in KEPT_DEFAULTS and not any(
+                            c == name and (p > i or arg in k or "*" in k)
+                            for c, p, k in users):
+                        unpassed.append(f"{path.name}:{node.lineno} {label}")
+    assert unpassed == []
