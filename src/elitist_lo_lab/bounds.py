@@ -6,7 +6,8 @@ Contents:
     counts the k-configurations compatible with the algorithm's state, at
     most 2^(m+1) with probability >= 1/2;
   * onebit_simulation -- replay of a multi-bit level trace through one-bit
-    flips, with the s + m length certificate;
+    flips, with the s + m length certificate and the information dominance
+    certificate;
   * PhiSolver -- the cardinality dynamic program relaxing the level game:
     integer configuration counts C make the recursion's branch probability
     p = c/C exact and the minimization finite;
@@ -19,9 +20,11 @@ Contents:
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -153,6 +156,34 @@ def _outcome_of_flips(flipped: int, pmask: int, next_bit: int) -> str:
     return STAY
 
 
+@functools.cache
+def _one_flip_secrets(n: int, k: int) -> tuple[dict[str, int], ...]:
+    """Per position q, the index masks of the level secrets under which
+    flipping q alone gives each outcome.  A secret is a k-set P and a next
+    significant position b outside it (the start fixes the values on P),
+    indexed with P in `combinations` order and b ascending."""
+    secrets = [(sum(1 << p for p in ps), b)
+               for ps in itertools.combinations(range(n), k)
+               for b in range(n) if b not in ps]
+    table = []
+    for q in range(n):
+        # one binary digit per secret, the last secret's the most significant
+        outcomes = [_outcome_of_flips(1 << q, pmask, b) for pmask, b in reversed(secrets)]
+        table.append({o: int("".join("1" if x == o else "0" for x in outcomes), 2)
+                      for o in (DROP, STAY, LEAVE)})
+    return tuple(table)
+
+
+def _narrowed(known: int, one_flip: Sequence[dict[str, int]], positions: list[int],
+              outcome: str) -> int:
+    """The secrets of `known` under which flipping all of `positions` at
+    once gives `outcome`, DROP or STAY: several flips drop iff one of them
+    drops and stay iff every one stays."""
+    if outcome == DROP:
+        return known & functools.reduce(operator.or_, (one_flip[q][DROP] for q in positions), 0)
+    return functools.reduce(operator.and_, (one_flip[q][STAY] for q in positions), known)
+
+
 @dataclass
 class OneBitSimulation:
     """Result of replaying a multi-bit level trace through one-bit flips."""
@@ -162,14 +193,13 @@ class OneBitSimulation:
     steps_processed: int
     length_bound: int
     length_ok: bool
-    info_dominance_ok: bool | None
+    info_dominance_ok: bool
 
 
 def onebit_simulation(
     start: BitString,
     queries: Sequence[BitString],
     secret: LevelSecret,
-    check_information: bool = True,
 ) -> OneBitSimulation:
     """Replay a deterministic level trace using only one-bit flips of the
     level-entry point.
@@ -177,10 +207,11 @@ def onebit_simulation(
     For each multi-bit query the replay flips the differing positions one at
     a time from `start`, skipping strings it already queried on this level,
     and stops the step early on a fitness drop (or when the level is left).
-    The certificate: the replay uses at most s + m queries, where s is the
+    The certificates: the replay uses at most s + m queries, where s is the
     number of input steps processed and m the number of insignificant bits,
-    and (when check_information) after every step the replay's surviving
-    secret set is contained in the original trace's surviving secret set.
+    and after every step the secrets compatible with the replay's outcomes
+    are among those compatible with the original trace's (information
+    dominance).
     """
     n = start.n
     cfg = secret.config
@@ -188,80 +219,48 @@ def onebit_simulation(
     m = n - k
     pmask = cfg.mask
     next_bit = secret.next_significant
+    if pmask >> n or not 0 <= next_bit < n:
+        raise ValueError(f"secret outside [0, {n}): configuration positions "
+                         f"{cfg.positions}, next significant position {next_bit}")
     # start must sit exactly on level k: agree with the configuration,
     # disagree with the target at the next significant position
     if bad := (start.word ^ cfg.word) & pmask:
         raise ValueError("trace does not start at fitness k: start point disagrees "
                          f"with the configuration at {(bad & -bad).bit_length() - 1}")
 
-    all_secrets = None
-    compat_original: set | None = None
-    compat_replay: set | None = None
-    if check_information:
-        all_secrets = [
-            (spmask, b)
-            for sp in itertools.combinations(range(n), k)
-            for spmask in [sum(1 << p for p in sp)]
-            for b in range(n)
-            if not (spmask >> b) & 1
-        ]
-        compat_original = set(all_secrets)
-        compat_replay = set(all_secrets)
-
+    one_flip = _one_flip_secrets(n, k)
+    replay_secrets = trace_secrets = (1 << math.comb(n, k) * m) - 1
     out_queries: list[BitString] = []
     out_outcomes: list[str] = []
     asked: set[int] = set()
-    dominance_ok = True if check_information else None
+    dominance_ok = True
     steps_processed = 0
-    left = False
 
     for y in queries:
         if y.n != n:
             raise ValueError("trace point has the wrong length")
         steps_processed += 1
         flipped = y.word ^ start.word
-        original_outcome = _outcome_of_flips(flipped, pmask, next_bit)
-
-        for q in set_bits(flipped):
+        positions = set_bits(flipped)
+        replay_outcome = STAY
+        for q in positions:
             if q in asked:
                 continue
             asked.add(q)
-            one = start.flip(q)
-            outcome = _outcome_of_flips(1 << q, pmask, next_bit)
-            out_queries.append(one)
-            out_outcomes.append(outcome)
-            if check_information:
-                if outcome == DROP:
-                    compat_replay = {s for s in compat_replay if (s[0] >> q) & 1}
-                elif outcome == STAY:
-                    compat_replay = {
-                        s for s in compat_replay
-                        if not (s[0] >> q) & 1 and s[1] != q
-                    }
-                else:
-                    compat_replay = {
-                        s for s in compat_replay
-                        if not (s[0] >> q) & 1 and s[1] == q
-                    }
-            if outcome in (DROP, LEAVE):
+            replay_outcome = _outcome_of_flips(1 << q, pmask, next_bit)
+            out_queries.append(start.flip(q))
+            out_outcomes.append(replay_outcome)
+            replay_secrets &= one_flip[q][replay_outcome]
+            if replay_outcome != STAY:
                 break
 
-        if out_outcomes and out_outcomes[-1] == LEAVE:
-            left = True
-        if check_information and not left and original_outcome != LEAVE:
-            # dominance matters only while the level is still active: it is
-            # what lets the replay determine the trace's next query
-            if original_outcome == DROP:
-                compat_original = {s for s in compat_original if flipped & s[0]}
-            else:
-                compat_original = {
-                    s for s in compat_original
-                    if not flipped & s[0] and not (flipped >> s[1]) & 1
-                }
-            if not compat_replay <= compat_original:
-                dominance_ok = False
-        if original_outcome == LEAVE or left:
+        original_outcome = _outcome_of_flips(flipped, pmask, next_bit)
+        if LEAVE in (original_outcome, replay_outcome):
             break
+        # dominance matters only while the level is still active: it is
+        # what lets the replay determine the trace's next query
+        trace_secrets = _narrowed(trace_secrets, one_flip, positions, original_outcome)
+        dominance_ok = dominance_ok and not replay_secrets & ~trace_secrets
 
     bound = steps_processed + m
     return OneBitSimulation(

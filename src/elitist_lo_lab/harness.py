@@ -316,8 +316,11 @@ def emit(lines: Iterable[str], path: str | None) -> None:
     command leaves no half-written file and an earlier one untouched.
     Devices, FIFOs, `/dev/stdout`-style paths and directories are opened in
     place, as a plain `open` would.  The file is opened before `lines` is
-    consumed, so a bad path fails before a lazy producer runs.
+    consumed, so a bad path fails before a lazy producer runs; an empty path
+    raises ValueError before anything is opened.
     """
+    if path == "":
+        raise ValueError("output path must not be empty")
     if path is None or path == "-":
         sys.stdout.writelines(line + "\n" for line in lines)
         return

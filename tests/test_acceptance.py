@@ -219,12 +219,11 @@ def test_criterion_8_onebit_simulation_certificate():
     count = 0
     for trace in itertools.permutations(points, 3):
         for secret in secrets:
-            sim = onebit_simulation(start, trace, secret,
-                                    check_information=False)
+            sim = onebit_simulation(start, trace, secret)
             count += 1
             overhead = len(sim.queries) - sim.steps_processed
             worst = max(worst, overhead)
-            if len(sim.queries) > sim.steps_processed + m:
+            if len(sim.queries) > sim.steps_processed + m or not sim.info_dominance_ok:
                 ok = False
     elapsed = time.perf_counter() - t0
     _report(8, ok,

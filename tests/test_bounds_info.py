@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
+from elitist_lo_lab import bounds
 from elitist_lo_lab.bounds import (
+    DROP,
     ENTRY_MAPS,
+    LEAVE,
+    STAY,
     KConfiguration,
     LevelSecret,
     enumerate_k_configurations,
@@ -14,7 +19,7 @@ from elitist_lo_lab.bounds import (
     level_entry_information_check,
     onebit_simulation,
 )
-from elitist_lo_lab.lo_core import BitString
+from elitist_lo_lab.lo_core import BitString, LoInstance, lo_value, set_bits
 
 
 # -- level-entry information ------------------------------------------------------
@@ -254,3 +259,56 @@ def test_onebit_length_certificate_random_traces():
         assert len(sim.queries) <= sim.steps_processed + m
         assert sim.length_ok
         assert sim.info_dominance_ok
+
+
+def test_onebit_rejects_secret_outside_the_string():
+    n = 5
+    start = BitString(n, 0)
+    for secret in (LevelSecret(KConfiguration((1, 9), (0, 0)), 3),
+                   _secret(n, (0, 1), 0, 7),
+                   _secret(n, (0, 1), 0, -1)):
+        with pytest.raises(ValueError, match=r"^secret outside \[0, 5\)"):
+            onebit_simulation(start, [BitString(n, 0b00100)], secret)
+
+
+def test_secret_masks_match_lo_value():
+    # start is the all-zero string; secret i = (P, b) is the instance that
+    # checks P, then b, then the rest against the target 1 << b, so the
+    # start has fitness k and lo_value gives every flip's outcome
+    for n in range(1, 6):
+        for k in range(n):
+            secrets = [(ps, b) for ps in itertools.combinations(range(n), k)
+                       for b in range(n) if b not in ps]
+            expected = defaultdict(int)
+            for i, (ps, b) in enumerate(secrets):
+                order = ps + (b,) + tuple(p for p in range(n) if p not in ps and p != b)
+                inst = LoInstance(n, BitString(n, 1 << b), order)
+                for flipped in range(1 << n):
+                    value = lo_value(inst, BitString(n, flipped))
+                    outcome = DROP if value < k else STAY if value == k else LEAVE
+                    expected[flipped, outcome] |= 1 << i
+            one_flip = bounds._one_flip_secrets(n, k)
+            every = (1 << len(secrets)) - 1
+            for q in range(n):
+                for outcome in (DROP, STAY, LEAVE):
+                    assert one_flip[q][outcome] == expected[1 << q, outcome]
+            for flipped in range(1 << n):
+                for outcome in (DROP, STAY):
+                    assert (bounds._narrowed(every, one_flip, set_bits(flipped), outcome)
+                            == expected[flipped, outcome])
+
+
+def test_onebit_dominance_fails_on_wrong_one_bit_outcomes(monkeypatch):
+    # told that every one-bit flip keeps the fitness, the replay keeps
+    # secrets the trace's drop has ruled out, and the certificate fails
+    n, k = 5, 2
+    start = BitString(n, 0)
+    secret = _secret(n, (0, 1), 0, 4)
+    bounds._one_flip_secrets(n, k)  # the table is built from true outcomes
+    true_outcome = bounds._outcome_of_flips
+    monkeypatch.setattr(bounds, "_outcome_of_flips", lambda flipped, pmask, next_bit: (
+        STAY if flipped.bit_count() == 1 else true_outcome(flipped, pmask, next_bit)))
+    sim = onebit_simulation(start, [BitString(n, 0b00101)], secret)
+    assert sim.outcomes == [STAY, STAY]
+    assert sim.length_ok
+    assert not sim.info_dominance_ok

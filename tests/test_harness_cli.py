@@ -463,6 +463,22 @@ def test_cli_empty_out_fails_before_any_run_or_sweep(tmp_path, monkeypatch, caps
     assert os.listdir(tmp_path) == ["inner"] and os.listdir(inner) == []
 
 
+def test_emit_rejects_empty_path_before_reading_lines(tmp_path, monkeypatch):
+    produced = []
+
+    def lines():
+        produced.append("line")
+        yield "line"
+
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    monkeypatch.chdir(inner)
+    with pytest.raises(ValueError, match="^output path must not be empty$"):
+        harness.emit(lines(), "")
+    assert produced == []
+    assert os.listdir(tmp_path) == ["inner"] and os.listdir(inner) == []
+
+
 def test_cli_existing_partial_file_is_not_clobbered(tmp_path):
     out = tmp_path / "r.csv"
     out.write_bytes(b"previous contents\n")
