@@ -211,9 +211,12 @@ def onebit_simulation(
     number of input steps processed and m the number of insignificant bits,
     and after every step the secrets compatible with the replay's outcomes
     are among those compatible with the original trace's (information
-    dominance).
+    dominance).  The secret table has binom(n, k)(n - k) entries per mask,
+    so n is limited to 14, as in `level_entry_information_check`.
     """
     n = start.n
+    if n > 14:
+        raise ValueError("exhaustive enumeration is limited to n <= 14")
     cfg = secret.config
     k = cfg.k
     m = n - k

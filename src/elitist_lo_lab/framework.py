@@ -355,9 +355,10 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
 # per-query loop against `_skip_levels`, 20 runs per cell, best of 5 (2-core
-# VM): rls 1.33 against 1.49 ms at n = 96, 3.25 against 2.34 ms at 128; oea
-# 0.93 against 1.34 ms at n = 32, 2.83 against 2.14 ms at 64.  At n <= 16
-# the engine's fixed numpy cost makes a run 3-10 times slower.
+# VM): rls 1.30 against 0.82 ms at n = 96, 2.65 against 1.32 ms at 128; oea
+# 0.85 against 0.99 ms at n = 32, 3.27 against 1.95 ms at 64.  The rls
+# engine now wins at 96 too; its crossover was set when it lost there.  At
+# n <= 16 the engine's fixed numpy cost makes a run 3-10 times slower.
 _SKIP_FROM = {Rls: 128, OneEa: 64}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
@@ -380,9 +381,9 @@ def _oea_steps(u: np.ndarray, n: int) -> np.ndarray:
     """
     log_keep = _log_keep(n)
     with np.errstate(divide="ignore"):
-        q = np.log(u) / log_keep
-    s = np.floor(q * (1 - 1e-9))
-    near = np.flatnonzero(s != np.floor(q * (1 + 1e-9)))
+        log_u = np.log(u)
+    s = np.floor(log_u * ((1 - 1e-9) / log_keep))
+    near = (s != np.floor(log_u * ((1 + 1e-9) / log_keep))).nonzero()[0]
     if len(near):
         log, floor = math.log, math.floor
         s[near] = [floor(log(x) / log_keep) for x in u[near].tolist()]
@@ -397,7 +398,7 @@ def _rls_chunks(rng: random.Random, n: int, rank: np.ndarray):
 
     def chunk(count):
         pos = _words(rng, (count << k) // n) >> (32 - k)
-        at = np.flatnonzero(pos < n)
+        at = (pos < n).nonzero()[0]
         r = rank[pos[at]]
         return r, r, r, np.arange(len(r) + 1), at + 1
 
@@ -415,7 +416,8 @@ def _oea_chunks(rng: random.Random, n: int, rank: np.ndarray):
     longer runs are cut by a few rounds of `searchsorted`.  The steps of a
     mask that the chunk leaves unfinished open the next chunk.
     """
-    rank_n = np.append(rank, n)  # an end draw flips nothing: rank n
+    # a draw whose position passes n - 1 (at most 2n) ends its mask and flips nothing: rank n
+    rank_n = np.append(rank, np.full(n + 1, n))
     carry = np.zeros(0, np.int64)
 
     def chunk(count):
@@ -427,26 +429,28 @@ def _oea_chunks(rng: random.Random, n: int, rank: np.ndarray):
         base = np.zeros(size + 1, np.int64)
         np.cumsum(s + 1, out=base[1:])
         is_end = s >= n
-        hard = np.flatnonzero(is_end)
-        a, h = np.append(0, hard + 1), np.append(hard, size)
-        while len(a):
-            long = base[h] - base[a] > n
-            a, h = a[long], h[long]
-            e = np.searchsorted(base, base[a] + n, side="right") - 1
-            soft = e < h
-            e, h = e[soft], h[soft]
-            is_end[e] = True
-            a = e + 1
-        ends = np.flatnonzero(is_end)
-        used = ends[-1] + 1 if len(ends) else 0
+        hard = is_end.nonzero()[0]
+        cuts = np.empty(len(hard) + 2, np.int64)  # -1, the hard ends, size
+        cuts[0], cuts[1:-1], cuts[-1] = -1, hard, size
+        a, top = cuts[:-1] + 1, base[cuts[1:]]
+        while len(a):  # a mask from a whose steps pass n before top ends softly
+            lim = base[a] + n
+            long = lim < top
+            top = top[long]
+            a = np.searchsorted(base, lim[long], side="right")
+            is_end[a - 1] = True
+        ends = is_end.nonzero()[0]
+        bounds = np.zeros(len(ends) + 1, np.int64)  # 0, then each mask's end + 1
+        np.add(ends, 1, out=bounds[1:])
+        used = bounds[-1]
         carry = s[used:]
-        starts = np.append(0, ends + 1)[:-1]
-        mask_of = np.repeat(np.arange(len(ends)), ends + 1 - starts)
-        r = rank_n[np.minimum(base[1:used + 1] - 1 - base[starts][mask_of], n)]
+        starts = bounds[:-1]
+        mask_of = np.repeat(np.arange(len(ends)), bounds[1:] - starts)
+        r = rank_n[base[1:used + 1] - 1 - base[starts][mask_of]]
         min_rank = np.full(len(ends), n)
         np.minimum.at(min_rank, mask_of, r)
-        words = 2 * (ends - (size - len(u)) + 1)
-        return min_rank, r, min_rank[mask_of], np.append(starts, used), words
+        words = 2 * (bounds[1:] - (size - len(u)))
+        return min_rank, r, min_rank[mask_of], bounds, words
 
     return chunk
 
@@ -463,11 +467,15 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     EQUAL.  So the whole stretch up to the next query of minimum rank f is
     charged to level f at once, and the accepted queries in it (minimum
     rank >= f) XOR the parity of their flips into `diff`, the diff word in
-    rank order; the new f is its lowest set bit.  A chunk gives, per
-    query, its minimum rank and the words it used, and per draw the rank it
-    flips (n for none) and its query's minimum rank.  At the end the rng is
-    set back to the state before the chunk that holds the last charged
-    query's last draw and redraws up to there.
+    rank order; the new f is its lowest set bit above the old f.  An rls
+    query flips one rank and is rejected iff that rank is below f, and f
+    never falls, so nothing reads those bits again: an rls stretch XORs
+    every flip, unfiltered.  An EA mask rejected for a rank below f may
+    flip ranks above f too, so the EA keeps the filter.  A chunk gives,
+    per query, its minimum rank and the words it used, and per draw the
+    rank it flips (n for none) and its query's minimum rank.  At the end
+    the rng is set back to the state before the chunk that holds the last
+    charged query's last draw and redraws up to there.
     """
     n = inst.n
     sigma = np.array(inst.sigma)
@@ -475,7 +483,8 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     rank[sigma] = np.arange(n)
     bits = np.unpackbits(np.frombuffer(d.to_bytes((n + 7) >> 3, "little"), np.uint8),
                          bitorder="little")
-    diff = np.append(bits[sigma], 0).astype(np.int64)  # diff[n] takes rank n, never read
+    # diff[n] takes the EA's rank n; a level search that reaches it gives n either way
+    diff = np.append(bits[sigma], 0).astype(np.int64)
     chunk = (_rls_chunks if rls else _oea_chunks)(rng, n, rank)
     mark = rng.getstate(), 0
     queries = 1  # the start point
@@ -494,12 +503,13 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
             queries += last + 1 - p
             mark = state, int(words[last])
             a, b = bounds[p], bounds[last + 1]
-            flipped = flip_rank[a:b][flip_min[a:b] >= f]
+            flipped = flip_rank[a:b] if rls else flip_rank[a:b][flip_min[a:b] >= f]
             diff ^= np.bincount(flipped, minlength=n + 1) & 1
             p = last + 1
             if greater:
-                above = np.flatnonzero(diff[f + 1:n])
-                f = f + 1 + int(above[0]) if len(above) else n
+                above = diff[f + 1:]
+                i = int(above.argmax())
+                f = f + 1 + i if above[i] else n
             if f == n or queries >= stop:
                 break
     rng.setstate(mark[0])

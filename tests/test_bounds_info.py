@@ -271,6 +271,16 @@ def test_onebit_rejects_secret_outside_the_string():
             onebit_simulation(start, [BitString(n, 0b00100)], secret)
 
 
+def test_onebit_rejects_large_n_before_building_the_table():
+    n = 15
+    start = BitString(n, 0)
+    secret = _secret(n, (0, 1), 0, 2)
+    cached = bounds._one_flip_secrets.cache_info().currsize
+    with pytest.raises(ValueError, match=r"^exhaustive enumeration is limited to n <= 14$"):
+        onebit_simulation(start, [BitString(n, 0b100)], secret)
+    assert bounds._one_flip_secrets.cache_info().currsize == cached
+
+
 def test_secret_masks_match_lo_value():
     # start is the all-zero string; secret i = (P, b) is the instance that
     # checks P, then b, then the rest against the target 1 << b, so the

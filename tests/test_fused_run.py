@@ -24,10 +24,11 @@ against the step draw by draw near every threshold.  From a crossover n
 on, rls and EA runs skip levels over bulk-drawn words; that engine is
 checked against the protocol loop with tiny chunks, its numpy steps
 against `math.log` near every step boundary, and its crossover through
-harness runs on either side.  The gate tests make `step`, `learn` and
-memlog's `pack_state` and `state_budget_bits` raise, so a default harness
-run that falls back to the protocol loop fails here, and so does an
-excluded case that stops calling them.
+harness runs on either side; diff bits below the level, which an rls
+stretch sets at will, must not change what it does.  The gate tests make
+`step`, `learn` and memlog's `pack_state` and `state_budget_bits` raise,
+so a default harness run that falls back to the protocol loop fails here,
+and so does an excluded case that stops calling them.
 """
 import contextlib
 import hashlib
@@ -226,6 +227,34 @@ def test_skip_levels_matches_protocol(n, chunk, skip_everywhere, run_rngs):
             cut += rec.budget_exhausted and rec.total_queries > 1
     if n >= 8:
         assert cut > 0  # some runs really were cut mid-way
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("rls", [True, False])
+def test_skip_levels_reads_no_rank_below_f(rls, chunk, monkeypatch):
+    # an rls stretch XORs its rejected flips (ranks below f) into the diff
+    # too, which is sound only if no level search or update reads a rank
+    # below f: set those bits at random and nothing may change
+    monkeypatch.setattr(framework, "_CHUNK", chunk)
+    rng = random.Random(f"below/{rls}/{chunk}")
+    for n in (2, 3, 5, 9, 17, 64, 257):
+        inst = random_instance(n, rng)
+        for trial in range(3):
+            f = rng.randrange(1, n)
+            clean = (1 << inst.sigma[f]) | sum(1 << inst.sigma[r] for r in range(f + 1, n)
+                                               if rng.getrandbits(1))
+            below = 0
+            while not below:
+                below = sum(1 << inst.sigma[r] for r in range(f) if rng.getrandbits(1))
+            seed = rng.getrandbits(64)
+            for stop in (3 * n, 11 * chunk + 4) if n > 64 else (math.inf, 3 * n):
+                runs = []
+                for d in (clean, clean | below):
+                    counts = [0] * (n + 1)
+                    run_rng = random.Random(seed)
+                    out = framework._skip_levels(rls, inst, run_rng, d, f, counts, stop)
+                    runs.append((out, counts, run_rng.getstate()))
+                assert runs[0] == runs[1]
 
 
 STEP_SIZES = list(range(2, 301)) + [1024, 4096]
