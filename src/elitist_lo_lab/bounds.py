@@ -21,7 +21,6 @@ Contents:
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import operator
@@ -279,6 +278,20 @@ def onebit_simulation(
 # -- the cardinality dynamic program for Phi -----------------------------------
 
 
+@functools.cache
+def _level_counts(k: int, m: int) -> tuple[int, ...]:
+    """g(0..km) of [k+m choose m]_q, the product over i <= m of (1 - q^(k+i))
+    / (1 - q^i); each partial product [k+i choose i]_q has degree ki <= km."""
+    size = k * m + 1
+    g = [1] + [0] * (size - 1)
+    for i in range(1, m + 1):
+        for N in range(size - 1, k + i - 1, -1):  # times 1 - q^(k+i)
+            g[N] -= g[N - k - i]
+        for N in range(i, size):  # over 1 - q^i
+            g[N] += g[N - i]
+    return tuple(g)
+
+
 class PhiSolver:
     """Memoized evaluation of the integer-split relaxation of the level game.
 
@@ -304,61 +317,46 @@ class PhiSolver:
     sums the C smallest merged slopes.  A mean of the C smallest elements is
     nondecreasing in C, so every row is monotone by construction.
 
-    `value` computes single cells exactly from the shortest sorted prefix of
-    S the cell needs; `float_row` computes a whole (k, m) row in float64
-    (documented comparison slack 1e-9) from one sort and one cumulative sum.
-    The cost of `value` grows with C, not with k+m: the `Fraction` prefixes
-    of every (k', m') below the cell are built to length about C, so C is
-    capped at MAX_PREFIX (at most a few seconds per cell); longer prefixes
-    take `float_row`.  A solver instance is confined to one thread.
+    Level counts: for m >= 1 each element of S(k, m) is (m-1)/2 + N/m with
+    integer N in [0, km]; the first part of the union keeps N and the second
+    adds m, so N's multiplicity g(N) obeys the q-Pascal rule: it is the
+    coefficient of q^N in the Gaussian binomial [k+m choose m]_q (partitions
+    of N into at most m parts, each at most k).  So Phi_hat(k, m, C) =
+    (m+1)/2 + (N_1 + ... + N_C)/(mC) over the C smallest N, each taken g(N)
+    times; g(0) = 1 gives Phi_hat(k, m, 1) = (m+1)/2, and g's symmetry about
+    km/2 gives Phi_hat(k, m, binom(k+m, m)) = (k+m+1)/2.
+
+    `value` computes single cells exactly from g; `float_row` computes a
+    whole (k, m) row in float64 (documented comparison slack 1e-9) from one
+    sort and one cumulative sum.  A solver instance is confined to one thread.
     """
 
     MAX_TOTAL = 24
-    MAX_PREFIX = 1 << 12
 
     def __init__(self):
-        # (k, m) -> a sorted prefix of S(k, m) and its running sums
-        self._prefixes: dict[tuple[int, int], tuple[list[Fraction], list[Fraction]]] = {}
         self._slopes: dict[tuple[int, int], np.ndarray] = {}
         self._rows: dict[tuple[int, int], np.ndarray] = {}
 
     @staticmethod
-    def _validate(k: int, m: int, C: int) -> None:
+    def _validate(k: int, m: int) -> None:
         if k < 0 or m < 0:
             raise ValueError("k and m must be non-negative")
         if k + m > PhiSolver.MAX_TOTAL:
             raise ValueError(f"k+m={k + m} exceeds the table guard {PhiSolver.MAX_TOTAL}")
+
+    def value(self, k: int, m: int, C: int) -> Fraction:
+        self._validate(k, m)
         total = math.comb(k + m, m)
         if not 1 <= C <= total:
             raise ValueError(f"C={C} out of range [1, {total}] for k={k}, m={m}")
-        if C > PhiSolver.MAX_PREFIX:
-            raise ValueError(
-                f"C={C} exceeds the exact-evaluation cap {PhiSolver.MAX_PREFIX}; "
-                f"float_row({k}, {m}) gives the whole row in float64"
-            )
-
-    def value(self, k: int, m: int, C: int) -> Fraction:
-        self._validate(k, m, C)
         if m == 0:
             return Fraction(0)
-        return 1 + self._prefix(k, m, C)[1][C - 1] / C
-
-    def _prefix(self, k: int, m: int, length: int) -> tuple[list[Fraction], list[Fraction]]:
-        """The smallest elements of S(k, m) in order, at least `length` of
-        them or all, with their running sums.  Prefix lengths are powers of
-        two, so sweeping a row C by C costs O(|S|) per (k, m)."""
-        if m == 0:
-            return [Fraction(0)], [Fraction(0)]
-        length = min(math.comb(k + m, m), 1 << (length - 1).bit_length())
-        cached = self._prefixes.get((k, m))
-        if cached is None or len(cached[0]) < length:
-            weight = Fraction(m - 1, m)
-            parts = [(weight * (1 + s) for s in self._prefix(k, m - 1, length)[0])]
-            if k:
-                parts.append(1 + s for s in self._prefix(k - 1, m, length)[0])
-            slopes = list(itertools.islice(heapq.merge(*parts), length))
-            cached = self._prefixes[(k, m)] = slopes, list(itertools.accumulate(slopes))
-        return cached
+        left, level_sum = C, 0
+        for N, count in enumerate(_level_counts(k, m)):
+            take = min(count, left)
+            level_sum += N * take
+            left -= take
+        return Fraction((m + 1) * m * C + 2 * level_sum, 2 * m * C)
 
     def _float_slopes(self, k: int, m: int) -> np.ndarray:
         """All of S(k, m) in float64, sorted."""
@@ -375,8 +373,7 @@ class PhiSolver:
     def float_row(self, k: int, m: int) -> np.ndarray:
         """Row of Phi_hat(k, m, C) for C = 1..binom(k+m, m) in float64;
         index 0 is NaN padding."""
-        if k < 0 or m < 0:
-            raise ValueError("k and m must be non-negative")
+        self._validate(k, m)
         row = self._rows.get((k, m))
         if row is None:
             slopes = self._float_slopes(k, m)

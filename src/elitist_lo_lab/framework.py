@@ -355,11 +355,11 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
 # per-query loop against `_skip_levels`, 20 runs per cell, best of 5 (2-core
-# VM): rls 1.30 against 0.82 ms at n = 96, 2.65 against 1.32 ms at 128; oea
-# 0.85 against 0.99 ms at n = 32, 3.27 against 1.95 ms at 64.  The rls
-# engine now wins at 96 too; its crossover was set when it lost there.  At
-# n <= 16 the engine's fixed numpy cost makes a run 3-10 times slower.
-_SKIP_FROM = {Rls: 128, OneEa: 64}
+# VM): rls 0.32 against 0.31 ms at n = 48, 0.55 against 0.50 at 56, 0.69
+# against 0.50 at 64, 1.22 against 0.97 at 96; oea 0.72 against 0.98 ms at
+# n = 32, 2.39 against 1.63 at 64.  At n <= 16 the engine's fixed numpy
+# cost makes a run 3-10 times slower.
+_SKIP_FROM = {Rls: 64, OneEa: 64}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
 _CHUNK = 2048

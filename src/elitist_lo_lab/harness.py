@@ -246,8 +246,8 @@ PHI_EXACT_MAX_TOTAL = 10
 def cmd_phi(kmax: int, mmax: int, eps: float = DEFAULT_EPS) -> list[str]:
     """CSV rows of the cardinality DP over k <= kmax, m in [1, mmax], all C.
 
-    Exact rational arithmetic up to kmax + mmax <= 10; float64 rows beyond
-    (comparison slack 1e-9), which keeps full-table enumeration tractable.
+    Exact rationals up to kmax + mmax <= PHI_EXACT_MAX_TOTAL, float64 rows
+    beyond (slack 1e-9); both are cheap, and the split keeps the output's bits.
     """
     if kmax < 0 or mmax < 1:
         raise ValueError("need kmax >= 0 and mmax >= 1")

@@ -2,13 +2,13 @@ import functools
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from elitist_lo_lab.bounds import PhiSolver, phi_closed_form
-from elitist_lo_lab.harness import PHI_EXACT_MAX_TOTAL
+from elitist_lo_lab.bounds import PhiSolver, _level_counts, phi_closed_form
 
 
 # -- the cardinality DP -----------------------------------------------------------
@@ -41,19 +41,11 @@ def test_phi_rejects_out_of_range():
         solver.value(20, 20, 1)
 
 
-def test_phi_value_caps_prefix_length():
-    # the cost of an exact cell grows with C, so C is capped, not only k+m
+def test_phi_float_row_keeps_the_table_guard():
     solver = PhiSolver()
-    cap = PhiSolver.MAX_PREFIX
-    assert cap == 1 << 12
-    for k, m in ((12, 12), (10, 10), (4, 20)):
-        with pytest.raises(ValueError, match="float_row"):
-            solver.value(k, m, cap + 1)
-    with pytest.raises(ValueError, match="float_row"):
-        solver.value(12, 12, math.comb(24, 12))
-    # every C the exact branch of `lolab phi` reaches stays below the cap
-    assert math.comb(PHI_EXACT_MAX_TOTAL, PHI_EXACT_MAX_TOTAL // 2) < cap
-    assert solver.value(12, 12, 1) == Fraction(13, 2)
+    with pytest.raises(ValueError, match="exceeds the table guard"):
+        solver.float_row(24, 1)
+    assert not solver._slopes  # refused before any sub-row is built
 
 
 def test_phi_monotone_in_C_small_cells():
@@ -182,6 +174,44 @@ def test_phi_value_builds_only_the_needed_prefix():
     t0 = time.perf_counter()
     assert PhiSolver().value(12, 12, 1) == Fraction(13, 2)
     assert time.perf_counter() - t0 < 0.5
+
+
+# -- the level counts: Gaussian binomial coefficients ---------------------------------
+
+
+def test_level_counts_are_gaussian_binomial_coefficients():
+    for total in range(0, PhiSolver.MAX_TOTAL + 1):
+        for m in range(0, total + 1):
+            g = _level_counts(total - m, m)
+            assert len(g) == (total - m) * m + 1
+            assert sum(g) == math.comb(total, m), (total - m, m)
+            assert g == g[::-1], (total - m, m)  # g(N) = g(km - N)
+
+
+def test_level_counts_count_the_slopes():
+    # g(N) elements of S(k, m) equal (m-1)/2 + N/m
+    for total in range(1, 11):
+        for m in range(1, total + 1):
+            k = total - m
+            levels = Counter((s - Fraction(m - 1, 2)) * m for s in _slopes(k, m))
+            assert all(level.denominator == 1 for level in levels), (k, m)
+            assert [levels[N] for N in range(k * m + 1)] == list(_level_counts(k, m))
+
+
+def test_phi_full_prefix_is_half_k_plus_m_plus_one():
+    solver = PhiSolver()
+    for total in range(1, PhiSolver.MAX_TOTAL + 1):
+        for m in range(1, total + 1):
+            C = math.comb(total, m)
+            assert solver.value(total - m, m, C) == Fraction(total + 1, 2), (total - m, m)
+
+
+def test_phi_value_past_4096_matches_float_row():
+    solver = PhiSolver()
+    row = solver.float_row(12, 12)
+    for C in (4097, 10**5, math.comb(24, 12)):
+        exact = float(solver.value(12, 12, C))
+        assert row[C] == pytest.approx(exact, rel=1e-9, abs=0.0), C
 
 
 # -- closed form --------------------------------------------------------------------

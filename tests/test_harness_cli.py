@@ -308,6 +308,22 @@ def test_cli_run_budget_cut_digest(tmp_path, algo):
     assert hashlib.sha256(data).hexdigest() == BUDGET_DIGESTS[algo]
 
 
+# sha256 of `lolab phi --out`, captured before `PhiSolver.value` moved from a
+# merge of sorted Fraction prefixes to level counts: kmax + mmax = 10 takes
+# the exact branch, 16 the float64 rows
+PHI_DIGESTS = {
+    (6, 4): "afb5037512da17e8fd0f289ae6cfde8a8d9b4475d3057763c9b03201717c440a",
+    (8, 8): "4fe42f0e3a74cc33ddb39a2139953ddb84215cddb3910ae0bf3a7d551cfcc1ee",
+}
+
+
+@pytest.mark.parametrize("kmax,mmax", sorted(PHI_DIGESTS))
+def test_cli_phi_output_digest(tmp_path, kmax, mmax):
+    out = tmp_path / "phi.csv"
+    assert _run_cli(["phi", "--kmax", str(kmax), "--mmax", str(mmax), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHI_DIGESTS[(kmax, mmax)]
+
+
 # memlog's wide regime, where halving masks span hundreds of positions;
 # captured before the halving select moved from a bisection to a sorted
 # free-position list.  At budget 848 all three runs stop inside a halving phase.
