@@ -335,7 +335,6 @@ class PhiSolver:
 
     def __init__(self):
         self._slopes: dict[tuple[int, int], np.ndarray] = {}
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
 
     @staticmethod
     def _validate(k: int, m: int) -> None:
@@ -371,15 +370,12 @@ class PhiSolver:
         return slopes
 
     def float_row(self, k: int, m: int) -> np.ndarray:
-        """Row of Phi_hat(k, m, C) for C = 1..binom(k+m, m) in float64;
+        """A new row of Phi_hat(k, m, C) for C = 1..binom(k+m, m) in float64;
         index 0 is NaN padding."""
         self._validate(k, m)
-        row = self._rows.get((k, m))
-        if row is None:
-            slopes = self._float_slopes(k, m)
-            row = np.full(len(slopes) + 1, np.nan)
-            row[1:] = 1.0 + np.cumsum(slopes) / np.arange(1, len(slopes) + 1) if m else 0.0
-            self._rows[(k, m)] = row
+        slopes = self._float_slopes(k, m)
+        row = np.full(len(slopes) + 1, np.nan)
+        row[1:] = 1.0 + np.cumsum(slopes) / np.arange(1, len(slopes) + 1) if m else 0.0
         return row
 
 
@@ -698,6 +694,14 @@ class InductionReport:
         return d
 
 
+def worst_cell(cells: list[InductionCell]) -> InductionCell:
+    """The first swept cell whose max_r is NaN, else the first swept cell
+    with the largest max_r: the cell that decides the sweep's verdict."""
+    swept = [c for c in cells if not c.skipped]
+    nan = next((c for c in swept if math.isnan(c.max_r)), None)
+    return nan if nan is not None else max(swept, key=lambda c: c.max_r)
+
+
 def verify_induction_step(
     p_resolution: int = 4096,
     eps: float = DEFAULT_EPS,
@@ -718,7 +722,6 @@ def verify_induction_step(
     if p_resolution < 2:
         raise ValueError("p_resolution must be >= 2 to include both endpoints")
     cells: list[InductionCell] = []
-    global_max = -math.inf
     base = np.arange(p_resolution, dtype=float)
     # a huge eps overflows R to inf/NaN, which fails the cell below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -745,19 +748,18 @@ def verify_induction_step(
                     r = induction_r_values(k, m, log2_B, p, eps)
                     idx = int(np.argmax(r))
                     max_r = float(r[idx])
+                    # argmax returns the first NaN, so a NaN cell fails the sweep
                     cells.append(InductionCell(
                         k, m, log2_B, p_min, p_max, max_r, float(p[idx]), skipped=False,
                     ))
-                    # argmax returns the first NaN, which then fails the sweep
-                    if max_r > global_max or math.isnan(max_r):
-                        global_max = max_r
     if all(c.skipped for c in cells):
         raise ValueError(f"no cell swept: every grid cell has k+m > max_total={max_total}")
+    max_r = worst_cell(cells).max_r
     return InductionReport(
         eps=eps,
         p_resolution=p_resolution,
-        passed=global_max <= 1.0,
-        max_r=global_max,
+        passed=max_r <= 1.0,
+        max_r=max_r,
         cells=cells,
     )
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from . import harness
-from .bounds import verify_induction_step
+from .bounds import verify_induction_step, worst_cell
 from .heuristics import STRATEGIES
 
 CLI_BUDGET_CAP = 10 ** 9
@@ -56,13 +55,11 @@ def _json_lines(obj: dict) -> list[str]:
 
 
 def _sweep_summary(report) -> str:
-    """One line on the cells swept and skipped and the worst swept cell;
-    the first NaN cell counts as the worst, as it does for the verdict."""
-    swept = [c for c in report.cells if not c.skipped]
-    worst = next((c for c in swept if math.isnan(c.max_r)), None)
-    if worst is None:
-        worst = max(swept, key=lambda c: c.max_r)
-    return (f"verify: {len(swept)} cells swept, {len(report.cells) - len(swept)} "
+    """One line on the cells swept and skipped and the worst swept cell,
+    the one that decides the verdict."""
+    skipped = sum(c.skipped for c in report.cells)
+    worst = worst_cell(report.cells)
+    return (f"verify: {len(report.cells) - skipped} cells swept, {skipped} "
             f"skipped; worst cell k={worst.k} m={worst.m} log2_B={worst.log2_B!r}: "
             f"max R(p) = {worst.max_r!r} at p = {worst.argmax_p!r}")
 

@@ -46,14 +46,14 @@ class Strategy(Protocol):
     on comparison outcomes only.
 
     Optional extras:
-      * state_budget_bits(n): declared bound on the packed state size; when
-        not None the runner enforces it after every step.
+      * state_budget_bits(n): declared bound on the packed state size; the
+        runner enforces it after every step.
       * pack_state(state): serialize the state to bytes for enforcement;
         the runner calls it once per step.
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
-    observer, oracle or start point) takes its body in `_LOOPS`, which
-    keeps the strategy's state in locals and calls none of its methods;
+    observer or oracle) takes its body in `_LOOPS`, which keeps the
+    strategy's state in locals and calls none of its methods;
     memlog's runs a halving search at a time, and its declared state
     budget holds by construction, so nothing checks it.  These classes
     have empty `__slots__`, so a plain instance cannot override a method
@@ -121,7 +121,6 @@ def run_one_plus_one(
     budget: int | None = None,
     *,
     oracle: Callable[..., CountingOracle] | None = None,
-    initial: BitString | None = None,
     observer: Callable | None = None,
 ) -> RunRecord:
     """Run a (1+1) elitist strategy until the optimum is sampled or the
@@ -129,7 +128,7 @@ def run_one_plus_one(
 
     The incumbent is replaced iff compare(offspring, incumbent) is not
     LESS, so ties are accepted; the protocol permits either tie rule.  The
-    initial point is uniform unless `initial` is given.
+    initial point is uniform.
 
     `seed` seeds the run's rng, whose first draw, the start point's
     `getrandbits(n)`, is the one `random_instance(n, random.Random(seed))`
@@ -144,20 +143,19 @@ def run_one_plus_one(
     runner's one white-box hook, used by `verify_ranking_invariance` and by
     white-box tests.
 
-    When `type(strategy)` is a key of `_LOOPS` and `oracle`, `initial` and
-    `observer` are None, `_run_fused` runs it with the same draws, errors,
-    record and final rng state.  Every other call runs the protocol loop
+    When `type(strategy)` is a key of `_LOOPS` and `oracle` and `observer`
+    are None, `_run_fused` runs it with the same draws, errors, record and
+    final rng state.  Every other call runs the protocol loop
     below, which stays the reference.
     """
-    if type(strategy) in _LOOPS and oracle is None and initial is None and observer is None:
+    if type(strategy) in _LOOPS and oracle is None and observer is None:
         return _run_fused(strategy, inst, seed, budget)
     n = inst.n
     rng = random.Random(seed)
     oracle = (oracle or CountingOracle)(inst)
-    budget_bits = pack = None
+    pack = None
     if hasattr(strategy, "state_budget_bits"):
         budget_bits = strategy.state_budget_bits(n)
-    if budget_bits is not None:
         pack = strategy.pack_state
         max_bytes = (budget_bits + 7) // 8  # a packed state may pad to whole bytes
     state = strategy.fresh_state(n, rng)
@@ -165,7 +163,7 @@ def run_one_plus_one(
     if budget is not None and budget < 1:
         return _finish_record(strategy.name, inst, seed, oracle, True)
 
-    incumbent = initial if initial is not None else BitString.random(n, rng)
+    incumbent = BitString.random(n, rng)
     oracle.submit(incumbent)
     if observer is not None:
         observer(("init", incumbent))
@@ -356,10 +354,13 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
 # per-query loop against `_skip_levels`, 20 runs per cell, best of 5 (2-core
 # VM): rls 0.32 against 0.31 ms at n = 48, 0.55 against 0.50 at 56, 0.69
-# against 0.50 at 64, 1.22 against 0.97 at 96; oea 0.72 against 0.98 ms at
-# n = 32, 2.39 against 1.63 at 64.  At n <= 16 the engine's fixed numpy
-# cost makes a run 3-10 times slower.
-_SKIP_FROM = {Rls: 64, OneEa: 64}
+# against 0.50 at 64, 1.22 against 0.97 at 96.  oea, three passes with the
+# two interleaved: the loop won two of three at n = 32, the engine every
+# pass from 36 on; the second pass read 0.63 against 0.68 ms at n = 32,
+# 0.87 against 0.68 at 36, 1.28 against 1.01 at 48, 2.48 against 1.58 at
+# 64.  At n <= 16 the engine's fixed numpy cost makes a run 3-10 times
+# slower.
+_SKIP_FROM = {Rls: 64, OneEa: 36}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
 _CHUNK = 2048
@@ -552,12 +553,12 @@ def verify_ranking_invariance(
     inst: LoInstance,
     monotone_transform: Callable[[int], int],
     seed: int,
-    budget: int = 1_000_000,
 ) -> bool:
     """Run a fresh strategy from the zero-argument factory `strategy` (a
     strategy class is one) on the oracle for f and another on the oracle
     for transform(f), with the same seed; True iff the query sequences,
-    collected through `observer`, coincide.
+    collected through `observer`, coincide.  Each run stops after
+    1,000,000 queries, a bound for a strategy that never finishes.
 
     Any strategy that consults only comparison outcomes passes for every
     strictly increasing transform; one that learns numeric values through
@@ -573,6 +574,6 @@ def verify_ranking_invariance(
         def observe(event):  # the start point, then each step's offspring
             queries.append(event[1] if event[0] == "init" else event[2])
 
-        run_one_plus_one(strategy(), inst, seed, budget, oracle=oracle, observer=observe)
+        run_one_plus_one(strategy(), inst, seed, 1_000_000, oracle=oracle, observer=observe)
         runs.append(queries)
     return runs[0] == runs[1]

@@ -16,15 +16,10 @@ from enum import IntEnum
 def set_bits(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative int, ascending."""
     out: list[int] = []
-    base = 0
     while mask:
-        chunk = mask & 0xFFFFFFFFFFFFFFFF
-        while chunk:
-            low = chunk & -chunk
-            out.append(base + low.bit_length() - 1)
-            chunk ^= low
-        mask >>= 64
-        base += 64
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -177,7 +172,6 @@ class CountingOracle:
     """
 
     def __init__(self, instance: LoInstance):
-        self.instance = instance
         self.query_count = 0
         self.best_fitness_seen: int | None = None
         self.per_level_counts: dict[int, int] = {}

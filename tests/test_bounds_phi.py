@@ -85,6 +85,13 @@ def test_phi_float_row_monotone_mid_size():
     assert diffs.min() > -1e-9
 
 
+def test_phi_float_row_is_a_new_array_each_call():
+    solver = PhiSolver()
+    want = solver.float_row(3, 4).copy()
+    solver.float_row(3, 4)[1:] = -1.0  # a caller's write stays in its own row
+    np.testing.assert_array_equal(solver.float_row(3, 4), want)
+
+
 def test_phi_fresh_solver_wrapper():
     assert PhiSolver().value(2, 1, 2) == Fraction(3, 2)
 

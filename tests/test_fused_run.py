@@ -1,12 +1,12 @@
 """The fused rls/oea and memlog loops against the protocol loop, and the
 gate between them.
 
-`run_one_plus_one` runs a plain `Rls`, `OneEa` or `Memlog` (no observer,
-oracle or start point) in a loop over ints that never calls the strategy's
-methods.  A trivial subclass keeps the same draws on the protocol loop,
-which stays the reference: every record and the run's final rng state
-must agree.  Only the protocol loop builds a `CountingOracle`; both it and
-the fused loops keep the incumbent's prefix mask as one int and extend it
+`run_one_plus_one` runs a plain `Rls`, `OneEa` or `Memlog` (no observer
+or oracle) in a loop over ints that never calls the strategy's methods.
+A trivial subclass keeps the same draws on the protocol loop, which stays
+the reference: every record and the run's final rng state must agree.
+Only the protocol loop builds a `CountingOracle`; both it and the fused
+loops keep the incumbent's prefix mask as one int and extend it
 with `lo_core._climb` as f rises, so every fused run here runs with the
 oracle's constructor made to raise, one run per strategy and loop at
 n = 4096 must stay under a traced-memory bound, and so must one oracle at
@@ -464,7 +464,7 @@ def test_harness_runs_take_the_fused_loop(algo, step_raises, tmp_path):
 
 
 @pytest.mark.parametrize("cls", [Rls, OneEa, Memlog])
-@pytest.mark.parametrize("case", ["subclass", "observer", "oracle", "initial"])
+@pytest.mark.parametrize("case", ["subclass", "observer", "oracle"])
 def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
     n = 16
     inst = random_instance(n, random.Random(4))
@@ -474,10 +474,8 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
         strategy = PROTOCOL[cls]()
     elif case == "observer":
         kwargs["observer"] = lambda event: None
-    elif case == "oracle":
-        kwargs["oracle"] = CountingOracle
     else:
-        kwargs["initial"] = BitString(n, inst.z.word ^ 1)
+        kwargs["oracle"] = CountingOracle
     fused = run_one_plus_one(cls(), inst, seed=8)
     assert fused.total_queries > 1  # the start point is not the optimum
     with pytest.raises(StepCalled):

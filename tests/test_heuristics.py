@@ -167,13 +167,14 @@ def run_coupled(strategy_cls, inst: LoInstance, seed: int):
     rank_of = invert_permutation(inst.sigma)
     masks = [_permute_mask(inc.word ^ off.word, rank_of)
              for _, inc, off, _, _ in steps]
-    ident = LoInstance(n, BitString(n, (1 << n) - 1), tuple(range(n)))
+    # seed 0 starts the replay at `start`; the identity target agrees with
+    # it exactly at the ranks where init agrees with inst's target
+    start = random.Random(0).getrandbits(n)
+    agree = _agreement_word(init, inst)
+    ident = LoInstance(n, BitString(n, start ^ agree ^ ((1 << n) - 1)), tuple(range(n)))
     events2 = []
-    rec2 = run_one_plus_one(
-        ScriptedMaskStrategy(masks), ident, seed=0,
-        initial=BitString(n, _agreement_word(init, inst)),
-        observer=events2.append,
-    )
+    rec2 = run_one_plus_one(ScriptedMaskStrategy(masks), ident, seed=0,
+                            observer=events2.append)
     steps2 = [e for e in events2 if e[0] == "step"]
     traj2 = []
     for _, inc, off, outcome, accepted in steps2:

@@ -9,9 +9,11 @@ import pytest
 from elitist_lo_lab import bounds
 from elitist_lo_lab.bounds import (
     DEFAULT_EPS,
+    InductionCell,
     induction_r_values,
     phi_closed_form,
     verify_induction_step,
+    worst_cell,
 )
 
 
@@ -107,6 +109,17 @@ def test_nan_cell_fails_the_sweep(monkeypatch):
         warnings.simplefilter("error")
         report = verify_induction_step(p_resolution=64, eps=1e308)
     assert not report.passed
+
+
+def test_worst_cell_takes_the_first_nan_else_the_first_maximum():
+    def cell(k, max_r):
+        return InductionCell(k, 2, 1.0, 0.0, 1.0, max_r, 0.5, skipped=False)
+
+    skipped = InductionCell(0, 2, 1.0, 1.0, 0.0, None, None, True, "empty")
+    cells = [skipped, cell(1, 0.5), cell(2, 2.0), cell(3, math.nan), cell(4, math.nan)]
+    assert worst_cell(cells) is cells[3]  # a NaN after a larger finite cell
+    cells = [skipped, cell(1, 0.5), cell(2, 0.9), cell(3, 0.9), cell(4, 0.1)]
+    assert worst_cell(cells) is cells[2]  # the first of two maximal cells
 
 
 def test_k_zero_cells_sweep_only_p_equal_one():

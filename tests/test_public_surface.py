@@ -7,8 +7,7 @@ method, must be named somewhere outside its own definition: in src,
 the other tests use belongs in those tests, or goes with them.  Dunder
 methods, which Python calls, and overrides, which their base class calls,
 are exempt.  Likewise some file in `USERS` must pass each defaulted
-parameter of a src function, by keyword or by position; `KEPT_DEFAULTS`
-names the ones kept for a test, each with its reason.
+parameter of a src function, by keyword or by position.
 """
 import ast
 import importlib
@@ -78,15 +77,6 @@ def definitions(tree: ast.Module, module):
                     yield f"{node.name}.{name}", sub
 
 
-# Defaulted parameters that only tests pass, each kept for the reason given.
-KEPT_DEFAULTS = {
-    # criterion 9 passes it through `test_heuristics.run_coupled`
-    "run_one_plus_one(initial)",
-    # the peeking negative control needs it: a peeking strategy need not finish
-    "verify_ranking_invariance(budget)",
-}
-
-
 def calls(tree: ast.AST) -> Counter:
     """(called name, positional argument count, keyword names) of each call;
     a `*args` counts as every position and a `**kwargs` as the keyword "*"."""
@@ -118,10 +108,8 @@ def test_public_surface_is_pinned():
 
 
 def test_runner_parameters_are_pinned():
-    # `initial` stays for criterion 9's coupling (`run_coupled`)
     params = inspect.signature(elitist_lo_lab.run_one_plus_one).parameters
-    assert list(params) == ["strategy", "inst", "seed", "budget", "oracle", "initial",
-                            "observer"]
+    assert list(params) == ["strategy", "inst", "seed", "budget", "oracle", "observer"]
 
 
 def test_every_src_name_has_a_user_outside_the_tests():
@@ -154,9 +142,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                 # a function's calls of itself pass nothing from outside
                 users = passed - calls(node)
                 for i, arg in defaulted(node, method):
-                    label = f"{node.name}({arg})"
-                    if label not in KEPT_DEFAULTS and not any(
-                            c == name and (p > i or arg in k or "*" in k)
-                            for c, p, k in users):
-                        unpassed.append(f"{path.name}:{node.lineno} {label}")
+                    if not any(c == name and (p > i or arg in k or "*" in k)
+                               for c, p, k in users):
+                        unpassed.append(f"{path.name}:{node.lineno} {node.name}({arg})")
     assert unpassed == []
