@@ -98,7 +98,14 @@ class RunRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
+        """`json.dumps(self.to_json_dict(), separators=(", ", ": "))`, as one
+        f-string; only `algo` needs `json.dumps` to be escaped."""
+        per_level = ", ".join([f"[{k}, {c}]" for k, c in self.per_level])
+        return (f'{{"algo": {json.dumps(self.algo)}, "n": {self.n}, "seed": {self.seed}, '
+                f'"total_queries": {self.total_queries}, '
+                f'"hit_optimum": {"true" if self.hit_optimum else "false"}, '
+                f'"budget_exhausted": {"true" if self.budget_exhausted else "false"}, '
+                f'"per_level": [{per_level}]}}')
 
 
 def _finish_record(algo: str, inst: LoInstance, seed: int,
@@ -212,7 +219,7 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     rng = random.Random(seed)
     if budget is not None and budget < 1:
         return RunRecord(algo, n, seed, 0, False, True, [])
-    d = BitString.random(n, rng).word ^ inst.z.word
+    d = rng.getrandbits(n) ^ inst.z.word  # the draw BitString.random(n, rng) makes
     f, prefix = _climb(d, 0, 0, inst.sigma)
     counts = [0] * (n + 1)
     stop = math.inf if budget is None else budget

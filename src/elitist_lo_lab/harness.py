@@ -91,16 +91,9 @@ RUN_CSV_COLUMNS = ("algo", "n", "seed", "total_queries", "hit_optimum",
 
 
 def record_csv_line(rec: RunRecord) -> str:
-    per_level = "|".join(f"{k}:{c}" for k, c in rec.per_level)
-    return ",".join((
-        rec.algo,
-        str(rec.n),
-        str(rec.seed),
-        str(rec.total_queries),
-        str(int(rec.hit_optimum)),
-        str(int(rec.budget_exhausted)),
-        per_level,
-    ))
+    per_level = "|".join([f"{k}:{c}" for k, c in rec.per_level])
+    return (f"{rec.algo},{rec.n},{rec.seed},{rec.total_queries},"
+            f"{int(rec.hit_optimum)},{int(rec.budget_exhausted)},{per_level}")
 
 
 def record_lines(records: Iterable[RunRecord], fmt: str) -> Iterator[str]:

@@ -102,7 +102,7 @@ class LoInstance:
             raise ValueError("target string length does not match n")
         if len(self.sigma) != self.n:
             raise ValueError("sigma length does not match n")
-        if sorted(self.sigma) != list(range(self.n)):
+        if set(self.sigma) != set(range(self.n)):
             raise ValueError("sigma is not a permutation of 0..n-1")
 
 
@@ -122,12 +122,25 @@ def lo_value(inst: LoInstance, x: BitString) -> int:
 
 
 def random_instance(n: int, rng: random.Random) -> LoInstance:
-    """Uniform instance: z uniform over {0,1}^n, sigma uniform over S_n."""
+    """Uniform instance: z uniform over {0,1}^n, sigma uniform over S_n.
+
+    z is `rng.getrandbits(n)`; sigma is `rng.shuffle(list(range(n)))`
+    written out: the same Fisher-Yates swaps from the top, each j drawn as
+    `_randbelow(i + 1)` draws it (`getrandbits` of (i + 1).bit_length()
+    bits, redrawn while above i), so the instance and the rng's final
+    state are the stdlib's, without a call per element.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     z = BitString.random(n, rng)
     sigma = list(range(n))
-    rng.shuffle(sigma)
+    getrandbits = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        sigma[i], sigma[j] = sigma[j], sigma[i]
     return LoInstance(n, z, tuple(sigma))
 
 

@@ -8,10 +8,13 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elitist_lo_lab import cli, harness
 from elitist_lo_lab.bounds import PhiSolver, verify_induction_step
 from elitist_lo_lab.cli import main as cli_main
+from elitist_lo_lab.framework import RunRecord
 from elitist_lo_lab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -22,6 +25,7 @@ from elitist_lo_lab.harness import (
     fit_power_law,
     mix64,
     parse_game_spec,
+    record_csv_line,
     rep_seed,
     run_experiment,
 )
@@ -109,6 +113,64 @@ def test_config_validation():
         ExperimentConfig("rls", [8], reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig("spoon", [8], reps=1)
+
+
+# -- record serialization -------------------------------------------------------------
+
+
+def reference_csv_line(rec: RunRecord) -> str:
+    """The CSV line as `str` calls joined by commas: the layout `record_csv_line`
+    must keep byte for byte."""
+    per_level = "|".join(f"{k}:{c}" for k, c in rec.per_level)
+    return ",".join((
+        rec.algo,
+        str(rec.n),
+        str(rec.seed),
+        str(rec.total_queries),
+        str(int(rec.hit_optimum)),
+        str(int(rec.budget_exhausted)),
+        per_level,
+    ))
+
+
+def assert_serializes_as_reference(rec: RunRecord) -> None:
+    assert rec.to_json() == json.dumps(rec.to_json_dict(), separators=(", ", ": "))
+    assert record_csv_line(rec) == reference_csv_line(rec)
+
+
+@pytest.mark.parametrize("algo", ["rls", "oea", "memlog"])
+@pytest.mark.parametrize("budget", [None, 20])
+def test_run_records_serialize_as_reference(algo, budget):
+    config = ExperimentConfig(algo, [1, 2, 16, 64], reps=5, seed=28, budget=budget)
+    records = list(run_experiment(config))
+    assert len(records) == 20
+    if budget is not None:
+        assert any(rec.budget_exhausted for rec in records)
+    for rec in records:
+        assert_serializes_as_reference(rec)
+
+
+ALGO_NAMES = st.one_of(
+    st.sampled_from(['a"b', "back\\slash", "\\\"", "é", "名前", "emoji \U0001f600", ""]),
+    st.text(alphabet=st.sampled_from('ab"\\é名\U0001f600\n\t\x00,|:'), max_size=16),
+    st.text(max_size=16),
+)
+LEVEL_COUNTS = st.tuples(st.integers(-1, 1 << 20), st.integers(0, 1 << 40))
+
+
+@given(st.builds(
+    RunRecord,
+    algo=ALGO_NAMES,
+    n=st.integers(1, 1 << 20),
+    seed=st.integers(0, (1 << 64) - 1),
+    total_queries=st.integers(0, 1 << 40),
+    hit_optimum=st.booleans(),
+    budget_exhausted=st.booleans(),
+    per_level=st.one_of(st.lists(LEVEL_COUNTS, max_size=8),
+                        st.lists(LEVEL_COUNTS, min_size=200, max_size=600)),
+))
+def test_drawn_records_serialize_as_reference(rec):
+    assert_serializes_as_reference(rec)
 
 
 # -- scaling -------------------------------------------------------------------------

@@ -233,6 +233,24 @@ def test_random_instance_rejects_n0():
         random_instance(0, random.Random(0))
 
 
+def stdlib_instance(n: int, seed: int):
+    """The instance draw as the stdlib makes it: z by getrandbits(n), then
+    sigma by Random.shuffle; returns (z word, sigma, final rng state)."""
+    rng = random.Random(seed)
+    z = rng.getrandbits(n)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    return z, tuple(sigma), rng.getstate()
+
+
+@pytest.mark.parametrize("n", [*range(1, 70), 255, 256, 257, 1024, 4096])
+def test_random_instance_replicates_stdlib_shuffle(n):
+    for seed in range(20):
+        rng = random.Random(seed)
+        inst = random_instance(n, rng)
+        assert (inst.z.word, inst.sigma, rng.getstate()) == stdlib_instance(n, seed)
+
+
 def test_random_instance_uniform_chi_square():
     # 2^3 * 3! = 48 equally likely instances; chi-square at significance 0.001
     rng = random.Random(2024)
@@ -383,10 +401,18 @@ def test_bitstring_rejects_bad_input():
     ("101", (1, 1, 0)),
     ("101", (0, 1, 3)),
     ("101", (2, 3, 1)),
-], ids=["z-length", "sigma-length", "repeated", "out-of-range", "one-based"])
+    ("101", (0, "1", 2)),
+], ids=["z-length", "sigma-length", "repeated", "out-of-range", "one-based", "str-entry"])
 def test_lo_instance_rejects_bad_fields(z, sigma):
     with pytest.raises(ValueError):
         LoInstance(3, bits(z), sigma)
+
+
+def test_lo_instance_accepts_shuffled_permutation():
+    n = 4096
+    sigma = list(range(n))
+    random.Random(4096).shuffle(sigma)
+    assert LoInstance(n, BitString(n), tuple(sigma)).sigma == tuple(sigma)
 
 
 def test_identity_instance():
