@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Protocol
 
 import numpy as np
@@ -57,12 +58,13 @@ class Strategy(Protocol):
     memlog's runs a halving search at a time, and its declared state
     budget holds by construction, so nothing checks it.  These classes
     have empty `__slots__`, so a plain instance cannot override a method
-    or the budget.  Such a run builds no `CountingOracle`: a body keeps
-    the incumbent's prefix mask as one int and extends it with `_climb`,
-    as the oracle does.  From n = `_SKIP_FROM[cls]` on, the rls and (1+1)
-    EA bodies charge each fitness level's queries at once from bulk-drawn
-    rng words.  A subclass always runs the protocol loop and its own
-    methods.
+    or the budget.  Such a run builds no `CountingOracle`: the rls and
+    (1+1) EA bodies keep the incumbent's prefix mask as one int and extend
+    it with `_climb`, as the oracle does, and memlog's keeps a heap of the
+    prefix's unmarked positions.  From n = `_SKIP_FROM[cls]` on, the rls
+    and (1+1) EA bodies charge each fitness level's queries at once from
+    bulk-drawn rng words.  A subclass always runs the protocol loop and
+    its own methods.
     """
 
     name: str
@@ -206,9 +208,10 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     It draws the start point, charged to INIT_LEVEL, and finds its fitness
     by `_climb`, a scan over sigma; the body `_LOOPS[type(strategy)]` runs
     the queries after it and returns (queries, f).  A body keeps the diff
-    word d = x ^ z of the incumbent x, its fitness f, the mask
-    prefix = prefix[f] of the positions sigma[:f] and the per-level
-    counts.  The incumbent is always the best point charged so far, so
+    word d = x ^ z of the incumbent x, its fitness f and the per-level
+    counts; the rls and (1+1) EA bodies also keep the mask
+    prefix = prefix[f] of the positions sigma[:f], which memlog's reads
+    no more.  The incumbent is always the best point charged so far, so
     each query is charged to level f and decided as
     `CountingOracle.compare` decides it: LESS iff it meets prefix, else
     GREATER iff it clears sigma[f].  f never falls, so after a GREATER
@@ -293,23 +296,53 @@ def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
     return queries, f
 
 
+@functools.cache
+def _bit_reversals(k: int) -> tuple[int, ...]:
+    """rev_k(t) for t < 2^k: the k bits of t in reverse order."""
+    rev = [0]
+    for _ in range(k):  # rev_{j+1}(t) is 2 rev_j(t), plus 1 for t >= 2^j
+        rev = [r << 1 for r in rev] + [r << 1 | 1 for r in rev]
+    return tuple(rev)
+
+
 def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
                  counts: list[int], stop: float) -> tuple[int, int]:
     """memlog after the start point, a search at a time; it draws nothing
     more from the rng.
 
     A search is the probe, which flips all of `free`, the ascending list of
-    unmarked positions (`unmarked` as a word), and after a LESS probe the
-    halving queries, each flipping P0's first half free[lo:mid] for
-    P0 = free[lo:hi], up to the query that marks a position or comes back
-    GREATER.  f is fixed within a search, so a query is LESS iff it flips
-    a gap (an unmarked position of rank < f, a bit of `gaps`), else GREATER
-    iff it flips sigma[f], which is never marked, else EQUAL.  With iy and
-    ig the indices in `free` of the lowest gap and of sigma[f],
-    lo <= iy < hi and lo <= ig hold, so iy < mid and ig < mid decide each
-    query.  The accepted EQUAL halves are free[:lo]: d takes them in one
-    XOR at the mark of free[lo], the lowest gap, or with the GREATER half
-    before the new f is scanned for (`_climb`, inlined).
+    its L unmarked positions (`unmarked` as a word), and after a LESS probe
+    the halving queries, each flipping P0's first half free[lo:mid], with
+    mid = (lo + hi + 1) >> 1, for P0 = free[lo:hi], up to the query that
+    marks a position or comes back GREATER.  f is fixed within a search,
+    so a query is LESS iff it flips a gap (an unmarked position of rank
+    < f), else GREATER iff it flips sigma[f], which is never marked, else
+    EQUAL.  Let iy and ig be the indices in `free` of the lowest gap and
+    of sigma[f]; with no gap the probe is GREATER.  The search tree on
+    indices 0..L-1 is fixed by L: with K = (L - 1).bit_length(), write
+    each leaf as its path from the root, K bits with the first step
+    highest and 1 for a second half, a leaf at depth K - 1 padded with a 0
+    bit.  Label the leaves t = 0..L-1: halving at the ceil can send to a
+    node's first half its ceil(m/2) labels whose next bit, read from the
+    lowest, is 0, so each path is its label's K bits reversed and the
+    leaves, left to right, carry `codes`, the sorted rev_K(t) for t < L;
+    a leaf is at depth K iff its code is odd or the next code is
+    code + 1.  So for cy and cg the codes of iy and ig:
+      * iy < ig: the search follows iy to its leaf and marks free[iy],
+        after 1 + depth(iy) queries (iy + 1 < L, so the next code exists);
+      * ig < iy: it comes back GREATER at the node where the two leaves
+        part, on bit s = (cy ^ cg).bit_length() - 1, after 1 + K - s
+        queries, with mid the index of the first code >= cy >> s << s.
+    The accepted EQUAL halves are free[:lo]: d takes them in one XOR at
+    the mark of free[lo] = free[iy], or with the GREATER half free[lo:mid]
+    before the new f is scanned for (`_climb`, inlined).  A mark takes L
+    to L - 1, which removes the code rev_K(L - 1); when L - 1 reaches
+    2^(K-1), K drops by one and the tree is full, so its codes are
+    0..L-2.  rev_K(t) is `_bit_reversals` of the run's first K, shifted
+    right by the drops so far.  The gaps are the unmarked positions of
+    rank < f, kept in the heap `gaps`: it starts as sigma[:f], takes each
+    position that f passes, never marked since every mark is of a gap,
+    and a mark pops its minimum, the position it marks.
 
     It neither packs nor checks memlog's state: `Memlog`'s declared budget,
     `state_budget_bits(n)`, fits a full B1 with the longest record a search
@@ -319,24 +352,26 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
     """
     n, sigma = inst.n, inst.sigma
     unmarked, free = (1 << n) - 1, list(range(n))
+    gaps = list(sigma[:f])
+    heapify(gaps)
+    size, k = n, (n - 1).bit_length()  # L and K
+    rev, shift, half = _bit_reversals(k), 0, (1 << k) >> 1
+    codes = sorted(rev[:n])
     queries = 1
     while f < n and queries < stop:
         ig = bisect_left(free, sigma[f])
-        assert free[ig] == sigma[f], "memlog invariant violated: sigma[f] is marked"
-        gaps = prefix & unmarked
-        iy = bisect_left(free, (gaps & -gaps).bit_length() - 1) if gaps else n
-        lo, hi, mid, h = 0, len(free), len(free), 1
-        while True:
-            if iy < mid:  # LESS: keep the first half
-                hi = mid
-            elif ig < mid:  # GREATER: accept
-                break
-            else:  # EQUAL: accept, keep the second half
-                lo = mid
-            if hi - lo == 1:
-                break
-            h += 1
-            mid = (lo + hi + 1) >> 1
+        if ig == size or free[ig] != sigma[f]:
+            raise RuntimeError("memlog invariant violated: sigma[f] is marked")
+        if gaps:
+            iy = bisect_left(free, gaps[0])
+            cy = codes[iy]
+            if iy < ig:  # it marks free[iy]
+                h, mid = (k + 1 if cy & 1 or codes[iy + 1] == cy + 1 else k), 0
+            else:  # GREATER where the two leaves part
+                s = (cy ^ codes[ig]).bit_length() - 1
+                h, mid = 1 + k - s, bisect_left(codes, cy >> s << s)
+        else:  # the probe is GREATER
+            h, mid = 1, size
         if h > stop - queries:  # the budget cuts it
             counts[f] += stop - queries
             return stop, f
@@ -346,15 +381,21 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
             d ^= unmarked & ((2 << free[mid - 1]) - 1)
             # `_climb` inlined, past sigma[f] untested: the call and the
             # test cost 2-4% of a whole run at n = 1024 and 4096
-            prefix |= 1 << sigma[f]
+            heappush(gaps, sigma[f])
             f += 1
             while f < n and not d >> sigma[f] & 1:
-                prefix |= 1 << sigma[f]
+                heappush(gaps, sigma[f])
                 f += 1
-        else:  # mark free[lo]
-            if lo:
-                d ^= unmarked & ((1 << free[lo]) - 1)
-            unmarked ^= 1 << free.pop(lo)
+        else:  # mark free[iy]
+            if iy:
+                d ^= unmarked & ((1 << gaps[0]) - 1)
+            unmarked ^= 1 << heappop(gaps)
+            del free[iy]
+            size -= 1
+            del codes[bisect_left(codes, rev[size] >> shift)]
+            if size == half:
+                k, shift, half = k - 1, shift + 1, half >> 1
+                codes = list(range(size))
     return queries, f
 
 

@@ -10,12 +10,16 @@ loops keep the incumbent's prefix mask as one int and extend it
 with `lo_core._climb` as f rises, so every fused run here runs with the
 oracle's constructor made to raise, one run per strategy and loop at
 n = 4096 must stay under a traced-memory bound, and so must one oracle at
-n = 16384.  The fused memlog loop decides a whole halving search from two
-indices into its list of unmarked positions, while the protocol loop's
+n = 16384.  The fused memlog loop reads a whole halving search off the
+bit-reversed leaf codes of two indices into its list of unmarked
+positions, and finds the lowest gap in a heap, while the protocol loop's
 `Memlog` bisects `p0_mask` with `lowest_set_bits` query by query, so the
 memlog checks compare two searches written independently (searches that
 end GREATER partway, runs cut after every step of a search, every case at
-n <= 2).  memlog's declared state budget holds by construction, which
+n <= 3, and n = 4097, where the codes' bit count drops at the first
+mark).  The code rule and its upkeep are also checked against the
+halving loop they replaced, `reference_search`, and against their
+definition.  memlog's declared state budget holds by construction, which
 `pack_state` confirms here for a full state, so the fused loop checks no
 budget; a subclass that declares a smaller one runs the protocol loop,
 which enforces it.  The fused EA loop ends each mask on a `_stop_below`
@@ -30,6 +34,7 @@ stretch sets at will, must not change what it does.  The gate tests make
 so a default harness run that falls back to the protocol loop fails here,
 and so does an excluded case that stops calling them.
 """
+import bisect
 import contextlib
 import hashlib
 import itertools
@@ -59,6 +64,7 @@ from elitist_lo_lab.heuristics import (
     _stop_below,
 )
 from elitist_lo_lab.lo_core import (
+    EQUAL,
     GREATER,
     LESS,
     BitString,
@@ -351,7 +357,7 @@ class HalvingSpy(Memlog):
         self.halving.append(state.p0_size != 0)
 
 
-MEMLOG_SIZES = list(range(1, 40)) + [63, 64, 65, 255, 256, 257, 1024, 4096]
+MEMLOG_SIZES = list(range(1, 40)) + [63, 64, 65, 255, 256, 257, 1024, 4096, 4097]
 
 
 @pytest.mark.parametrize("n", MEMLOG_SIZES)
@@ -615,12 +621,13 @@ def test_fused_memlog_budget_cuts_a_search_after_each_step(n, run_rngs):
     assert cut == set(range(first - 1, first + length))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
     # every target, order and start point and every query budget; at
     # n = 1 the probe always comes back GREATER, and at n = 2 a LESS probe
     # (f = 1) opens P0 = both positions, and the one halving query, on
-    # position 0, marks the gap sigma[0] (LESS) or repairs sigma[1] (GREATER)
+    # position 0, marks the gap sigma[0] (LESS) or repairs sigma[1] (GREATER);
+    # at n = 3 a second halving query can also mark after an EQUAL one
     starts = {}
     for seed in range(64):
         starts.setdefault(random.Random(seed).getrandbits(n), seed)
@@ -637,5 +644,117 @@ def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
                     _memlog_both(inst, seed, budget, run_rngs)
     if n == 1:
         assert outcomes == {(1, GREATER)}
-    else:
+    elif n == 2:
         assert outcomes == {(1, GREATER), (2, LESS), (2, GREATER)}
+    else:
+        assert outcomes == {(1, GREATER), (2, LESS), (2, GREATER),
+                            (3, LESS), (3, EQUAL), (3, GREATER)}
+
+
+# -- a halving search read off its leaf codes ------------------------------------------
+
+
+def reference_search(L, iy, ig):
+    """The halving loop over the L unmarked positions, which the fused
+    memlog loop ran query by query before it read each search off the leaf
+    codes: iy and ig are the indices of the lowest gap (L for none) and of
+    sigma[f].  Returns (queries, True, mid) for a search that ends GREATER
+    and (queries, False, lo) for one that marks free[lo]."""
+    lo, hi, mid, h = 0, L, L, 1
+    while True:
+        if iy < mid:  # LESS: keep the first half
+            hi = mid
+        elif ig < mid:  # GREATER: accept
+            break
+        else:  # EQUAL: accept, keep the second half
+            lo = mid
+        if hi - lo == 1:
+            break
+        h += 1
+        mid = (lo + hi + 1) >> 1
+    return (h, True, mid) if ig < mid else (h, False, lo)
+
+
+def _codes(L):
+    """sorted(rev_K(t) for t < L), K = (L - 1).bit_length(), as an array."""
+    k = (L - 1).bit_length()
+    t = np.arange(L)
+    rev = np.zeros(L, np.int64)
+    for j in range(k):
+        rev |= (t >> j & 1) << (k - 1 - j)
+    return np.sort(rev)
+
+
+def code_search(L, iy, ig, codes):
+    """The search `reference_search` runs, read off the leaf codes as the
+    fused memlog loop reads it; L = 1 leaves no room for a gap beside
+    sigma[f]."""
+    if iy == L:  # no gap: the probe is GREATER
+        return 1, True, L
+    k = (L - 1).bit_length()
+    cy = int(codes[iy])
+    if iy < ig:  # it marks free[iy] at its leaf's depth
+        return (k + 1 if cy & 1 or codes[iy + 1] == cy + 1 else k), False, iy
+    s = (cy ^ int(codes[ig])).bit_length() - 1  # the leaves part on bit s
+    return 1 + k - s, True, bisect.bisect_left(codes, cy >> s << s)
+
+
+def test_bit_reversals_reverse_k_bits():
+    for k in range(13):
+        assert framework._bit_reversals(k) == tuple(
+            int(f"{t:0{k}b}"[::-1] or "0", 2) for t in range(1 << k))
+
+
+def test_leaf_codes_give_every_small_search():
+    # every K up to 7 and each size where K drops; the grid to L = 300
+    # makes 9 million calls, about 15 s
+    wrong = []
+    for L in range(1, 129):
+        codes = _codes(L).tolist()
+        for iy in range(L + 1):
+            for ig in range(L):
+                if iy != ig and (code_search(L, iy, ig, codes)
+                                 != reference_search(L, iy, ig)):
+                    wrong.append((L, iy, ig))
+    assert wrong == []
+
+
+def test_leaf_codes_give_random_searches_to_two_to_the_twenty():
+    # 50 sizes, log-uniform up to 2^20, and 2000 index pairs each
+    rng = random.Random(29)
+    wrong, cases = [], 0
+    for _ in range(50):
+        e = rng.randrange(1, 21)
+        L = rng.randrange(1 << (e - 1), 1 << e) + 1
+        codes = _codes(L)
+        for _ in range(2000):
+            ig = rng.randrange(L)
+            iy = rng.choice((L, rng.randrange(L)))
+            if iy == ig:
+                continue
+            cases += 1
+            if code_search(L, iy, ig, codes) != reference_search(L, iy, ig):
+                wrong.append((L, iy, ig))
+    assert wrong == []
+    assert cases > 90_000
+
+
+def test_leaf_code_upkeep_matches_the_definition():
+    # the fused loop's upkeep from L = 5000 down: each mark removes
+    # rev_K(L - 1), read off the run's first table shifted by the drops of
+    # K so far, and at L = 2^(K-1) K drops and the codes are 0..L-1
+    L = 5000
+    k = (L - 1).bit_length()
+    rev, shift, half = framework._bit_reversals(k), 0, (1 << k) >> 1
+    codes = sorted(rev[:L])
+    wrong = []
+    while L > 1:
+        L -= 1
+        del codes[bisect.bisect_left(codes, rev[L] >> shift)]
+        if L == half:
+            k, shift, half = k - 1, shift + 1, half >> 1
+            codes = list(range(L))
+        assert k == (L - 1).bit_length()
+        if codes != _codes(L).tolist():
+            wrong.append(L)
+    assert wrong == []

@@ -7,7 +7,8 @@ method, must be named somewhere outside its own definition: in src,
 the other tests use belongs in those tests, or goes with them.  Dunder
 methods, which Python calls, and overrides, which their base class calls,
 are exempt.  Likewise some file in `USERS` must pass each defaulted
-parameter of a src function, by keyword or by position.
+parameter of a src function, by keyword or by position.  src holds no
+`assert` statement, which `python -O` strips: an invariant check raises.
 """
 import ast
 import importlib
@@ -146,3 +147,10 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                                for c, p, k in users):
                         unpassed.append(f"{path.name}:{node.lineno} {node.name}({arg})")
     assert unpassed == []
+
+
+def test_src_has_no_assert_statement():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
