@@ -363,10 +363,14 @@ class PhiSolver:
             return np.zeros(1)
         slopes = self._slopes.get((k, m))
         if slopes is None:
-            parts = [(m - 1) / m * (1.0 + self._float_slopes(k, m - 1))]
+            first = self._float_slopes(k, m - 1)
+            slopes = np.empty(math.comb(k + m, m))
+            head = np.add(1.0, first, out=slopes[:len(first)])
+            head *= (m - 1) / m
             if k:
-                parts.append(1.0 + self._float_slopes(k - 1, m))
-            slopes = self._slopes[(k, m)] = np.sort(np.concatenate(parts))
+                np.add(1.0, self._float_slopes(k - 1, m), out=slopes[len(first):])
+            slopes.sort()
+            self._slopes[(k, m)] = slopes
         return slopes
 
     def float_row(self, k: int, m: int) -> np.ndarray:
@@ -374,8 +378,11 @@ class PhiSolver:
         index 0 is NaN padding."""
         self._validate(k, m)
         slopes = self._float_slopes(k, m)
-        row = np.full(len(slopes) + 1, np.nan)
-        row[1:] = 1.0 + np.cumsum(slopes) / np.arange(1, len(slopes) + 1) if m else 0.0
+        row = np.empty(len(slopes) + 1)
+        row[0] = np.nan
+        mean = np.cumsum(slopes, out=row[1:])
+        mean /= np.arange(1, len(slopes) + 1)
+        mean += 1.0 if m else 0.0
         return row
 
 

@@ -88,20 +88,10 @@ class RunRecord:
     budget_exhausted: bool
     per_level: list[tuple[int, int]]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "n": self.n,
-            "seed": self.seed,
-            "total_queries": self.total_queries,
-            "hit_optimum": self.hit_optimum,
-            "budget_exhausted": self.budget_exhausted,
-            "per_level": [[k, c] for k, c in self.per_level],
-        }
-
     def to_json(self) -> str:
-        """`json.dumps(self.to_json_dict(), separators=(", ", ": "))`, as one
-        f-string; only `algo` needs `json.dumps` to be escaped."""
+        """The record as one JSON object, fields in order and per_level as
+        [level, count] pairs, with `json.dumps`'s default separators, built
+        as one f-string; only `algo` needs `json.dumps` to be escaped."""
         per_level = ", ".join([f"[{k}, {c}]" for k, c in self.per_level])
         return (f'{{"algo": {json.dumps(self.algo)}, "n": {self.n}, "seed": {self.seed}, '
                 f'"total_queries": {self.total_queries}, '
@@ -210,13 +200,12 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     the queries after it and returns (queries, f).  A body keeps the diff
     word d = x ^ z of the incumbent x, its fitness f and the per-level
     counts; the rls and (1+1) EA bodies also keep the mask
-    prefix = prefix[f] of the positions sigma[:f], which memlog's reads
-    no more.  The incumbent is always the best point charged so far, so
-    each query is charged to level f and decided as
-    `CountingOracle.compare` decides it: LESS iff it meets prefix, else
-    GREATER iff it clears sigma[f].  f never falls, so after a GREATER
-    query `_climb`, the oracle's own climb, ORs into prefix each position
-    that f passes, and a run takes O(n) memory.
+    prefix = prefix[f] of the positions sigma[:f].  The incumbent is
+    always the best point charged so far, so each query is charged to
+    level f and decided as `CountingOracle.compare` decides it: LESS iff
+    it meets prefix, else GREATER iff it clears sigma[f].  f never falls,
+    so after a GREATER query `_climb`, the oracle's own climb, ORs into
+    prefix each position that f passes, and a run takes O(n) memory.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)

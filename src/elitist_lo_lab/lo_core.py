@@ -167,19 +167,19 @@ class CountingOracle:
         time; the very first query is charged to INIT_LEVEL, and the query
         that enters a new level is charged to the level being left.
 
-    The oracle keeps (word, fitness, prefix mask) for the incumbent and for
-    the last EQUAL or GREATER offspring, where the prefix mask of a point
-    of fitness f has the positions sigma[:f] set.  `compare` decides its
-    outcome from f(x) and that mask with at most one AND and one shift: y
-    is LESS when y ^ z meets the mask, EQUAL when it keeps the mask but
-    not position sigma[f(x)], and GREATER otherwise, and only then does
-    `_climb` find f(y), scanning sigma from f(x) on.  A LESS outcome
-    leaves every counter as it is without f(y), because
-    f(y) < f(x) <= best_fitness_seen once x has been charged; for an x
-    never charged, f(y) is climbed from 0.  So an accepted offspring is
-    never evaluated twice; in a run, whose incumbent's f never falls, the
-    climbs scan sigma once in all; and the oracle takes O(n) memory.  `submit` and `compare` charge every
-    query through `_count`, the only writer of the counters.
+    The oracle holds one point, the incumbent, as (word, fitness, prefix
+    mask), where the prefix mask of a point of fitness f has the positions
+    sigma[:f] set.  `submit(x)` makes x the incumbent.  `compare(x, y)`
+    raises ValueError unless x is the incumbent, as a (1+1) elitist query
+    ranks an offspring only against its parent, and decides y with at most
+    one AND and one shift: LESS when y ^ z meets the mask, EQUAL when it
+    keeps the mask but not position sigma[f(x)], and GREATER otherwise,
+    and only then does `_climb` find f(y), scanning sigma from f(x) on.  A
+    LESS y is charged as f(x) - 1, which moves the counters as f(y) would,
+    since x was charged and f(y) < f(x); an EQUAL or GREATER y becomes the
+    incumbent, the runner's tie rule.  So a run's climbs scan sigma once in
+    all and the oracle takes O(n) memory.  `submit` and `compare` charge
+    every query through `_count`, the only writer of the counters.
 
     Owned by exactly one run at a time; concurrent runs need disjoint oracles.
     """
@@ -192,7 +192,7 @@ class CountingOracle:
         self._n = instance.n
         self._z = instance.z.word
         self._sigma = instance.sigma
-        self._incumbent = self._offspring = (None, 0, 0)
+        self._incumbent = (None, 0, 0)
 
     def _count(self, f: int) -> None:
         """Charge one query with known fitness f: update all counters."""
@@ -226,34 +226,24 @@ class CountingOracle:
     def compare(self, x: BitString, y: BitString) -> Ordering:
         """Three-way order of f(y) versus f(x), charging one query for y.
 
-        x is normally the incumbent, whose fitness was already charged; any
-        other x costs one more climb from 0.  Never exposes a numeric
-        fitness to the caller.
+        x must be the incumbent; an EQUAL or GREATER y replaces it.  Never
+        exposes a numeric fitness to the caller.
         """
         n = self._n
         if x.n != n or y.n != n:
             raise ValueError("dimension mismatch in compare")
-        xw = x.word
-        cached_word, fx, prefix = self._incumbent
-        if xw != cached_word:
-            cached_word, fx, prefix = self._offspring
-            if xw != cached_word:
-                fx, prefix = _climb(xw ^ self._z, 0, 0, self._sigma)
-            self._incumbent = (xw, fx, prefix)
+        word, fx, prefix = self._incumbent
+        if x.word != word:
+            raise ValueError("compare ranks an offspring only against the incumbent")
         diff = y.word ^ self._z
         if diff & prefix:
-            best = self.best_fitness_seen
-            if best is None or best < fx:  # x was never charged
-                fy = _climb(diff, 0, 0, self._sigma)[0]
-            else:  # f(y) < fx <= best: fx - 1 moves the same counters
-                fy = fx - 1
-            outcome = LESS
+            self._count(fx - 1)
+            return LESS
+        if fx == n or diff >> self._sigma[fx] & 1:
+            fy, outcome = fx, EQUAL
         else:
-            if fx == n or diff >> self._sigma[fx] & 1:
-                fy, outcome = fx, EQUAL
-            else:
-                fy, prefix = _climb(diff, fx, prefix, self._sigma)
-                outcome = GREATER
-            self._offspring = (y.word, fy, prefix)
+            fy, prefix = _climb(diff, fx, prefix, self._sigma)
+            outcome = GREATER
+        self._incumbent = (y.word, fy, prefix)
         self._count(fy)
         return outcome

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -219,6 +220,20 @@ def test_phi_value_past_4096_matches_float_row():
     for C in (4097, 10**5, math.comb(24, 12)):
         exact = float(solver.value(12, 12, C))
         assert row[C] == pytest.approx(exact, rel=1e-9, abs=0.0), C
+
+
+def test_phi_float_row_peak_allocation():
+    # the memo of every sub-row S(k', m') plus the row and its divisors read
+    # about 121 MiB at the peak; the sub-rows' transient copies (one per
+    # concatenated part and one per sort) took it to about 141 MiB
+    solver = PhiSolver()
+    tracemalloc.start()
+    try:
+        solver.float_row(12, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 130 * 2**20
 
 
 # -- closed form --------------------------------------------------------------------

@@ -21,7 +21,7 @@ from elitist_lo_lab.lo_core import (
 
 
 def record_from_json_dict(d: dict) -> RunRecord:
-    """The `RunRecord` that `to_json_dict` serialized as d."""
+    """The `RunRecord` that `to_json` serialized as d."""
     return RunRecord(
         algo=d["algo"],
         n=d["n"],

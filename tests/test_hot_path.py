@@ -20,7 +20,6 @@ from elitist_lo_lab.heuristics import Memlog, OneEa, Rls, oea_step, rls_step
 from elitist_lo_lab.lo_core import (
     EQUAL,
     GREATER,
-    INIT_LEVEL,
     LESS,
     BitString,
     CountingOracle,
@@ -28,7 +27,7 @@ from elitist_lo_lab.lo_core import (
 )
 
 from test_heuristics import ScriptedMaskStrategy
-from test_lo_core import ReferenceCounters, expected_order
+from test_lo_core import ReferenceCounters
 
 
 def reference_oea_step(x, rng):
@@ -146,41 +145,6 @@ def test_runner_matches_reference_loop_many_seeds():
             budget = rng.choice((None, 3, 40))
             rng.random()  # unused; keeps this stream's cases unchanged
             _assert_lo_value_run(make_strategy(), inst, trial, budget)
-
-
-# -- compare on points never charged ---------------------------------------------
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_compare_matches_reference_on_uncharged_points(n):
-    # sizes at the 64-bit word boundaries; test_lo_core covers other n
-    rng = random.Random(300 + n)
-    inst = random_instance(n, rng)
-    for _ in range(30):
-        oracle, ref = CountingOracle(inst), ReferenceCounters(inst)
-        for step in range(6):
-            # the first compare runs with best_fitness_seen None; later x are
-            # fresh points, old offspring or optima
-            x = rng.choice((BitString.random(n, rng), inst.z, BitString(n, inst.z.word ^ 1)))
-            y = x.flip(rng.randrange(n)) if rng.random() < 0.5 else BitString.random(n, rng)
-            if step == 0:
-                assert oracle.best_fitness_seen is None
-            assert oracle.compare(x, y) == expected_order(inst, x, y)
-            ref.charge(y)
-            ref.assert_matches(oracle)
-
-
-def test_compare_less_before_any_charge():
-    # x = optimum, y one flip below it, nothing charged yet: the LESS branch
-    # must climb to f(y) from 0 rather than compare against a missing best
-    inst = random_instance(6, random.Random(5))
-    for i in range(6):
-        oracle = CountingOracle(inst)
-        y = inst.z.flip(inst.sigma[i])
-        assert oracle.compare(inst.z, y) == LESS
-        assert oracle.best_fitness_seen == i
-        assert oracle.per_level_counts == {INIT_LEVEL: 1}
-        assert oracle.query_count == 1 and not oracle.optimum_found
 
 
 # -- draw-stream pins ------------------------------------------------------------

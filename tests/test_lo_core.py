@@ -189,23 +189,6 @@ def test_oracle_n1():
         assert oracle.per_level_counts == {INIT_LEVEL: 1, 0: 2, 1: 3}
 
 
-def test_oracle_compare_on_uncharged_point():
-    rng = random.Random(41)
-    for n in (1, 3, 16, 70, 300):
-        for _ in range(20):
-            inst = random_instance(n, rng)
-            oracle = CountingOracle(inst)
-            ref = ReferenceCounters(inst)
-            for _ in range(4):
-                # neither x nor y has been submitted, nor compared as y
-                x, y = BitString.random(n, rng), BitString.random(n, rng)
-                if rng.random() < 0.5:
-                    y = x.flip(rng.randrange(n))
-                assert oracle.compare(x, y) == expected_order(inst, x, y)
-                ref.charge(y)
-                ref.assert_matches(oracle)
-
-
 def test_set_bits_matches_naive_scan():
     rng = random.Random(29)
     masks = [0, 1 << 63, 1 << 64, 1 << 65]
@@ -305,14 +288,63 @@ def test_compare_dimension_mismatch():
 
 
 def test_compare_is_pure_apart_from_counters():
+    # a LESS y leaves the incumbent, so the same compare repeats its outcome
     rng = random.Random(11)
     inst = random_instance(7, rng)
     oracle = CountingOracle(inst)
     x = BitString.random(7, rng)
-    y = BitString.random(7, rng)
+    while lo_value(inst, x) == 0:
+        x = BitString.random(7, rng)
+    y = x.flip(inst.sigma[0])  # breaks the first position of x's prefix
     oracle.submit(x)
+    assert lo_value(inst, y) < lo_value(inst, x)
     results = {oracle.compare(x, y) for _ in range(10)}
-    assert len(results) == 1
+    assert results == {LESS}
+    assert oracle.query_count == 11
+
+
+def test_compare_raises_for_a_fresh_point():
+    rng = random.Random(17)
+    for n in (1, 5, 70):
+        inst = random_instance(n, rng)
+        oracle = CountingOracle(inst)
+        x = BitString.random(n, rng)
+        oracle.submit(x)
+        fresh = x.flip(rng.randrange(n))
+        with pytest.raises(ValueError, match="incumbent"):
+            oracle.compare(fresh, x)
+        assert oracle.query_count == 1
+
+
+def test_compare_raises_for_the_old_incumbent():
+    # after an EQUAL or a GREATER, the offspring is the incumbent
+    inst = make_instance("1111", (1, 2, 3, 4))
+    oracle = CountingOracle(inst)
+    x = bits("1100")  # fitness 2
+    oracle.submit(x)
+    for y, outcome in ((bits("1101"), EQUAL), (bits("1110"), GREATER)):
+        assert oracle.compare(x, y) == outcome
+        with pytest.raises(ValueError, match="incumbent"):
+            oracle.compare(x, y)
+        x = y
+    assert oracle.query_count == 3
+
+
+def test_compare_raises_before_any_submit():
+    inst = make_instance("1011", (1, 2, 3, 4))
+    oracle = CountingOracle(inst)
+    with pytest.raises(ValueError, match="incumbent"):
+        oracle.compare(bits("0011"), inst.z)
+    assert oracle.query_count == 0 and oracle.best_fitness_seen is None
+
+
+def test_compare_dimension_mismatch_raises_first():
+    inst = make_instance("111", (1, 2, 3))
+    oracle = CountingOracle(inst)
+    oracle.submit(bits("100"))
+    for x, y in ((bits("100"), bits("11")), (bits("11"), bits("100")), (bits("11"), bits("11"))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle.compare(x, y)
 
 
 def test_oracle_counters_and_charging():
@@ -369,8 +401,11 @@ def test_best_fitness_seen_is_monotone():
     oracle.submit(x)
     best_values = [oracle.best_fitness_seen]
     for _ in range(50):
-        oracle.compare(x, BitString.random(10, rng))
+        y = BitString.random(10, rng)
+        if oracle.compare(x, y) != LESS:
+            x = y
         best_values.append(oracle.best_fitness_seen)
+        assert best_values[-1] == lo_value(inst, x)
     assert all(a <= b for a, b in zip(best_values, best_values[1:]))
 
 
