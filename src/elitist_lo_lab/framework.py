@@ -6,14 +6,19 @@ receives only three-way comparison outcomes, which makes the elitist
 information restriction structural rather than conventional.
 
 Runs are single-threaded; concurrent runs need disjoint oracle and state
-objects.  (strategy, instance, seed, budget) fully determine a run.
+objects.  The level-skipping engine draws from one numpy MT19937 per
+thread, which each run overwrites with its own rng's state, so runs in
+separate threads stay independent.  (strategy, instance, seed, budget)
+fully determine a run.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
 import random
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -63,8 +68,9 @@ class Strategy(Protocol):
     it with `_climb`, as the oracle does, and memlog's keeps a heap of the
     prefix's unmarked positions.  From n = `_SKIP_FROM[cls]` on, the rls
     and (1+1) EA bodies charge each fitness level's queries at once from
-    bulk-drawn rng words.  A subclass always runs the protocol loop and
-    its own methods.
+    words drawn in bulk by a numpy MT19937 set to the run's rng state,
+    which takes the generator's state back at the end.  A subclass always
+    runs the protocol loop and its own methods.
     """
 
     name: str
@@ -389,24 +395,61 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
-# per-query loop against `_skip_levels`, 20 runs per cell, best of 5 (2-core
-# VM): rls 0.32 against 0.31 ms at n = 48, 0.55 against 0.50 at 56, 0.69
-# against 0.50 at 64, 1.22 against 0.97 at 96.  oea, three passes with the
-# two interleaved: the loop won two of three at n = 32, the engine every
-# pass from 36 on; the second pass read 0.63 against 0.68 ms at n = 32,
-# 0.87 against 0.68 at 36, 1.28 against 1.01 at 48, 2.48 against 1.58 at
-# 64.  At n <= 16 the engine's fixed numpy cost makes a run 3-10 times
-# slower.
+# per-query loop against `_skip_levels`, interleaved, 20 runs per cell, best
+# of 5, three passes (2-core VM, the engine drawing from numpy's MT19937).
+# rls read 0.21 against 0.23 ms at n = 48, 0.27 against 0.26 at 56, 0.43
+# against 0.30 at 64 and 0.79 against 0.42 at 96 in the first pass; from
+# 56 to 63 the engine won most passes but not every one.  oea: the loop
+# won every pass at n = 32 (0.47 against 0.51 ms in the first), the two
+# split 33 to 35, and the engine won every pass from 36 on (0.57 against
+# 0.48 at 36, 1.14 against 0.73 at 48, 1.78 against 0.98 at 64).  At
+# n <= 16 the engine's fixed numpy cost makes a run 3-10 times slower.
 _SKIP_FROM = {Rls: 64, OneEa: 36}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
 _CHUNK = 2048
 
 
-def _words(rng: random.Random, count: int) -> np.ndarray:
-    """The next `count` 32-bit Mersenne Twister words, in draw order:
-    getrandbits(32 * count) fills its int least significant word first."""
-    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+_MT = threading.local()
+
+
+def _mt_source(rng: random.Random):
+    """This thread's numpy MT19937 bit generator `bg`, set to rng's state,
+    with a Generator `gen` over it, `view`, bg's live state struct
+    (key[624], pos) as 625 uint32, and `hand_back(snapshot, words)`, which
+    sets bg to a copy of the view taken earlier, draws `words` words and
+    hands bg's state back to rng with rng's `gauss_next` kept.
+
+    CPython's `random` and numpy's MT19937 run the same generator on the
+    same (key, pos) state, the one `Random.getstate()[1]` holds:
+    `random_raw` yields the words `getrandbits(32)` does, and
+    `gen.random()` the doubles `random()` does, (a >> 5) * 2^26 + (b >> 6)
+    over 2^53 for the next words a and b.  A thread builds its generator
+    on its first call, which imports `numpy.random`, and checks the view
+    against the public `bg.state` once; each call overwrites its state.
+    """
+    try:
+        bg, gen, view = _MT.source
+    except AttributeError:
+        from numpy.random import MT19937, Generator
+        bg = MT19937(0)
+        struct = (ctypes.c_uint32 * 625).from_address(bg.ctypes.state_address)
+        view = np.frombuffer(struct, np.uint32)
+        state = bg.state["state"]
+        if view[:624].tolist() != state["key"].tolist() or view[624] != state["pos"]:
+            raise RuntimeError("numpy's MT19937 state is not laid out as (key[624], pos)")
+        gen = Generator(bg)
+        _MT.source = bg, gen, view
+    version, key, gauss_next = rng.getstate()
+    # the legacy-tuple setter takes 3 us, the dict one with an ndarray key about 60
+    bg.state = ("MT19937", key[:624], key[624])
+
+    def hand_back(snapshot: np.ndarray, words: int) -> None:
+        view[:] = snapshot
+        bg.random_raw(words, output=False)
+        rng.setstate((version, tuple(view.tolist()), gauss_next))
+
+    return bg, gen, view, hand_back
 
 
 def _oea_steps(u: np.ndarray, n: int) -> np.ndarray:
@@ -428,14 +471,15 @@ def _oea_steps(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(s, n).astype(np.int64)
 
 
-def _rls_chunks(rng: random.Random, n: int, rank: np.ndarray):
-    """Chunks of rls queries for `_skip_levels`: a word w is the position
-    w >> (32 - k), rejected when it is n or more, as in `randrange`.  A
-    query flips one position, so its minimum rank is that position's."""
+def _rls_chunks(bg: np.random.MT19937, n: int, rank: np.ndarray):
+    """Chunks of rls queries for `_skip_levels`, drawn from `bg`: a word w
+    is the position w >> (32 - k), rejected when it is n or more, as in
+    `randrange`.  A query flips one position, so its minimum rank is that
+    position's."""
     k = n.bit_length()
 
     def chunk(count):
-        pos = _words(rng, (count << k) // n) >> (32 - k)
+        pos = bg.random_raw((count << k) // n) >> (32 - k)
         at = (pos < n).nonzero()[0]
         r = rank[pos[at]]
         return r, r, r, np.arange(len(r) + 1), at + 1
@@ -443,9 +487,10 @@ def _rls_chunks(rng: random.Random, n: int, rank: np.ndarray):
     return chunk
 
 
-def _oea_chunks(rng: random.Random, n: int, rank: np.ndarray):
-    """Chunks of (1+1) EA queries for `_skip_levels`: each word pair is a
-    `random()` draw and each draw an `oea_mask` step s.
+def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
+    """Chunks of (1+1) EA queries for `_skip_levels`: each double of the
+    Generator `gen`, two words, is a `random()` draw and each draw an
+    `oea_mask` step s.
 
     With base[j] the sum of s + 1 over the draws before j, a mask that
     starts at draw a ends on the first draw j with base[j + 1] - base[a]
@@ -460,8 +505,7 @@ def _oea_chunks(rng: random.Random, n: int, rank: np.ndarray):
 
     def chunk(count):
         nonlocal carry
-        w = _words(rng, 4 * count)
-        u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * 2.0**-53  # random()
+        u = gen.random(2 * count)
         s = np.concatenate((carry, _oea_steps(u, n)))
         size = len(s)
         base = np.zeros(size + 1, np.int64)
@@ -499,7 +543,7 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
 
     Takes the diff word d and fitness f after the start point and returns
     (queries, f) at the end, with `counts` charged as the per-query loop
-    charges it.  The queries are drawn in chunks from the same rng words.
+    charges it.  The queries are drawn in chunks from the rng's own words.
     A query's outcome at level f follows from the minimum rank r of its
     flips (n for an empty mask): r < f is LESS, r == f GREATER, r > f
     EQUAL.  So the whole stretch up to the next query of minimum rank f is
@@ -511,9 +555,15 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     every flip, unfiltered.  An EA mask rejected for a rank below f may
     flip ranks above f too, so the EA keeps the filter.  A chunk gives,
     per query, its minimum rank and the words it used, and per draw the
-    rank it flips (n for none) and its query's minimum rank.  At the end
-    the rng is set back to the state before the chunk that holds the last
-    charged query's last draw and redraws up to there.
+    rank it flips (n for none) and its query's minimum rank.
+
+    The rng hands its state once to this thread's numpy MT19937
+    (`_mt_source`), which draws every chunk: the EA's doubles straight
+    from the Generator, rls's words raw.  A copy of the generator's state
+    struct opens each chunk.  At the end the generator is set back to the
+    copy before the chunk that holds the last charged query's last draw,
+    redraws up to there and hands its state back to the rng, so the final
+    rng state is the per-query loop's.
     """
     n = inst.n
     sigma = np.array(inst.sigma)
@@ -523,11 +573,12 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
                          bitorder="little")
     # diff[n] takes the EA's rank n; a level search that reaches it gives n either way
     diff = np.append(bits[sigma], 0).astype(np.int64)
-    chunk = (_rls_chunks if rls else _oea_chunks)(rng, n, rank)
-    mark = rng.getstate(), 0
+    bg, gen, view, hand_back = _mt_source(rng)
+    chunk = _rls_chunks(bg, n, rank) if rls else _oea_chunks(gen, n, rank)
+    mark = view.copy(), 0
     queries = 1  # the start point
     while f < n and queries < stop:
-        state = rng.getstate()
+        state = view.copy()
         min_rank, flip_rank, flip_min, bounds, words = chunk(min(_CHUNK, stop - queries))
         p, end = 0, len(min_rank)
         while p < end:
@@ -550,9 +601,7 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
                 f = f + 1 + i if above[i] else n
             if f == n or queries >= stop:
                 break
-    rng.setstate(mark[0])
-    if mark[1]:
-        rng.getrandbits(32 * mark[1])
+    hand_back(*mark)
     return queries, f
 
 

@@ -40,7 +40,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 import types
 
@@ -308,6 +313,136 @@ def test_harness_runs_skip_levels_from_the_crossover(cls, monkeypatch, tmp_path)
     assert _run_cli(argv + ["--out", str(tmp_path / "loop.json")]) == 0
     assert skipped == [cross] * 3
     assert (tmp_path / "skip.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
+
+# -- the engine's MT19937 handover ----------------------------------------------------
+
+
+def _random_at(seed, pos):
+    """random.Random(seed) with its state index set to pos (0 is a state
+    only `setstate` makes: the twist done, no word drawn) and
+    `gauss_next` set."""
+    rng = random.Random(seed)
+    version, key, _ = rng.getstate()
+    rng.setstate((version, key[:624] + (pos,), 0.25))
+    return rng
+
+
+@pytest.mark.parametrize("pos", [0, 1, 623, 624])
+def test_mt_source_draws_what_random_draws(pos):
+    # 1500 draws cross at least one twist from every pos
+    for seed in range(3):
+        rng = _random_at(seed, pos)
+        _, gen, _, _ = framework._mt_source(rng)
+        ref = _random_at(seed, pos)
+        assert gen.random(1500).tolist() == [ref.random() for _ in range(1500)]
+        bg, _, _, _ = framework._mt_source(rng)  # rng has not moved: the same state again
+        ref = _random_at(seed, pos)
+        assert bg.random_raw(1500).tolist() == [ref.getrandbits(32) for _ in range(1500)]
+        assert rng.getstate() == _random_at(seed, pos).getstate()
+
+
+@pytest.mark.parametrize("k", [0, 1, 623, 624, 625, 1248])
+@pytest.mark.parametrize("pos", [0, 1, 623, 624])
+def test_mt_source_hands_back_the_state_after_k_words(k, pos):
+    for before in (0, 700):  # words drawn before the snapshot
+        rng = _random_at(11, pos)
+        bg, gen, view, hand_back = framework._mt_source(rng)
+        bg.random_raw(before)
+        snapshot = view.copy()
+        gen.random(1600)  # draws past the mark, which the hand-back undoes
+        hand_back(snapshot, k)
+        ref = _random_at(11, pos)
+        for _ in range(before + k):
+            ref.getrandbits(32)
+        assert rng.getstate() == ref.getstate()
+        assert rng.getstate()[2] == 0.25
+        assert rng.random() == ref.random()
+
+
+def test_mt_source_view_is_the_generator_state():
+    def public(bg):
+        state = bg.state["state"]
+        return state["key"].tolist() + [state["pos"]]
+
+    for seed in (12, 13):
+        rng = random.Random(seed)
+        bg, gen, view, _ = framework._mt_source(rng)
+        assert view.tolist() == public(bg) == list(rng.getstate()[1])
+        for draw in (lambda: gen.random(1001), lambda: bg.random_raw(777), lambda: gen.random(1)):
+            draw()
+            assert view.tolist() == public(bg)
+
+
+def _skip_job(rls, inst, seed, stop):
+    """One `_skip_levels` run from f = 0: its result, counts and final rng state."""
+    run_rng = random.Random(seed)
+    d = run_rng.getrandbits(inst.n) | 1 << inst.sigma[0]
+    counts = [0] * (inst.n + 1)
+    out = framework._skip_levels(rls, inst, run_rng, d, 0, counts, stop)
+    return out, counts, run_rng.getstate()
+
+
+def test_skip_levels_in_two_threads_match_sequential_runs(monkeypatch):
+    # chunks of 7 queries and a short switch interval, so that the threads
+    # take turns inside runs; each thread builds its own generator
+    monkeypatch.setattr(framework, "_CHUNK", 7)
+    rng = random.Random("threads")
+    jobs = [(rls, random_instance(n, rng), rng.getrandbits(64), stop)
+            for rls in (True, False) for n in (40, 64, 97) for stop in (math.inf, 3 * n)]
+    sequential = [_skip_job(*job) for job in jobs]
+    results, sources = {}, {}
+    start = threading.Barrier(2)
+
+    def worker(name, order):
+        sources[name] = framework._mt_source(random.Random(0))[0]
+        start.wait()
+        results[name] = {i: _skip_job(*jobs[i]) for i in order}
+
+    order = list(range(len(jobs)))
+    threads = [threading.Thread(target=worker, args=("a", order)),
+               threading.Thread(target=worker, args=("b", order[::-1]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sources["a"] is not sources["b"]
+    for name in ("a", "b"):
+        assert [results[name][i] for i in order] == sequential
+
+
+def test_engine_free_runs_never_import_numpy_random(tmp_path):
+    # importing the package, memlog runs and rls and EA runs below the
+    # crossover never reach the engine, so they leave `numpy.random`
+    # unimported (where `import numpy` does not import it already); the
+    # first engine run imports it
+    code = """if True:
+        import sys
+        import numpy
+        seen = ["numpy.random" in sys.modules]
+        from elitist_lo_lab.cli import main
+        from elitist_lo_lab.framework import _SKIP_FROM
+        from elitist_lo_lab.heuristics import OneEa, Rls
+        seen.append("numpy.random" in sys.modules)
+        for algo, n in [("memlog", "16"), ("rls", f"8,{_SKIP_FROM[Rls] - 1}"),
+                        ("oea", f"8,{_SKIP_FROM[OneEa] - 1}"), ("rls", f"{_SKIP_FROM[Rls]}")]:
+            assert main(["run", "--algo", algo, "--n", n, "--reps", "2",
+                         "--out", sys.argv[1]]) == 0
+            seen.append("numpy.random" in sys.modules)
+        print(*seen)
+    """
+    src = str(pathlib.Path(framework.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run.csv")],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    before, *seen = proc.stdout.split()
+    assert seen == [before] * 4 + ["True"]
 
 
 # -- the (1+1) EA's stop thresholds ---------------------------------------------------
