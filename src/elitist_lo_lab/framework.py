@@ -59,11 +59,11 @@ class Strategy(Protocol):
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
     observer or oracle) takes its body in `_LOOPS`, which keeps the
-    strategy's state in locals and calls none of its methods;
-    memlog's runs a halving search at a time, and its declared state
-    budget holds by construction, so nothing checks it.  These classes
-    have empty `__slots__`, so a plain instance cannot override a method
-    or the budget.  Such a run builds no `CountingOracle`: the rls and
+    strategy's state in locals and calls none of its methods; each body
+    runs a fitness level at a time, and memlog's declared state budget
+    holds by construction, so nothing checks it.  These classes have
+    empty `__slots__`, so a plain instance cannot override a method or
+    the budget.  Such a run builds no `CountingOracle`: the rls and
     (1+1) EA bodies keep the incumbent's prefix mask as one int and extend
     it with `_climb`, as the oracle does, and memlog's keeps a heap of the
     prefix's unmarked positions.  From n = `_SKIP_FROM[cls]` on, the rls
@@ -204,14 +204,22 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     It draws the start point, charged to INIT_LEVEL, and finds its fitness
     by `_climb`, a scan over sigma; the body `_LOOPS[type(strategy)]` runs
     the queries after it and returns (queries, f).  A body keeps the diff
-    word d = x ^ z of the incumbent x, its fitness f and the per-level
-    counts; the rls and (1+1) EA bodies also keep the mask
-    prefix = prefix[f] of the positions sigma[:f].  The incumbent is
-    always the best point charged so far, so each query is charged to
-    level f and decided as `CountingOracle.compare` decides it: LESS iff
-    it meets prefix, else GREATER iff it clears sigma[f].  f never falls,
-    so after a GREATER query `_climb`, the oracle's own climb, ORs into
-    prefix each position that f passes, and a run takes O(n) memory.
+    word d = x ^ z of the incumbent x (memlog's on its unmarked positions
+    only), its fitness f and the per-level counts; the rls and (1+1) EA
+    bodies also keep the mask prefix = prefix[f] of the positions
+    sigma[:f].  The incumbent is always the best point charged so far, so
+    each query is charged to level f and decided as
+    `CountingOracle.compare` decides it: LESS iff it meets prefix, else
+    GREATER iff it clears sigma[f].  f never falls, so after a GREATER
+    query `_climb`, the oracle's own climb, ORs into prefix each position
+    that f passes, and a run takes O(n) memory.
+
+    Each body runs a level per outer iteration: an inner loop runs level
+    f's queries up to the GREATER one that ends it or the budget's last,
+    counting them locally, and the outer loop charges counts[f] and
+    `queries` once.  The rls and (1+1) EA bodies then call `_climb`, which
+    moves f only if sigma[f] was cleared, so a GREATER query that uses up
+    the budget still climbs, as the oracle does.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)
@@ -228,11 +236,12 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
 
 def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
               counts: list[int], stop: float) -> tuple[int, int]:
-    """rls after the start point.  Each query flips position i, drawn by
-    `randrange(n)`'s `getrandbits` rejection loop, whose significance rank
-    r = sigma^-1(i) decides the outcome: r < f breaks the prefix (LESS),
-    r == f repairs position sigma[f] (GREATER), r > f is EQUAL.  From
-    n = `_SKIP_FROM[Rls]` on, `_skip_levels` runs the queries instead."""
+    """rls after the start point, a level at a time.  Each query flips
+    position i, drawn by `randrange(n)`'s `getrandbits` rejection loop,
+    whose significance rank r = sigma^-1(i) decides the outcome: r < f
+    breaks the prefix (LESS), r == f repairs position sigma[f] (GREATER)
+    and ends the level, r > f is EQUAL.  From n = `_SKIP_FROM[Rls]` on,
+    `_skip_levels` runs the queries instead."""
     n, sigma = inst.n, inst.sigma
     if n >= _SKIP_FROM[Rls]:
         return _skip_levels(True, inst, rng, d, f, counts, stop)
@@ -242,27 +251,32 @@ def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
     getrandbits, k = rng.getrandbits, n.bit_length()
     queries = 1
     while f < n and queries < stop:
-        i = getrandbits(k)
-        while i >= n:
+        left, c = stop - queries, 0
+        while c < left:
             i = getrandbits(k)
-        counts[f] += 1
-        queries += 1
-        r = rank[i]
-        if r >= f:  # not LESS: accept
-            d ^= 1 << i
-            if r == f:
-                f, prefix = _climb(d, f, prefix, sigma)
+            while i >= n:
+                i = getrandbits(k)
+            c += 1
+            r = rank[i]
+            if r >= f:  # not LESS: accept
+                d ^= 1 << i
+                if r == f:
+                    break
+        counts[f] += c
+        queries += c
+        f, prefix = _climb(d, f, prefix, sigma)
     return queries, f
 
 
 def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
               counts: list[int], stop: float) -> tuple[int, int]:
-    """The (1+1) EA after the start point.  Each query XORs into d the mask
-    of `oea_mask`'s geometric-skip loop, inlined, except on the draw that
-    ends it: a draw u below `_stop_below(n)[i]` at position i, whose step
-    would reach n, ends the mask on one list read and one compare (a u of
-    0.0, on which `oea_mask` stops at once, is below every threshold).  From
-    n = `_SKIP_FROM[OneEa]` on, `_skip_levels` runs the queries instead."""
+    """The (1+1) EA after the start point, a level at a time.  Each query
+    XORs into d the mask of `oea_mask`'s geometric-skip loop, inlined,
+    except on the draw that ends it: a draw u below `_stop_below(n)[i]` at
+    position i, whose step would reach n, ends the mask on one list read
+    and one compare (a u of 0.0, on which `oea_mask` stops at once, is
+    below every threshold).  From n = `_SKIP_FROM[OneEa]` on,
+    `_skip_levels` runs the queries instead."""
     n = inst.n
     queries = 1
     if n == 1:  # oea_mask(1, rng) is 1 and draws nothing: one query repairs the bit
@@ -275,19 +289,23 @@ def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
     draw, log, floor = rng.random, math.log, math.floor
     log_keep, below = _log_keep(n), _stop_below(n)
     while f < n and queries < stop:
-        y, i = d, 0
-        while (u := draw()) >= below[i]:  # oea_mask's skip loop
-            i += floor(log(u) / log_keep)
-            if i >= n:
-                break
-            y ^= 1 << i
-            i += 1
-        counts[f] += 1
-        queries += 1
-        if not y & prefix:  # not LESS: accept
-            d = y
-            if not y >> sigma[f] & 1:  # GREATER
-                f, prefix = _climb(d, f, prefix, sigma)
+        left, c, target = stop - queries, 0, sigma[f]
+        while c < left:
+            y, i = d, 0
+            while (u := draw()) >= below[i]:  # oea_mask's skip loop
+                i += floor(log(u) / log_keep)
+                if i >= n:
+                    break
+                y ^= 1 << i
+                i += 1
+            c += 1
+            if not y & prefix:  # not LESS: accept
+                d = y
+                if not y >> target & 1:  # GREATER
+                    break
+        counts[f] += c
+        queries += c
+        f, prefix = _climb(d, f, prefix, sigma)
     return queries, f
 
 
@@ -300,14 +318,22 @@ def _bit_reversals(k: int) -> tuple[int, ...]:
     return tuple(rev)
 
 
+@functools.lru_cache(maxsize=8)  # a harness runs one n after another
+def _leaf_codes(n: int) -> tuple[int, ...]:
+    """The sorted rev_K(t) for t < n, K = (n - 1).bit_length(): the leaf
+    codes of memlog's first search tree on n positions, which each run
+    copies; the sort costs about 2% of a run at n = 1024 and 4096."""
+    return tuple(sorted(_bit_reversals((n - 1).bit_length())[:n]))
+
+
 def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
                  counts: list[int], stop: float) -> tuple[int, int]:
-    """memlog after the start point, a search at a time; it draws nothing
-    more from the rng.
+    """memlog after the start point, a fitness level at a time; it draws
+    nothing more from the rng.
 
     A search is the probe, which flips all of `free`, the ascending list of
-    its L unmarked positions (`unmarked` as a word), and after a LESS probe
-    the halving queries, each flipping P0's first half free[lo:mid], with
+    its L unmarked positions, and after a LESS probe the halving queries,
+    each flipping P0's first half free[lo:mid], with
     mid = (lo + hi + 1) >> 1, for P0 = free[lo:hi], up to the query that
     marks a position or comes back GREATER.  f is fixed within a search,
     so a query is LESS iff it flips a gap (an unmarked position of rank
@@ -328,16 +354,32 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
       * ig < iy: it comes back GREATER at the node where the two leaves
         part, on bit s = (cy ^ cg).bit_length() - 1, after 1 + K - s
         queries, with mid the index of the first code >= cy >> s << s.
-    The accepted EQUAL halves are free[:lo]: d takes them in one XOR at
-    the mark of free[lo] = free[iy], or with the GREATER half free[lo:mid]
-    before the new f is scanned for (`_climb`, inlined).  A mark takes L
-    to L - 1, which removes the code rev_K(L - 1); when L - 1 reaches
-    2^(K-1), K drops by one and the tree is full, so its codes are
-    0..L-2.  rev_K(t) is `_bit_reversals` of the run's first K, shifted
-    right by the drops so far.  The gaps are the unmarked positions of
-    rank < f, kept in the heap `gaps`: it starts as sigma[:f], takes each
-    position that f passes, never marked since every mark is of a gap,
-    and a mark pops its minimum, the position it marks.
+    A mark takes L to L - 1, which removes the code rev_K(L - 1); when
+    L - 1 reaches 2^(K-1), K drops by one and the tree is full, so its
+    codes are 0..L-2.  rev_K(t) is `_bit_reversals` of the run's first K,
+    shifted right by the drops so far; the run's first codes are
+    `_leaf_codes(n)`.  The gaps are the unmarked positions of rank < f,
+    kept in the heap `gaps`: it starts as sigma[:f], takes each position
+    that f passes, never marked since every mark is of a gap, and a mark
+    pops its minimum, the position it marks.
+
+    Each outer iteration runs level f.  sigma[f] and the gaps are all in
+    `free`, which is sorted, so iy < ig iff gaps[0] < sigma[f]: the inner
+    loop runs the level's searches that mark, each bisecting the new
+    lowest gap's index from the last mark's, and keeps their queries in a
+    local count.  A mark only removes a gap, and sigma[f] is never one,
+    so the search that ends the level comes back GREATER; only it finds
+    sigma[f] in `free` and checks that it is there, once per level.
+    counts[f] and `queries` are settled once after the marks, where a
+    budget they use up exactly ends the run, and once after the GREATER
+    search; a search that would pass the budget is charged up to it.
+
+    d follows the accepted queries: the EQUAL halves free[:lo] in one XOR
+    at the mark of free[lo] = free[iy], or with the GREATER half
+    free[lo:mid] before the new f is scanned for (`_climb`, inlined).
+    Each XOR flips every position below the last one it must, marked
+    positions too, so d is the incumbent's diff word on the unmarked
+    positions only; the scan reads ranks above f, which are never marked.
 
     It neither packs nor checks memlog's state: `Memlog`'s declared budget,
     `state_budget_bits(n)`, fits a full B1 with the longest record a search
@@ -346,25 +388,41 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
     loop, which checks it.
     """
     n, sigma = inst.n, inst.sigma
-    unmarked, free = (1 << n) - 1, list(range(n))
+    free = list(range(n))
     gaps = list(sigma[:f])
     heapify(gaps)
     size, k = n, (n - 1).bit_length()  # L and K
     rev, shift, half = _bit_reversals(k), 0, (1 << k) >> 1
-    codes = sorted(rev[:n])
+    codes = list(_leaf_codes(n))
     queries = 1
     while f < n and queries < stop:
-        ig = bisect_left(free, sigma[f])
-        if ig == size or free[ig] != sigma[f]:
-            raise RuntimeError("memlog invariant violated: sigma[f] is marked")
-        if gaps:
-            iy = bisect_left(free, gaps[0])
+        target, left, c, iy = sigma[f], stop - queries, 0, 0
+        while gaps and (g := gaps[0]) < target:  # a search that marks g
+            iy = bisect_left(free, g, iy)
             cy = codes[iy]
-            if iy < ig:  # it marks free[iy]
-                h, mid = (k + 1 if cy & 1 or codes[iy + 1] == cy + 1 else k), 0
-            else:  # GREATER where the two leaves part
-                s = (cy ^ codes[ig]).bit_length() - 1
-                h, mid = 1 + k - s, bisect_left(codes, cy >> s << s)
+            c += k + 1 if cy & 1 or codes[iy + 1] == cy + 1 else k
+            if c > left:  # the budget cuts it
+                counts[f] += left
+                return stop, f
+            if iy:
+                d ^= (1 << g) - 1
+            heappop(gaps)
+            del free[iy]
+            size -= 1
+            del codes[bisect_left(codes, rev[size] >> shift)]
+            if size == half:
+                k, shift, half = k - 1, shift + 1, half >> 1
+                codes = list(range(size))
+        counts[f] += c
+        queries += c
+        ig = bisect_left(free, target)
+        if ig == size or free[ig] != target:
+            raise RuntimeError("memlog invariant violated: sigma[f] is marked")
+        if gaps:  # GREATER where the two leaves part
+            iy = bisect_left(free, gaps[0], ig + 1)
+            cy = codes[iy]
+            s = (cy ^ codes[ig]).bit_length() - 1
+            h, mid = 1 + k - s, bisect_left(codes, cy >> s << s)
         else:  # the probe is GREATER
             h, mid = 1, size
         if h > stop - queries:  # the budget cuts it
@@ -372,39 +430,30 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
             return stop, f
         counts[f] += h
         queries += h
-        if ig < mid:  # GREATER
-            d ^= unmarked & ((2 << free[mid - 1]) - 1)
-            # `_climb` inlined, past sigma[f] untested: the call and the
-            # test cost 2-4% of a whole run at n = 1024 and 4096
+        d ^= (2 << free[mid - 1]) - 1
+        # `_climb` inlined, past sigma[f] untested: the call and the
+        # test cost 2-4% of a whole run at n = 1024 and 4096
+        heappush(gaps, target)
+        f += 1
+        while f < n and not d >> sigma[f] & 1:
             heappush(gaps, sigma[f])
             f += 1
-            while f < n and not d >> sigma[f] & 1:
-                heappush(gaps, sigma[f])
-                f += 1
-        else:  # mark free[iy]
-            if iy:
-                d ^= unmarked & ((1 << gaps[0]) - 1)
-            unmarked ^= 1 << heappop(gaps)
-            del free[iy]
-            size -= 1
-            del codes[bisect_left(codes, rev[size] >> shift)]
-            if size == half:
-                k, shift, half = k - 1, shift + 1, half >> 1
-                codes = list(range(size))
     return queries, f
 
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
-# per-query loop against `_skip_levels`, interleaved, 20 runs per cell, best
-# of 5, three passes (2-core VM, the engine drawing from numpy's MT19937).
-# rls read 0.21 against 0.23 ms at n = 48, 0.27 against 0.26 at 56, 0.43
-# against 0.30 at 64 and 0.79 against 0.42 at 96 in the first pass; from
-# 56 to 63 the engine won most passes but not every one.  oea: the loop
-# won every pass at n = 32 (0.47 against 0.51 ms in the first), the two
-# split 33 to 35, and the engine won every pass from 36 on (0.57 against
-# 0.48 at 36, 1.14 against 0.73 at 48, 1.78 against 0.98 at 64).  At
-# n <= 16 the engine's fixed numpy cost makes a run 3-10 times slower.
-_SKIP_FROM = {Rls: 64, OneEa: 36}
+# per-query loop (a level at a time) against `_skip_levels`, interleaved,
+# 20 runs per cell, best of 5, three passes (2-core VM, the engine drawing
+# from numpy's MT19937).  rls read 0.30 against 0.41 ms at n = 48, 0.37
+# against 0.49 at 56, 0.62 against 0.55 at 64 and 1.17 against 0.80 at 96
+# in the first pass; the loop won every pass to 56, the two split at 60
+# and 63, and the engine won every pass from 64 on.  oea: the loop won
+# every pass at n = 32 to 34 (0.63 against 0.88 ms at 32 in the first)
+# and at 36 (0.87 against 0.96 in the first, by 0.3% in the third), the
+# two split at 35, and the engine won every pass at 37 and from 38 on
+# (1.02 against 0.96 at 38, 1.53 against 1.24 at 48).  At n <= 16 the
+# engine's fixed numpy cost makes a run 3-22 times slower.
+_SKIP_FROM = {Rls: 64, OneEa: 37}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
 _CHUNK = 2048

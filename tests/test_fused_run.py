@@ -17,14 +17,18 @@ positions, and finds the lowest gap in a heap, while the protocol loop's
 memlog checks compare two searches written independently (searches that
 end GREATER partway, runs cut after every step of a search, every case at
 n <= 3, and n = 4097, where the codes' bit count drops at the first
-mark).  The code rule and its upkeep are also checked against the
-halving loop they replaced, `reference_search`, and against their
-definition.  memlog's declared state budget holds by construction, which
-`pack_state` confirms here for a full state, so the fused loop checks no
-budget; a subclass that declares a smaller one runs the protocol loop,
-which enforces it.  The fused EA loop ends each mask on a `_stop_below`
-threshold rather than `oea_mask`'s last step, so that table is checked
-against the step draw by draw near every threshold.  From a crossover n
+mark).  The fused bodies run a level at a time, so a few small runs of
+each strategy are cut at every budget, and an instance with a repeated
+position reaches memlog's invariant check.  The code rule and its upkeep
+are also checked against the halving loop they replaced,
+`reference_search`, and against their definition, and so are the first
+codes a run copies.  memlog's declared state budget holds by
+construction, which `pack_state` confirms here for a full state, so the
+fused loop checks no budget; a subclass that declares a smaller one
+runs the protocol loop, which enforces it.  The fused EA loop ends each
+mask on a `_stop_below` threshold rather than `oea_mask`'s last step, so
+that table is checked against the step draw by draw near every
+threshold.  From a crossover n
 on, rls and EA runs skip levels over bulk-drawn words; that engine is
 checked against the protocol loop with tiny chunks, its numpy steps
 against `math.log` near every step boundary, and its crossover through
@@ -786,6 +790,48 @@ def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
                             (3, LESS), (3, EQUAL), (3, GREATER)}
 
 
+@pytest.mark.parametrize("cls,n", [(Rls, 6), (Rls, 17), (OneEa, 6), (OneEa, 17),
+                                   (Memlog, 6), (Memlog, 17), (Memlog, 40)])
+def test_fused_run_cut_at_every_budget_matches_protocol(cls, n, run_rngs):
+    # the fused bodies run a level at a time and settle the budget once per
+    # level, so a run is cut after every query: inside a level, on the
+    # GREATER query that ends one (rls and the EA still climb), and, for
+    # memlog, right after a level's marks, before its GREATER search
+    inst = random_instance(n, random.Random(f"every/{n}"))
+    seed = random.Random(f"every/{n}/seed").getrandbits(64)
+    total = run_one_plus_one(cls(), inst, seed).total_queries
+    run_rngs.clear()
+    if cls is Memlog:
+        searches = _searches(inst, seed)
+        run_rngs.clear()
+        assert any(last != GREATER for _, _, last in searches)  # some level marks
+    levels = set()
+    for budget in range(1, total + 2):
+        if cls is Memlog:
+            rec = json.loads(_memlog_both(inst, seed, budget, run_rngs))
+        else:
+            rec = json.loads(_run_both(cls, inst, seed, budget, run_rngs).to_json())
+        assert rec["total_queries"] == min(budget, total)
+        levels.add(rec["per_level"][-1][0])
+    assert len(levels) > 2  # the cuts fall in several levels
+
+
+def test_fused_memlog_checks_its_invariant():
+    # no run on a real instance reaches the check, since every mark is of a
+    # gap and sigma[f] never is one.  Here sigma repeats position 0 (ranks
+    # 0 and 3) and leaves out 1: from f = 2, with positions 0 and 5 wrong,
+    # the level marks the gaps 0 and 3, its probe comes back GREATER, and f
+    # stops at 3, on the marked position 0, which the level's XORs leave
+    # wrong whether or not they skip marked positions
+    inst = object.__new__(LoInstance)
+    for name, value in (("n", 6), ("z", BitString(6, 0)), ("sigma", (0, 3, 5, 0, 4, 2))):
+        object.__setattr__(inst, name, value)
+    counts = [0] * 7
+    with pytest.raises(RuntimeError, match="memlog invariant violated"):
+        framework._memlog_loop(inst, random.Random(0), 0b100001, 2, 0b1001, counts, math.inf)
+    assert counts[2] == 8 and counts[3] == 0
+
+
 # -- a halving search read off its leaf codes ------------------------------------------
 
 
@@ -838,6 +884,12 @@ def test_bit_reversals_reverse_k_bits():
     for k in range(13):
         assert framework._bit_reversals(k) == tuple(
             int(f"{t:0{k}b}"[::-1] or "0", 2) for t in range(1 << k))
+
+
+def test_first_leaf_codes_are_the_sorted_reversals():
+    # the cached codes each memlog run starts from
+    for L in [*range(1, 300), 1024, 4096, 4097, 5000]:
+        assert list(framework._leaf_codes(L)) == _codes(L).tolist(), L
 
 
 def test_leaf_codes_give_every_small_search():
