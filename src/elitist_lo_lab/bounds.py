@@ -4,7 +4,7 @@ Contents:
   * level_entry_information_check -- exhaustive verification that a level
     entry map leaves the information measure B = binom(k+m, m) / C, where C
     counts the k-configurations compatible with the algorithm's state, at
-    most 2^(m+1) with probability >= 1/2;
+    most 2^(m+1) with probability >= 1/2 (> 1/2 for any map, by counting);
   * onebit_simulation -- replay of a multi-bit level trace through one-bit
     flips, with the s + m length certificate and the information dominance
     certificate;
@@ -101,6 +101,12 @@ def level_entry_information_check(
     consistent (agree with the configuration on its positions).  Under the
     uniform configuration draw, B after entry is binom(n, k) divided by the
     number of configurations sharing the chosen string.
+
+    Counting lemma: Pr > 1/2 for any map into n-bit strings, so each check
+    (criterion 7's too) is a checked instance.  A configuration sent to w is
+    bad iff count(w) 2^(m+1) < binom(n, k), so each of the at most 2^n bad
+    images holds fewer than binom(n, k) / 2^(m+1) of them: fewer than
+    2^n binom(n, k) / 2^(m+1) = binom(n, k) 2^k / 2, half of all, are bad.
     """
     if n > 14:
         raise ValueError("exhaustive enumeration is limited to n <= 14")
@@ -293,7 +299,7 @@ def _level_counts(k: int, m: int) -> tuple[int, ...]:
 
 
 class PhiSolver:
-    """Memoized evaluation of the integer-split relaxation of the level game.
+    """Evaluation of the integer-split relaxation of the level game.
 
     Phi_hat(k, 0, C) = 0, and for m >= 1
 
@@ -306,7 +312,7 @@ class PhiSolver:
     integer count c plays the role of the branch probability p = c/C, which
     makes the minimization finite and the values exact rationals.
 
-    Both paths evaluate the closed form Phi_hat(k, m, C) = 1 + (sum of the C
+    Phi_hat has the closed form Phi_hat(k, m, C) = 1 + (sum of the C
     smallest elements of S(k, m)) / C for m >= 1, where S(k, 0) = {0} and
     S(k, m) is the multiset union of (m-1)/m * (1 + S(k, m-1)) and
     1 + S(k-1, m), the second part empty when k = 0.  Proof sketch, by
@@ -322,19 +328,18 @@ class PhiSolver:
     adds m, so N's multiplicity g(N) obeys the q-Pascal rule: it is the
     coefficient of q^N in the Gaussian binomial [k+m choose m]_q (partitions
     of N into at most m parts, each at most k).  So Phi_hat(k, m, C) =
-    (m+1)/2 + (N_1 + ... + N_C)/(mC) over the C smallest N, each taken g(N)
-    times; g(0) = 1 gives Phi_hat(k, m, 1) = (m+1)/2, and g's symmetry about
-    km/2 gives Phi_hat(k, m, binom(k+m, m)) = (k+m+1)/2.
+    ((m+1)mC + 2 S_C) / (2mC), where S_C = N_1 + ... + N_C over the C smallest
+    N, each taken g(N) times; g(0) = 1 gives Phi_hat(k, m, 1) = (m+1)/2, and
+    g's symmetry about km/2 gives Phi_hat(k, m, binom(k+m, m)) = (k+m+1)/2.
 
-    `value` computes single cells exactly from g; `float_row` computes a
-    whole (k, m) row in float64 (documented comparison slack 1e-9) from one
-    sort and one cumulative sum.  A solver instance is confined to one thread.
+    That quotient is the one evaluation rule: `value` returns a cell as a
+    `Fraction`, `float_row` a whole row in float64.  For k + m <= MAX_TOTAL
+    the numerator, at most (2k+m+1)mC, and the denominator 2mC are integers
+    below 2^31, so each step of the row's build is exact and its one IEEE
+    division per cell gives the correctly rounded float(value(k, m, C)).
     """
 
     MAX_TOTAL = 24
-
-    def __init__(self):
-        self._slopes: dict[tuple[int, int], np.ndarray] = {}
 
     @staticmethod
     def _validate(k: int, m: int) -> None:
@@ -357,32 +362,25 @@ class PhiSolver:
             left -= take
         return Fraction((m + 1) * m * C + 2 * level_sum, 2 * m * C)
 
-    def _float_slopes(self, k: int, m: int) -> np.ndarray:
-        """All of S(k, m) in float64, sorted."""
-        if m == 0:
-            return np.zeros(1)
-        slopes = self._slopes.get((k, m))
-        if slopes is None:
-            first = self._float_slopes(k, m - 1)
-            slopes = np.empty(math.comb(k + m, m))
-            head = np.add(1.0, first, out=slopes[:len(first)])
-            head *= (m - 1) / m
-            if k:
-                np.add(1.0, self._float_slopes(k - 1, m), out=slopes[len(first):])
-            slopes.sort()
-            self._slopes[(k, m)] = slopes
-        return slopes
-
     def float_row(self, k: int, m: int) -> np.ndarray:
-        """A new row of Phi_hat(k, m, C) for C = 1..binom(k+m, m) in float64;
-        index 0 is NaN padding."""
+        """A new row of Phi_hat(k, m, C) for C = 1..binom(k+m, m) in float64,
+        cell C equal to float(value(k, m, C)); index 0 is NaN padding."""
         self._validate(k, m)
-        slopes = self._float_slopes(k, m)
-        row = np.empty(len(slopes) + 1)
+        g = _level_counts(k, m)
+        row = np.zeros(math.comb(k + m, m) + 1)
         row[0] = np.nan
-        mean = np.cumsum(slopes, out=row[1:])
-        mean /= np.arange(1, len(slopes) + 1)
-        mean += 1.0 if m else 0.0
+        if m:
+            num = row[1:]
+            # every g(N) >= 1, so each level N >= 1 starts at its own cell,
+            # right after levels 0..N-1; summing those marks gives N_C
+            num[np.cumsum(g[:-1], dtype=np.intp)] = 1.0
+            np.cumsum(num, out=num)
+            num *= 2
+            num += (m + 1) * m
+            np.cumsum(num, out=num)  # (m+1)mC + 2 S_C
+            den = np.arange(1.0, len(num) + 1)
+            den *= 2 * m
+            num /= den
         return row
 
 

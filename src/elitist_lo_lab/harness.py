@@ -233,29 +233,26 @@ def level_profile_csv_lines(rows: list[LevelProfileRow]) -> list[str]:
 # -- bound-machinery drivers -----------------------------------------------------
 
 PHI_CSV_MAX_TOTAL = 16
-PHI_EXACT_MAX_TOTAL = 10
 
 
 def cmd_phi(kmax: int, mmax: int, eps: float = DEFAULT_EPS) -> list[str]:
     """CSV rows of the cardinality DP over k <= kmax, m in [1, mmax], all C.
 
-    Exact rationals up to kmax + mmax <= PHI_EXACT_MAX_TOTAL, float64 rows
-    beyond (slack 1e-9); both are cheap, and the split keeps the output's bits.
+    Every phi_hat is the correctly rounded exact value, read off
+    `PhiSolver.float_row`, so a cell prints the same bits in every table.
     """
     if kmax < 0 or mmax < 1:
         raise ValueError("need kmax >= 0 and mmax >= 1")
     if kmax + mmax > PHI_CSV_MAX_TOTAL:
         raise ValueError(f"kmax+mmax exceeds the table cap {PHI_CSV_MAX_TOTAL}")
     solver = PhiSolver()
-    exact = kmax + mmax <= PHI_EXACT_MAX_TOTAL
     lines = [CSV_HEADER, "k,m,C,B,phi_hat,closed_form,slack"]
     for k in range(kmax + 1):
         for m in range(1, mmax + 1):
-            total = math.comb(k + m, m)
-            row = None if exact else solver.float_row(k, m)
-            for C in range(1, total + 1):
+            row = solver.float_row(k, m)
+            total = len(row) - 1
+            for C, phi in enumerate(row[1:].tolist(), start=1):
                 b_val = total / C
-                phi = float(solver.value(k, m, C)) if exact else float(row[C])
                 cf = phi_closed_form(k, m, b_val, eps)
                 lines.append(
                     f"{k},{m},{C},{b_val!r},{phi!r},{cf!r},{phi - cf!r}"

@@ -5,6 +5,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elitist_lo_lab import bounds
 from elitist_lo_lab.bounds import (
@@ -85,6 +87,31 @@ def test_entry_check_matches_rational_reference(map_name):
         prob, ok = level_entry_information_check(n, k, entry_map)
         ref = _entry_probability(n, k, entry_map)
         assert prob == ref and ok == (ref >= Fraction(1, 2)), (n, k)
+
+
+@given(st.sampled_from([(n, k) for n in range(1, 9) for k in range(n + 1)]),
+       st.sampled_from([1, 2, 4, 16, 256]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_entry_check_is_an_instance_of_the_counting_lemma(nk, fills, seed):
+    # a random consistent map: each configuration writes its bits over one of
+    # `fills` random words, so few fills make images collide, many spread them
+    n, k = nk
+    m = n - k
+    rng = random.Random(seed)
+    words = [rng.getrandbits(n) for _ in range(fills)]
+    table = {(cfg.mask, cfg.word): (rng.choice(words) & ~cfg.mask) | cfg.word
+             for cfg in enumerate_k_configurations(n, k)}
+    prob, ok = level_entry_information_check(
+        n, k, lambda cfg, n: BitString(n, table[(cfg.mask, cfg.word)]))
+    total_sets = math.comb(n, k)
+    counts = Counter(table.values())
+    bad_images = [w for w, c in counts.items() if c << (m + 1) < total_sets]
+    bad_mass = sum(counts[w] for w in bad_images)
+    assert prob == 1 - Fraction(bad_mass, len(table))
+    # each bad image holds fewer than binom(n, k) / 2^(m+1) configurations
+    assert bad_mass == 0 or bad_mass << (m + 1) < len(bad_images) * total_sets
+    # and there are at most 2^n images, so under half of all configurations are bad
+    assert prob > Fraction(1, 2) and ok
 
 
 def test_entry_check_handles_m_zero():

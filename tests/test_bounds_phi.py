@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -46,7 +47,6 @@ def test_phi_float_row_keeps_the_table_guard():
     solver = PhiSolver()
     with pytest.raises(ValueError, match="exceeds the table guard"):
         solver.float_row(24, 1)
-    assert not solver._slopes  # refused before any sub-row is built
 
 
 def test_phi_monotone_in_C_small_cells():
@@ -83,7 +83,7 @@ def test_phi_float_row_monotone_mid_size():
     solver = PhiSolver()
     row = solver.float_row(5, 5)
     diffs = row[2:] - row[1:-1]
-    assert diffs.min() > -1e-9
+    assert diffs.min() >= 0  # rounding is monotone, so a correctly rounded row is too
 
 
 def test_phi_float_row_is_a_new_array_each_call():
@@ -174,7 +174,7 @@ def test_phi_float_rows_match_closed_form():
             assert math.isnan(row[0])
             exact = [float(v) for v in _closed_form_row(k, m)]
             assert len(row) == math.comb(total, m) + 1 == len(exact) + 1
-            assert row[1:] == pytest.approx(exact, rel=1e-12, abs=0.0), (k, m)
+            assert row[1:].tolist() == exact, (k, m)
 
 
 def test_phi_value_builds_only_the_needed_prefix():
@@ -215,17 +215,24 @@ def test_phi_full_prefix_is_half_k_plus_m_plus_one():
 
 
 def test_phi_value_past_4096_matches_float_row():
+    # one seeded row per k+m in 13..24, at its first and last cell and at
+    # seeded cells between: every float cell is the correctly rounded value
     solver = PhiSolver()
-    row = solver.float_row(12, 12)
-    for C in (4097, 10**5, math.comb(24, 12)):
-        exact = float(solver.value(12, 12, C))
-        assert row[C] == pytest.approx(exact, rel=1e-9, abs=0.0), C
+    rng = random.Random(7)
+    rows = [(12, 12, (4097, 10**5))]
+    for total in range(13, PhiSolver.MAX_TOTAL + 1):
+        m = rng.randint(1, total)
+        size = math.comb(total, m)
+        rows.append((total - m, m, [rng.randint(1, size) for _ in range(8)]))
+    for k, m, cells in rows:
+        row = solver.float_row(k, m)
+        for C in (1, *cells, len(row) - 1):
+            assert row[C] == float(solver.value(k, m, C)), (k, m, C)
 
 
 def test_phi_float_row_peak_allocation():
-    # the memo of every sub-row S(k', m') plus the row and its divisors read
-    # about 121 MiB at the peak; the sub-rows' transient copies (one per
-    # concatenated part and one per sort) took it to about 141 MiB
+    # the row and its array of denominators, 2.7M float64 each, read about
+    # 41 MiB at the peak
     solver = PhiSolver()
     tracemalloc.start()
     try:

@@ -276,7 +276,7 @@ def test_cmd_phi_contains_hand_checked_row():
 
 
 def test_cmd_phi_float_rows():
-    # kmax + mmax = 12 takes the float64 branch
+    # every phi_hat is the correctly rounded exact value
     lines = cmd_phi(8, 4)
     assert lines[:2] == [CSV_HEADER, "k,m,C,B,phi_hat,closed_form,slack"]
     solver = PhiSolver()
@@ -285,13 +285,21 @@ def test_cmd_phi_float_rows():
         k, m, C, _, phi, cf, slack = line.split(",")
         k, m, C, phi, cf = int(k), int(m), int(C), float(phi), float(cf)
         exact = float(solver.value(k, m, C))
-        assert phi == pytest.approx(exact, rel=1e-12, abs=0.0), (k, m, C)
+        assert phi == exact, (k, m, C)
         assert float(slack) == phi - cf
         rows.setdefault((k, m), []).append(phi)
     assert len(rows) == 9 * 4
     for (k, m), phis in rows.items():
         assert len(phis) == math.comb(k + m, m)
         assert all(a <= b for a, b in zip(phis, phis[1:])), (k, m)
+
+
+def test_cmd_phi_shared_cells_print_the_same_line():
+    # a cell's line does not depend on the size of the table it is printed in
+    small = cmd_phi(6, 4)[2:]
+    large = set(cmd_phi(8, 8)[2:])
+    assert len(small) == 784
+    assert [line for line in small if line not in large] == []
 
 
 def test_cmd_phi_guard():
@@ -384,12 +392,13 @@ def test_cli_run_budget_cut_digest(tmp_path, algo):
     assert hashlib.sha256(data).hexdigest() == BUDGET_DIGESTS[algo]
 
 
-# sha256 of `lolab phi --out`, captured before `PhiSolver.value` moved from a
-# merge of sorted Fraction prefixes to level counts: kmax + mmax = 10 takes
-# the exact branch, 16 the float64 rows
+# sha256 of `lolab phi --out`. (6, 4) was captured before `PhiSolver.value`
+# moved from a merge of sorted Fraction prefixes to level counts. (8, 8) was
+# re-pinned when `float_row` moved from a float64 slope recursion to the
+# level counts, which made every cell the correctly rounded exact value
 PHI_DIGESTS = {
     (6, 4): "afb5037512da17e8fd0f289ae6cfde8a8d9b4475d3057763c9b03201717c440a",
-    (8, 8): "4fe42f0e3a74cc33ddb39a2139953ddb84215cddb3910ae0bf3a7d551cfcc1ee",
+    (8, 8): "aee021134896ab4e28838b58630c364e17e1e913b6838a00ae4b7466710e897f",
 }
 
 
