@@ -4,7 +4,10 @@ Contents:
   * level_entry_information_check -- exhaustive verification that a level
     entry map leaves the information measure B = binom(k+m, m) / C, where C
     counts the k-configurations compatible with the algorithm's state, at
-    most 2^(m+1) with probability >= 1/2 (> 1/2 for any map, by counting);
+    most 2^(m+1) with probability >= 1/2 (> 1/2 for any map, by counting).
+    Configurations are (mask, word) int64 arrays from
+    enumerate_k_configurations, a map turns them into one int64 image per
+    configuration, and the check runs over the whole arrays at once;
   * onebit_simulation -- replay of a multi-bit level trace through one-bit
     flips, with the s + m length certificate and the information dominance
     certificate;
@@ -24,7 +27,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -34,73 +36,46 @@ import numpy as np
 from .lo_core import BitString, set_bits
 
 
-@dataclass(frozen=True)
-class KConfiguration:
-    """A set P of k significant positions together with their target bits.
+def enumerate_k_configurations(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-configuration over n positions as int64 arrays (masks, words).
 
-    Positions are 0-based and sorted; values[i] is the target bit at
-    positions[i].  `mask` has the bits of P set and `word` holds the target
-    bits at their positions, so a string y agrees with the configuration iff
-    (y.word ^ word) & mask is 0.
+    A configuration is a set P of k significant positions with their target
+    bits: masks[i] has the bits of P set and words[i] holds the target bits
+    at their positions, so a string y agrees with it iff
+    (y ^ words[i]) & masks[i] is 0.  Position sets come in `combinations`
+    order, each with its 2^k words in `product` order, the lowest position
+    the most significant digit.  Both arrays are read-only, so an entry map
+    cannot change the configurations it is checked against.
     """
-
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
-    mask: int = field(init=False, repr=False, compare=False)
-    word: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.values):
-            raise ValueError("positions and values must have equal length")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("values must be bits")
-        if list(self.positions) != sorted(set(self.positions)):
-            raise ValueError("positions must be sorted and distinct")
-        if self.positions and self.positions[0] < 0:
-            raise ValueError("positions must be non-negative")
-        mask = word = 0
-        for pos, val in zip(self.positions, self.values):
-            mask |= 1 << pos
-            word |= val << pos
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "word", word)
-
-    @property
-    def k(self) -> int:
-        return len(self.positions)
-
-
-def enumerate_k_configurations(n: int, k: int) -> Iterable[KConfiguration]:
-    """Every k-configuration over n positions: position sets in
-    `combinations` order, each with its value tuples in `product` order."""
-    value_tuples = list(itertools.product((0, 1), repeat=k))
-    new = object.__new__
-    for positions in itertools.combinations(range(n), k):
-        # words[j] is the target word of value_tuples[j]: the first position
-        # is the most significant digit of product's order
-        mask = 0
-        words = [0]
-        for pos in positions:
-            bit = 1 << pos
-            mask |= bit
-            words = [w | b for w in words for b in (0, bit)]
-        for values, word in zip(value_tuples, words):
-            # valid by construction, so __post_init__'s checks are skipped
-            cfg = new(KConfiguration)
-            cfg.__dict__.update(positions=positions, values=values, mask=mask, word=word)
-            yield cfg
+    if n > 14:
+        raise ValueError("exhaustive enumeration is limited to n <= 14")
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range [0, {n}]")
+    sets = math.comb(n, k)
+    positions = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), k)), dtype=np.int64, count=sets * k)
+    bits = np.left_shift(1, positions).reshape(sets, k)
+    # digits[j, i] is the bit at the i-th lowest position in word j
+    digits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    masks = np.repeat(bits.sum(axis=1), 1 << k)
+    words = (bits @ digits.T).ravel()
+    masks.flags.writeable = words.flags.writeable = False
+    return masks, words
 
 
 def level_entry_information_check(
-    n: int, k: int, entry_map: Callable[[KConfiguration, int], BitString]
+    n: int, k: int, entry_map: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 ) -> tuple[Fraction, bool]:
     """Exhaustively check Pr[B <= 2^(m+1)] >= 1/2 for a level entry map.
 
-    entry_map(config, n) is the string the algorithm rewrites its point to on
-    entering level k when the revealed configuration is `config`; it must be
-    consistent (agree with the configuration on its positions).  Under the
-    uniform configuration draw, B after entry is binom(n, k) divided by the
-    number of configurations sharing the chosen string.
+    entry_map(masks, words, n) gets every k-configuration over n positions
+    as `enumerate_k_configurations` gives them and returns an integer
+    ndarray of the same shape: images[i], in [0, 2^n), is the string the
+    algorithm rewrites its point to on entering level k when the revealed
+    configuration is (masks[i], words[i]).  The map must be consistent:
+    each image agrees with its configuration on the configuration's
+    positions.  Under the uniform configuration draw, B after entry is
+    binom(n, k) divided by the number of configurations sharing the image.
 
     Counting lemma: Pr > 1/2 for any map into n-bit strings, so each check
     (criterion 7's too) is a checked instance.  A configuration sent to w is
@@ -108,26 +83,26 @@ def level_entry_information_check(
     images holds fewer than binom(n, k) / 2^(m+1) of them: fewer than
     2^n binom(n, k) / 2^(m+1) = binom(n, k) 2^k / 2, half of all, are bad.
     """
-    if n > 14:
-        raise ValueError("exhaustive enumeration is limited to n <= 14")
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range [0, {n}]")
+    masks, words = enumerate_k_configurations(n, k)
     m = n - k
-    images: list[int] = []
-    for cfg in enumerate_k_configurations(n, k):
-        y0 = entry_map(cfg, n)
-        if not isinstance(y0, BitString) or y0.n != n:
-            raise ValueError("entry map must return a length-n BitString")
-        wrong = (y0.word ^ cfg.word) & cfg.mask
-        if wrong:
-            raise ValueError(
-                "inconsistent entry map: output disagrees with the "
-                f"configuration at position {(wrong & -wrong).bit_length() - 1}"
-            )
-        images.append(y0.word)
-    total_sets = math.comb(n, k)
-    # B = total_sets / count <= 2^(m+1)  <=>  count * 2^(m+1) >= total_sets
-    good = sum(c for c in Counter(images).values() if c << (m + 1) >= total_sets)
+    images = entry_map(masks, words, n)
+    if (not isinstance(images, np.ndarray) or images.dtype.kind not in "iu"
+            or images.shape != masks.shape):
+        raise ValueError("entry map must return an integer ndarray with one image "
+                         "per configuration")
+    if ((images < 0) | (images >> n != 0)).any():
+        raise ValueError(f"entry map images must lie in [0, 2^{n})")
+    images = images.astype(np.int64, copy=False)
+    wrong = (images ^ words) & masks
+    if wrong.any():
+        first = int(wrong[np.flatnonzero(wrong)[0]])
+        raise ValueError(
+            "inconsistent entry map: output disagrees with the "
+            f"configuration at position {(first & -first).bit_length() - 1}"
+        )
+    _, counts = np.unique(images, return_counts=True)
+    # B = binom(n, k) / count <= 2^(m+1)  <=>  count * 2^(m+1) >= binom(n, k)
+    good = int(counts[counts << (m + 1) >= math.comb(n, k)].sum())
     prob = Fraction(good, len(images))
     return prob, prob >= Fraction(1, 2)
 
@@ -137,14 +112,20 @@ def level_entry_information_check(
 
 @dataclass(frozen=True)
 class LevelSecret:
-    """The hidden part of a level: the k-configuration plus the position of
-    the next significant bit (never inside the configuration)."""
+    """The hidden part of a level: the k-configuration, as the mask of its
+    positions and the word of its target bits, plus the position of the
+    next significant bit (never inside the configuration)."""
 
-    config: KConfiguration
+    mask: int
+    word: int
     next_significant: int
 
     def __post_init__(self):
-        if self.next_significant in self.config.positions:
+        if self.mask < 0:
+            raise ValueError("mask must be non-negative")
+        if self.word & ~self.mask:
+            raise ValueError("word has bits outside the mask")
+        if self.next_significant >= 0 and (self.mask >> self.next_significant) & 1:
             raise ValueError("next significant position lies inside the configuration")
 
 
@@ -222,17 +203,16 @@ def onebit_simulation(
     n = start.n
     if n > 14:
         raise ValueError("exhaustive enumeration is limited to n <= 14")
-    cfg = secret.config
-    k = cfg.k
+    pmask = secret.mask
+    k = pmask.bit_count()
     m = n - k
-    pmask = cfg.mask
     next_bit = secret.next_significant
     if pmask >> n or not 0 <= next_bit < n:
         raise ValueError(f"secret outside [0, {n}): configuration positions "
-                         f"{cfg.positions}, next significant position {next_bit}")
+                         f"{set_bits(pmask)}, next significant position {next_bit}")
     # start must sit exactly on level k: agree with the configuration,
     # disagree with the target at the next significant position
-    if bad := (start.word ^ cfg.word) & pmask:
+    if bad := (start.word ^ secret.word) & pmask:
         raise ValueError("trace does not start at fitness k: start point disagrees "
                          f"with the configuration at {(bad & -bad).bit_length() - 1}")
 
@@ -772,38 +752,37 @@ def verify_induction_step(
 # -- example entry maps for the level-entry check ------------------------------
 
 
-def entry_map_constant(cfg: KConfiguration, n: int) -> BitString:
+def entry_map_constant(masks: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
     """Write the configuration's bits and fill every free position with 0."""
-    return BitString(n, cfg.word)
+    return words.copy()
 
 
-def entry_map_lowest_free_index(cfg: KConfiguration, n: int) -> BitString:
+def entry_map_lowest_free_index(masks: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
     """Encode the lowest free position's index, LSB first, into the free
     positions (ascending)."""
-    word = cfg.word
-    free = ~cfg.mask & ((1 << n) - 1)
-    if free:
-        payload = (free & -free).bit_length() - 1
-        while payload:
-            low = free & -free  # 0 once the free positions run out
-            if payload & 1:
-                word |= low
-            free ^= low
-            payload >>= 1
-    return BitString(n, word)
+    images = words.copy()
+    free = ~masks & ((1 << n) - 1)
+    # the lowest free bit is a power of two, or 0 when no position is free
+    payload = np.searchsorted(np.left_shift(1, np.arange(n)), free & -free)
+    while payload.any():
+        low = free & -free  # 0 once the free positions run out
+        images |= low * (payload & 1)
+        free ^= low
+        payload >>= 1
+    return images
 
 
-def entry_map_prefix_parity(cfg: KConfiguration, n: int) -> BitString:
+def entry_map_prefix_parity(masks: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
     """Fill each free position q with the parity of the number of significant
     positions below q."""
     # prefix XOR of the mask shifted up by one: bit q is the parity of the
     # significant positions below q
-    parity = cfg.mask << 1
+    parity = masks << 1
     shift = 1
     while shift < n:
         parity ^= parity << shift
         shift <<= 1
-    return BitString(n, cfg.word | (parity & ~cfg.mask & ((1 << n) - 1)))
+    return words | (parity & ~masks & ((1 << n) - 1))
 
 
 ENTRY_MAPS = {

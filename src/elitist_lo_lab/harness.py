@@ -262,25 +262,33 @@ def cmd_phi(kmax: int, mmax: int, eps: float = DEFAULT_EPS) -> list[str]:
 
 def parse_game_spec(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
     """Level-game spec file: `positions=<n'>`, `k=<k>`, then one
-    `set=<space-separated 1-based positions>` line per family member."""
-    positions = None
-    k = None
-    family: list[tuple[int, ...]] = []
+    `set=<space-separated 1-based positions>` line per family member.
+    Positions are checked against 1..n' and named as the file writes them;
+    the family is returned 0-based."""
+    header: dict[str, int] = {}
+    sets: list[list[int]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("positions="):
-            positions = int(line.split("=", 1)[1])
-        elif line.startswith("k="):
-            k = int(line.split("=", 1)[1])
+        key, _, body = line.partition("=")
+        if line.startswith(("positions=", "k=")):
+            if key in header:
+                raise ValueError(f"game spec repeats {key}=")
+            header[key] = int(body)
         elif line.startswith("set="):
-            body = line.split("=", 1)[1].split()
-            family.append(tuple(int(tok) - 1 for tok in body))
+            sets.append([int(tok) for tok in body.split()])
         else:
             raise ValueError(f"unrecognized game spec line {line!r}")
-    if positions is None or k is None:
+    if len(header) < 2:
         raise ValueError("game spec must define positions= and k=")
+    positions, k = header["positions"], header["k"]
+    if positions < 1:
+        raise ValueError(f"positions={positions} must be at least 1")
+    bad = next((pos for members in sets for pos in members if not 1 <= pos <= positions), None)
+    if bad is not None:
+        raise ValueError(f"set= position {bad} out of range 1..{positions}")
+    family = [tuple(pos - 1 for pos in members) for members in sets]
     if k == 0:
         family = family or [()]
     if not family:

@@ -12,7 +12,6 @@ import numpy as np
 
 from elitist_lo_lab.bounds import (
     ENTRY_MAPS,
-    KConfiguration,
     LevelGameSolver,
     LevelSecret,
     PhiSolver,
@@ -208,10 +207,9 @@ def test_criterion_8_onebit_simulation_certificate():
     start = BitString(n, 0)
     points = [BitString(n, w) for w in range(1, 2**n)]
     secrets = [
-        LevelSecret(KConfiguration(positions, (0,) * k), b)
-        for positions in itertools.combinations(range(n), k)
-        for b in range(n)
-        if b not in positions
+        LevelSecret(mask, 0, b)
+        for mask in range(1 << n) if mask.bit_count() == k
+        for b in range(n) if not (mask >> b) & 1
     ]
     assert len(secrets) == math.comb(n, k) * m
     ok = True

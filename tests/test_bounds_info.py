@@ -4,6 +4,7 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from elitist_lo_lab.bounds import (
     ENTRY_MAPS,
     LEAVE,
     STAY,
-    KConfiguration,
     LevelSecret,
     enumerate_k_configurations,
     entry_map_constant,
@@ -27,11 +27,29 @@ from elitist_lo_lab.lo_core import BitString, LoInstance, lo_value, set_bits
 # -- level-entry information ------------------------------------------------------
 
 
+def _reference_configurations(n, k):
+    """(mask, word) of every k-configuration, one at a time: position sets in
+    `combinations` order, values in `product` order (lowest position first)."""
+    for positions in itertools.combinations(range(n), k):
+        for values in itertools.product((0, 1), repeat=k):
+            yield (sum(1 << p for p in positions),
+                   sum(v << p for p, v in zip(positions, values)))
+
+
+def test_configuration_arrays_match_reference_order():
+    for n in range(1, 11):
+        for k in range(n + 1):
+            masks, words = enumerate_k_configurations(n, k)
+            assert masks.dtype == words.dtype == np.int64
+            assert list(zip(masks.tolist(), words.tolist())) == list(
+                _reference_configurations(n, k)), (n, k)
+
+
 def test_configuration_count():
     n, k = 6, 4
-    configs = list(enumerate_k_configurations(n, k))
-    assert len(configs) == 2**k * math.comb(n, k)
-    assert len(set(configs)) == len(configs)
+    masks, words = enumerate_k_configurations(n, k)
+    assert len(masks) == len(words) == 2**k * math.comb(n, k)
+    assert len(set(zip(masks.tolist(), words.tolist()))) == len(masks)
 
 
 @pytest.mark.parametrize("map_name", sorted(ENTRY_MAPS))
@@ -59,8 +77,8 @@ def test_constant_map_information_closed_form():
     threshold = Fraction(math.comb(n, k), 2 ** (m + 1))
     good = 0
     total = 0
-    for cfg in enumerate_k_configurations(n, k):
-        ones = sum(cfg.values)
+    for _, word in _reference_configurations(n, k):
+        ones = word.bit_count()
         count = math.comb(n - ones, k - ones)
         total += 1
         if count >= threshold:
@@ -71,12 +89,11 @@ def test_constant_map_information_closed_form():
 
 def _entry_probability(n: int, k: int, entry_map) -> Fraction:
     """Pr[B <= 2^(m+1)] with B = binom(n, k) / count compared as a rational."""
-    configs = list(enumerate_k_configurations(n, k))
-    images = [entry_map(cfg, n).word for cfg in configs]
+    images = entry_map(*enumerate_k_configurations(n, k), n).tolist()
     counts = Counter(images)
     bound = 2 ** (n - k + 1)
     good = sum(1 for w in images if Fraction(math.comb(n, k), counts[w]) <= bound)
-    return Fraction(good, len(configs))
+    return Fraction(good, len(images))
 
 
 @pytest.mark.parametrize("map_name", sorted(ENTRY_MAPS))
@@ -99,10 +116,10 @@ def test_entry_check_is_an_instance_of_the_counting_lemma(nk, fills, seed):
     m = n - k
     rng = random.Random(seed)
     words = [rng.getrandbits(n) for _ in range(fills)]
-    table = {(cfg.mask, cfg.word): (rng.choice(words) & ~cfg.mask) | cfg.word
-             for cfg in enumerate_k_configurations(n, k)}
-    prob, ok = level_entry_information_check(
-        n, k, lambda cfg, n: BitString(n, table[(cfg.mask, cfg.word)]))
+    table = {(mask, word): (rng.choice(words) & ~mask) | word
+             for mask, word in _reference_configurations(n, k)}
+    prob, ok = level_entry_information_check(n, k, lambda masks, words, n: np.array(
+        [table[cfg] for cfg in zip(masks.tolist(), words.tolist())]))
     total_sets = math.comb(n, k)
     counts = Counter(table.values())
     bad_images = [w for w, c in counts.items() if c << (m + 1) < total_sets]
@@ -120,26 +137,55 @@ def test_entry_check_handles_m_zero():
 
 
 def test_entry_check_rejects_inconsistent_map():
-    def broken(cfg, n):
-        return BitString(n, 0)  # ignores the configuration's values
+    def broken(masks, words, n):
+        return np.zeros_like(words)  # ignores the configurations' values
 
-    with pytest.raises(ValueError):
+    # the first configuration with a one among its values is the (0, 1) set
+    # with values (0, 1): its image disagrees at position 1
+    with pytest.raises(ValueError, match="configuration at position 1$"):
         level_entry_information_check(5, 2, broken)
+
+
+def test_entry_map_cannot_rewrite_the_configurations():
+    def overwrite(masks, words, n):
+        words[:] = 0  # would make the all-zero image look consistent
+        return words
+
+    with pytest.raises(ValueError, match="read-only"):
+        level_entry_information_check(5, 2, overwrite)
 
 
 def test_entry_check_rejects_large_n():
     with pytest.raises(ValueError):
         level_entry_information_check(15, 13, entry_map_constant)
+    # the enumeration builds whole arrays, so it keeps the guards itself
+    for n, k in ((15, 13), (5, 6), (5, -1)):
+        with pytest.raises(ValueError):
+            enumerate_k_configurations(n, k)
 
 
-@pytest.mark.parametrize("bad_image", [
-    lambda cfg, n: entry_map_constant(cfg, n).word,        # an int, not a BitString
-    lambda cfg, n: entry_map_constant(cfg, n + 1),         # one position too long
-    lambda cfg, n: BitString(n - 1, 0),                     # one position too short
+@pytest.mark.parametrize("bad_image, rule", [
+    pytest.param(lambda masks, words, n: words.tolist(), "integer ndarray", id="list"),
+    pytest.param(lambda masks, words, n: words.astype(float), "integer ndarray", id="float"),
+    pytest.param(lambda masks, words, n: words[:-1], "one image per configuration",
+                 id="one-too-few"),
+    pytest.param(lambda masks, words, n: words.reshape(1, -1), "one image per configuration",
+                 id="two-dimensional"),
+    pytest.param(lambda masks, words, n: words | (1 << n), r"lie in \[0, 2\^5\)",
+                 id="too-large"),
+    pytest.param(lambda masks, words, n: words - (masks == 3), r"lie in \[0, 2\^5\)",
+                 id="negative"),
 ])
-def test_entry_check_rejects_non_bitstring_or_wrong_length(bad_image):
-    with pytest.raises(ValueError, match="length-n BitString"):
+def test_entry_check_rejects_malformed_images(bad_image, rule):
+    with pytest.raises(ValueError, match=rule):
         level_entry_information_check(5, 2, bad_image)
+
+
+def test_entry_check_accepts_any_integer_dtype():
+    for dtype in (np.uint8, np.int32, np.uint64):
+        prob, ok = level_entry_information_check(
+            6, 4, lambda masks, words, n: entry_map_constant(masks, words, n).astype(dtype))
+        assert (prob, ok) == level_entry_information_check(6, 4, entry_map_constant)
 
 
 # exact probabilities of the three (10, 8) checks the bound checks script runs
@@ -156,16 +202,16 @@ def test_entry_check_pinned_at_10_8(map_name):
     assert type(prob) is Fraction and prob == ENTRY_PROBABILITIES_10_8[map_name] and ok
 
 
-def _reference_image(name, cfg, n):
+def _reference_image(name, mask, word, n):
     """The entry maps written out position by position over sets."""
-    word = sum(val << pos for pos, val in zip(cfg.positions, cfg.values))
-    free = [q for q in range(n) if q not in set(cfg.positions)]
+    positions = set_bits(mask)
+    free = [q for q in range(n) if q not in positions]
     if name == "lowest_free_index" and free:
         for i, q in enumerate(free):
             word |= ((free[0] >> i) & 1) << q
     elif name == "prefix_parity":
         for q in free:
-            word |= (sum(1 for pos in cfg.positions if pos < q) & 1) << q
+            word |= (sum(1 for pos in positions if pos < q) & 1) << q
     return word
 
 
@@ -174,34 +220,36 @@ def test_entry_maps_match_positionwise_reference(map_name):
     entry_map = ENTRY_MAPS[map_name]
     for n in range(1, 9):
         for k in range(n + 1):
-            for cfg in enumerate_k_configurations(n, k):
-                assert entry_map(cfg, n).word == _reference_image(map_name, cfg, n), (n, cfg)
-    # a caller-built configuration gets the same image as an enumerated one
-    cfg = KConfiguration((1, 4, 6), (1, 0, 1))
-    assert entry_map(cfg, 9).word == _reference_image(map_name, cfg, 9)
-
-
-def test_enumerated_configurations_keep_caller_validation():
-    # enumeration skips the checks its own output cannot fail; a configuration
-    # built by a caller still runs them
-    with pytest.raises(ValueError):
-        KConfiguration((2, 1), (0, 1))
-    with pytest.raises(ValueError):
-        KConfiguration((1, 2), (0, 2))
-    with pytest.raises(ValueError):
-        KConfiguration((-1, 2), (0, 1))
-    configs = list(enumerate_k_configurations(5, 2))
-    rebuilt = [KConfiguration(c.positions, c.values) for c in configs]
-    assert configs == rebuilt
-    assert [(c.mask, c.word) for c in configs] == [(c.mask, c.word) for c in rebuilt]
+            masks, words = enumerate_k_configurations(n, k)
+            images = entry_map(masks, words, n)
+            assert images.dtype == np.int64
+            for mask, word, image in zip(masks.tolist(), words.tolist(), images.tolist()):
+                assert image == _reference_image(map_name, mask, word, n), (n, mask, word)
+    # a hand-built configuration: positions 1, 4, 6 with values 1, 0, 1
+    mask, word = 0b1010010, 0b1000010
+    image = entry_map(np.array([mask]), np.array([word]), 9)
+    assert image.tolist() == [_reference_image(map_name, mask, word, 9)]
 
 
 # -- one-bit simulation -------------------------------------------------------------
 
 
 def _secret(n, positions, start_word, next_significant):
-    values = tuple((start_word >> p) & 1 for p in positions)
-    return LevelSecret(KConfiguration(tuple(positions), values), next_significant)
+    mask = sum(1 << p for p in positions)
+    return LevelSecret(mask, start_word & mask, next_significant)
+
+
+def test_level_secret_validates_its_fields():
+    assert LevelSecret(0b1010, 0b0010, 0).word == 0b0010
+    assert LevelSecret(0b1010, 0, -1).next_significant == -1  # onebit_simulation rejects it
+    with pytest.raises(ValueError, match="non-negative"):
+        LevelSecret(-2, 0, 0)
+    with pytest.raises(ValueError, match="outside the mask"):
+        LevelSecret(0b1010, 0b0100, 0)
+    with pytest.raises(ValueError, match="outside the mask"):
+        LevelSecret(0b1010, -1, 0)
+    with pytest.raises(ValueError, match="inside the configuration"):
+        LevelSecret(0b1010, 0, 3)
 
 
 def test_onebit_fixed_point():
@@ -291,7 +339,7 @@ def test_onebit_length_certificate_random_traces():
 def test_onebit_rejects_secret_outside_the_string():
     n = 5
     start = BitString(n, 0)
-    for secret in (LevelSecret(KConfiguration((1, 9), (0, 0)), 3),
+    for secret in (LevelSecret(0b1000000010, 0, 3),
                    _secret(n, (0, 1), 0, 7),
                    _secret(n, (0, 1), 0, -1)):
         with pytest.raises(ValueError, match=r"^secret outside \[0, 5\)"):

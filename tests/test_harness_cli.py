@@ -321,6 +321,20 @@ def test_parse_game_spec_rejects_garbage():
         parse_game_spec("positions=4\nwhat=1\n")
     with pytest.raises(ValueError):
         parse_game_spec("positions=4\nk=2\n")
+    # positions are 1-based and named as the file writes them
+    for text, message in (
+        ("positions=4\nk=1\nset=5\n", "set= position 5 out of range 1..4"),
+        ("positions=4\nk=1\nset=0\n", "set= position 0 out of range 1..4"),
+        ("positions=4\nk=2\nset=1 -3\n", "set= position -3 out of range 1..4"),
+        ("positions=-2\nk=1\nset=1\n", "positions=-2 must be at least 1"),
+        ("positions=0\nk=0\n", "positions=0 must be at least 1"),
+        ("positions=4\nk=1\npositions=5\nset=1\n", "game spec repeats positions="),
+        ("positions=4\nk=1\nk=2\nset=1\n", "game spec repeats k="),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_game_spec(text)
+        assert str(exc.value) == message
+    assert parse_game_spec("positions=4\nk=1\nset=4\n") == (4, 1, [(3,)])
 
 
 # -- CLI ------------------------------------------------------------------------------------
@@ -599,6 +613,12 @@ def test_cli_game(tmp_path, capsys):
     assert captured.out == "2.0\n"
     assert captured.err == "game: 3 memo states\n"
     assert _run_cli(["game", "--spec", str(tmp_path / "missing.txt")]) == 2
+    capsys.readouterr()
+    spec.write_text("positions=4\nk=1\nset=5\n")
+    assert _run_cli(["game", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: set= position 5 out of range 1..4\n"
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
