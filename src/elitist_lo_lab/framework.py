@@ -39,7 +39,7 @@ from .lo_core import (
 
 
 class StateBudgetExceeded(RuntimeError):
-    """A strategy's serialized state outgrew its declared bit budget."""
+    """A strategy's state outgrew its declared bit budget (0 if undeclared)."""
 
 
 class Strategy(Protocol):
@@ -51,11 +51,13 @@ class Strategy(Protocol):
     never see numeric fitness values: the runner keeps the oracle and passes
     on comparison outcomes only.
 
-    Optional extras:
-      * state_budget_bits(n): declared bound on the packed state size; the
-        runner enforces it after every step.
-      * pack_state(state): serialize the state to bytes for enforcement;
-        the runner calls it once per step.
+    Optional extras, declared together:
+      * state_budget_bits(n): bound on the bit length of `pack_state`'s
+        int, which the runner checks after every step.
+      * pack_state(state): the state as one int.
+    Without them a strategy keeps no state: its `fresh_state` must return
+    None, checked once, as `learn` changes state in place.  State hidden
+    in closures or globals escapes the check.
 
     A plain run of `Rls`, `OneEa` or `Memlog` (exactly that class, no
     observer or oracle) takes its body in `_LOOPS`, which keeps the
@@ -162,8 +164,9 @@ def run_one_plus_one(
     if hasattr(strategy, "state_budget_bits"):
         budget_bits = strategy.state_budget_bits(n)
         pack = strategy.pack_state
-        max_bytes = (budget_bits + 7) // 8  # a packed state may pad to whole bytes
     state = strategy.fresh_state(n, rng)
+    if pack is None and state is not None:  # `learn` changes state in place
+        raise StateBudgetExceeded(f"{strategy.name}: keeps state but declares no state budget")
 
     if budget is not None and budget < 1:
         return _finish_record(strategy.name, inst, seed, oracle, True)
@@ -190,9 +193,9 @@ def run_one_plus_one(
             observer(("step", incumbent, offspring, outcome, accepted))
         if accepted:
             incumbent = offspring
-        if pack is not None and len(packed := pack(state)) > max_bytes:
+        if pack is not None and (bits := pack(state).bit_length()) > budget_bits:
             raise StateBudgetExceeded(f"{strategy.name}: packed state is "
-                                      f"{len(packed) * 8} bits, declared budget {budget_bits}")
+                                      f"{bits} bits, declared budget {budget_bits}")
 
     return _finish_record(strategy.name, inst, seed, oracle, budget_exhausted)
 
@@ -382,10 +385,10 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
     positions only; the scan reads ranks above f, which are never marked.
 
     It neither packs nor checks memlog's state: `Memlog`'s declared budget,
-    `state_budget_bits(n)`, fits a full B1 with the longest record a search
-    writes, and `Memlog` has no instance dict, so a plain run cannot
-    declare another.  A subclass with a smaller budget runs the protocol
-    loop, which checks it.
+    `state_budget_bits(n)`, is exactly a full B1, the longest record a
+    search writes and the phase flag, and `Memlog` has no instance dict, so
+    a plain run cannot declare another.  A subclass with a smaller budget
+    runs the protocol loop, which checks it.
     """
     n, sigma = inst.n, inst.sigma
     free = list(range(n))

@@ -136,10 +136,11 @@ def lowest_set_bits(mask: int, count: int) -> int:
 
     Bisects for the narrowest low window of mask holding `count` set bits.
     """
-    lo, hi = 0, mask.bit_length()
+    lo, hi = 0, mask.bit_length() if count > 0 else 0  # count <= 0 selects nothing
+    above = mask.bit_count() - count  # set bits that stay above the window
     while lo < hi:
         mid = (lo + hi) // 2
-        if (mask & ((1 << mid) - 1)).bit_count() < count:
+        if (mask >> mid).bit_count() > above:
             lo = mid + 1
         else:
             hi = mid
@@ -147,32 +148,36 @@ def lowest_set_bits(mask: int, count: int) -> int:
 
 
 class MemlogState:
-    """Marker block B1 and the bounded halving record B2, plus the
-    candidate cache derived from them.
+    """Marker block B1, halving record B2 and the phase flag: exactly what
+    `pack_state` packs and the protocol loop charges to `state_budget_bits`.
 
-    B1 and B2 (with the phase flag) are the strategy's state; `pack_state`
-    serializes exactly these and the runner checks them against
-    `state_budget_bits`.  B2 is `record`, a self-delimited int: a leading 1,
-    then one bit per halving outcome (1 = kept the first half, 0 = the
-    second), so it is 1 outside halving.  While halving, `p0_mask` holds the
-    candidate set P0 as a word and `p0_size` its size; both are recomputable
-    from B1 and B2.  `p0_size` is 0 outside halving and at least 2 within
-    it, so it doubles as the phase flag.
-
-    Only the protocol loop builds a `MemlogState`; `run_one_plus_one`'s
-    fused memlog loop keeps B1's zeros as a word and a list, and P0 and
-    B2's length as small ints.
+    B2 is `record`, a self-delimited int: a leading 1, then one bit per
+    halving outcome (1 = kept the first half, 0 = the second), so it is 1
+    outside halving.  The candidate set P0 is read off it (`_window`).
+    Only the protocol loop builds a `MemlogState`.
     """
 
-    __slots__ = ("n", "b1", "record", "p0_mask", "p0_size", "pending")
+    __slots__ = ("n", "b1", "record", "halving")
 
     def __init__(self, n: int):
         self.n = n
-        self.b1 = 0                       # marker word, one bit per position
-        self.record = 1                   # B2: leading 1, then one bit per halving
-        self.p0_mask = 0                  # candidate cache, P0 as a word
-        self.p0_size = 0
-        self.pending = 0                  # flip mask of the pending query
+        self.b1 = 0          # marker word, one bit per position
+        self.record = 1      # B2: leading 1, then one bit per halving
+        self.halving = False
+
+
+def _window(size: int, record: int) -> tuple[int, int]:
+    """P0 as the index window [lo, hi) into the `size` zeros of B1: from
+    (0, size), each of B2's outcome bits, highest first, keeps
+    [lo, mid) (1) or [mid, hi) (0), with mid = (lo + hi + 1) >> 1."""
+    lo, hi = 0, size
+    for i in range(record.bit_length() - 2, -1, -1):
+        mid = (lo + hi + 1) >> 1
+        if record >> i & 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 class Memlog:
@@ -194,16 +199,18 @@ class Memlog:
     f(x) + popcount(B1), so a run needs at most 2n(ceil(log2 n) + 2) queries
     including the initial sample.
 
-    A halving query flips P0's first half, `lowest_set_bits` of `p0_mask`.
-    B2 gets one bit per halving query that leaves P0 with two or more
-    positions, so it has at most max(1, ceil(log2 n)) bits, its leading 1
-    included, and the declared budget, `state_budget_bits(n)`, fits a full
-    B1 with it and the phase flag by construction.  A plain `Memlog` run
-    takes `run_one_plus_one`'s fused loop, which runs a search (the probe
-    and its halving queries) at a time on small ints, from where P0's
-    first half ends against the lowest unmarked position of rank < f and
-    against sigma[f], and calls none of these methods; a subclass does
-    not, and the protocol loop checks its budget after every step.
+    P0 is the index window [lo, hi) into zeros(B1) that `_window` reads
+    off B2, and a halving query flips the zeros of index in [lo, mid),
+    selected with `lowest_set_bits`.  B2 gets one bit per halving query
+    that leaves P0 with two or more positions, so it has at most
+    max(1, ceil(log2 n)) bits, its leading 1 included: a full B1, that B2
+    and the phase flag are exactly `state_budget_bits(n)`.  A plain
+    `Memlog` run takes `run_one_plus_one`'s fused loop, which runs a
+    search (the probe and its halving queries) at a time on small ints,
+    from where P0's first half ends against the lowest unmarked position
+    of rank < f and against sigma[f], and calls none of these methods; a
+    subclass does not, and the protocol loop checks its budget after
+    every step.
     """
 
     __slots__ = ()
@@ -214,71 +221,58 @@ class Memlog:
 
     def step(self, incumbent: BitString, state: MemlogState,
              rng: random.Random) -> BitString:
-        if not state.p0_size:
+        zeros = ((1 << state.n) - 1) ^ state.b1
+        if not state.halving:
             # probe: flip all zero-B1 positions at once
-            mask = ((1 << incumbent.n) - 1) ^ state.b1
-            if mask == 0:
+            if zeros == 0:
                 raise RuntimeError("memlog probe with all positions marked")
-            state.pending = mask
-            return incumbent.flip_mask(mask)
-        first = lowest_set_bits(state.p0_mask, (state.p0_size + 1) // 2)
-        state.pending = first
-        return incumbent.flip_mask(first)
+            return incumbent.flip_mask(zeros)
+        lo, hi = _window(zeros.bit_count(), state.record)
+        low = lowest_set_bits(zeros, (lo + hi + 1) >> 1)  # the zeros of index < mid
+        return incumbent.flip_mask(low ^ lowest_set_bits(low, lo))
 
     def learn(self, outcome: Ordering, state: MemlogState) -> None:
-        if not state.p0_size:
+        size = state.n - state.b1.bit_count()  # L, the number of zeros of B1
+        if not state.halving:
             if outcome == GREATER:
                 return  # fitness grew; probe again
             if outcome == EQUAL:
                 raise RuntimeError("memlog invariant violated: probe came back EQUAL")
             # LESS: some marked-prefix gap exists; search zeros(B1) for it
-            zeros = state.pending  # the probe's mask, zeros(B1)
-            count = zeros.bit_count()
-            if count == 1:  # only scripted outcome sequences reach this
-                state.b1 |= zeros
+            if size == 1:  # only scripted outcome sequences reach this
+                state.b1 = (1 << state.n) - 1  # mark the one zero
                 return
-            state.p0_mask = zeros
-            state.p0_size = count
+            state.halving = True
             return
         if outcome == GREATER:
             # forced accept; fitness only grew, so B1 stays valid
-            self._reset_halving(state)
+            state.record, state.halving = 1, False
             return
-        half = (state.p0_size + 1) // 2
-        first = state.pending
+        lo, hi = _window(size, state.record)
+        mid = (lo + hi + 1) >> 1
         if outcome == LESS:
             state.record = (state.record << 1) | 1
-            state.p0_mask = first
-            state.p0_size = half
+            hi = mid
         else:
             state.record <<= 1
-            state.p0_mask ^= first
-            state.p0_size -= half
-        if state.p0_size == 1:
-            state.b1 |= state.p0_mask
-            self._reset_halving(state)
-
-    @staticmethod
-    def _reset_halving(state: MemlogState) -> None:
-        state.record = 1
-        state.p0_mask = 0
-        state.p0_size = 0
-        state.pending = 0
+            lo = mid
+        if hi - lo == 1:  # mark P0's one position, the zero of index lo
+            zeros = ((1 << state.n) - 1) ^ state.b1
+            rest = zeros ^ lowest_set_bits(zeros, lo)
+            state.b1 |= rest & -rest
+            state.record, state.halving = 1, False
 
     # -- state budget --------------------------------------------------------
 
     def state_budget_bits(self, n: int) -> int:
-        # B1 (n bits) + self-delimited halving record (ceil(log2 n) + 1 bits)
-        # + phase flag and byte padding
-        return n + max(1, math.ceil(math.log2(n))) + 16
+        # B1 (n bits) + the longest B2 (max(1, ceil(log2 n)) bits) + the
+        # phase flag; (n - 1).bit_length() is ceil(log2 n) exactly
+        return n + max(1, (n - 1).bit_length()) + 1
 
-    def pack_state(self, state: MemlogState) -> bytes:
-        """B1 in the low n bits, B2 above it, then the phase flag, as
-        ceil((n + len(B2) + 2) / 8) little-endian bytes."""
+    def pack_state(self, state: MemlogState) -> int:
+        """B1 in the low n bits, B2 above it, then the phase flag."""
         n, record = state.n, state.record
-        used = n + record.bit_length()  # bits below the phase flag
-        packed = state.b1 | record << n | bool(state.p0_size) << used
-        return packed.to_bytes((used + 9) >> 3, "little")
+        return state.b1 | record << n | state.halving << (n + record.bit_length())
 
 
 def memlog_query_bound(n: int) -> int:

@@ -63,10 +63,11 @@ class PeekingStrategy:
         self._channel = channel
 
     def fresh_state(self, n, rng):
-        return itertools.count()
+        self._t = itertools.count()  # on self: it declares no state budget
+        return None
 
     def step(self, incumbent, state, rng):
-        return incumbent.flip((self._channel["value"] + next(state)) % incumbent.n)
+        return incumbent.flip((self._channel["value"] + next(self._t)) % incumbent.n)
 
     def learn(self, outcome, state):
         pass
@@ -85,7 +86,7 @@ def leaky_oracle(base, channel):
 
 
 class OverweightStrategy:
-    """Declares a 4-bit state budget but packs two bytes."""
+    """Declares a 4-bit state budget but packs a 16-bit int."""
 
     name = "overweight"
 
@@ -102,7 +103,7 @@ class OverweightStrategy:
         return 4
 
     def pack_state(self, state):
-        return b"\x00\x00"
+        return 1 << 15
 
 
 # -- run_one_plus_one ------------------------------------------------------------
@@ -208,6 +209,35 @@ def test_state_budget_enforced():
     with pytest.raises(StateBudgetExceeded,
                        match=r"^overweight: packed state is 16 bits, declared budget 4$"):
         run_one_plus_one(OverweightStrategy(), inst, seed=1, budget=100)
+
+
+class StatefulRls(Rls):
+    """`Rls` that keeps a state but declares no budget for it."""
+
+    def fresh_state(self, n, rng):
+        return []
+
+
+class PlainRls(Rls):
+    pass
+
+
+class PlainOneEa(OneEa):
+    pass
+
+
+def test_undeclared_state_budget_counts_as_zero():
+    inst = random_instance(8, random.Random(2))
+    with pytest.raises(StateBudgetExceeded,
+                       match=r"^rls: keeps state but declares no state budget$"):
+        run_one_plus_one(StatefulRls(), inst, seed=1)
+    events = []
+    with pytest.raises(StateBudgetExceeded):  # before the first query
+        run_one_plus_one(StatefulRls(), inst, seed=1, observer=events.append)
+    assert events == []
+    for cls in (Rls, OneEa, PlainRls, PlainOneEa):  # plain Rls and OneEa run fused
+        assert run_one_plus_one(cls(), inst, seed=1).hit_optimum
+        assert run_one_plus_one(cls(), inst, seed=1, observer=events.append).hit_optimum
 
 
 # -- RunRecord JSON ----------------------------------------------------------------

@@ -13,7 +13,8 @@ n = 4096 must stay under a traced-memory bound, and so must one oracle at
 n = 16384.  The fused memlog loop reads a whole halving search off the
 bit-reversed leaf codes of two indices into its list of unmarked
 positions, and finds the lowest gap in a heap, while the protocol loop's
-`Memlog` bisects `p0_mask` with `lowest_set_bits` query by query, so the
+`Memlog` reads P0 off its halving record as an index window into the
+unmarked positions and selects it with `lowest_set_bits` query by query, so the
 memlog checks compare two searches written independently (searches that
 end GREATER partway, runs cut after every step of a search, every case at
 n <= 3, and n = 4097, where the codes' bit count drops at the first
@@ -23,8 +24,8 @@ position reaches memlog's invariant check.  The code rule and its upkeep
 are also checked against the halving loop they replaced,
 `reference_search`, and against their definition, and so are the first
 codes a run copies.  memlog's declared state budget holds by
-construction, which `pack_state` confirms here for a full state, so the
-fused loop checks no budget; a subclass that declares a smaller one
+construction, which `pack_state` confirms here for a full state, whose
+bit length is the budget exactly, so the fused loop checks no budget; a subclass that declares a smaller one
 runs the protocol loop, which enforces it.  The fused EA loop ends each
 mask on a `_stop_below` threshold rather than `oea_mask`'s last step, so
 that table is checked against the step draw by draw near every
@@ -493,7 +494,7 @@ class HalvingSpy(Memlog):
 
     def learn(self, outcome, state):
         super().learn(outcome, state)
-        self.halving.append(state.p0_size != 0)
+        self.halving.append(state.halving)
 
 
 MEMLOG_SIZES = list(range(1, 40)) + [63, 64, 65, 255, 256, 257, 1024, 4096, 4097]
@@ -631,14 +632,14 @@ def test_excluded_cases_take_the_protocol_loop(cls, case, step_raises):
 
 
 def test_declared_state_budget_fits_a_full_state():
-    # a full B1, the phase flag and a record of (n - 1).bit_length() + 2
-    # bits, longer than any a search writes, fit the declared budget
+    # a full B1, the phase flag and the longest record a search writes,
+    # max(1, ceil(log2 n)) bits, fill the declared budget exactly
     strategy = Memlog()
     for n in [*range(1, 4097), *(1 << k for k in range(13, 21))]:
         state = MemlogState(n)
-        state.b1, state.p0_size = (1 << n) - 1, 2
-        state.record = 1 << ((n - 1).bit_length() + 1)
-        assert len(strategy.pack_state(state)) <= (strategy.state_budget_bits(n) + 7) // 8, n
+        state.b1, state.halving = (1 << n) - 1, True
+        state.record = 1 << (max(1, math.ceil(math.log2(n))) - 1)
+        assert strategy.pack_state(state).bit_length() == strategy.state_budget_bits(n), n
 
 
 def test_strategies_reject_attribute_assignment():
@@ -652,25 +653,26 @@ def test_strategies_reject_attribute_assignment():
 
 
 class TightMemlog(Memlog):
-    """`Memlog` with a state budget one byte over B1's whole bytes; it
-    notes each packed state's size and whether a halving phase is open."""
+    """`Memlog` with a state budget of n + 4 bits, room for B2's leading 1
+    and two outcome bits under the phase flag; it notes each packed
+    state's bit length and whether a halving phase is open."""
 
     def __init__(self):
         self.packed = []
 
     def state_budget_bits(self, n):
-        return 8 * ((n >> 3) + 1)
+        return n + 4
 
     def pack_state(self, state):
         packed = super().pack_state(state)
-        self.packed.append((len(packed), state.p0_size != 0))
+        self.packed.append((packed.bit_length(), state.halving))
         return packed
 
 
 def test_smaller_state_budget_stops_a_search_on_the_protocol_loop():
-    # one byte over B1's whole bytes fits a record of 6 - n % 8 bits, so
-    # for n % 8 <= 5 the run fails inside the first search longer than
-    # that, after a halving query, with pack_state's size in the message
+    # the run fails inside the first search that writes a third outcome
+    # bit, after a halving query, one bit over the budget, with the
+    # packed state's bit length in the message
     for n in range(128, 134):
         inst = random_instance(n, random.Random(f"tight/{n}"))
         strategy = TightMemlog()
@@ -678,9 +680,9 @@ def test_smaller_state_budget_stops_a_search_on_the_protocol_loop():
         with pytest.raises(StateBudgetExceeded) as exc:
             run_one_plus_one(strategy, inst, n)
         size, halving = strategy.packed[-1]
-        assert halving and len(strategy.packed) >= 2
-        assert all(8 * s <= bits for s, _ in strategy.packed[:-1])
-        assert str(exc.value) == f"memlog: packed state is {8 * size} bits, declared budget {bits}"
+        assert halving and size == bits + 1 and len(strategy.packed) >= 2
+        assert all(s <= bits for s, _ in strategy.packed[:-1])
+        assert str(exc.value) == f"memlog: packed state is {size} bits, declared budget {bits}"
 
 
 # -- memlog a search at a time -------------------------------------------------------
@@ -693,7 +695,7 @@ class SearchSpy(Memlog):
         self.steps = []
 
     def learn(self, outcome, state):
-        self.steps.append((state.p0_size != 0, outcome))
+        self.steps.append((state.halving, outcome))
         super().learn(outcome, state)
 
 

@@ -13,6 +13,7 @@ from elitist_lo_lab.heuristics import (
     OneEa,
     Rls,
     STRATEGIES,
+    _window,
     lowest_set_bits,
     make_strategy,
     memlog_query_bound,
@@ -225,8 +226,8 @@ def test_memlog_bound_and_optimum(n):
 
 
 class SpyMemlog(Memlog):
-    """Memlog that snapshots its state, with `p0_size != 0` as the phase
-    flag, and its packed bytes after every learn."""
+    """Memlog that snapshots its state (B1, B2 and the phase flag) and its
+    packed int after every learn."""
 
     def __init__(self):
         self.snapshots = []
@@ -234,14 +235,13 @@ class SpyMemlog(Memlog):
 
     def learn(self, outcome, state):
         super().learn(outcome, state)
-        self.snapshots.append((state.b1, state.record, state.p0_size != 0,
-                               state.p0_mask, state.p0_size))
+        self.snapshots.append((state.b1, state.record, state.halving))
         self.packed.append(self.pack_state(state))
 
 
 def candidate_positions(state: MemlogState) -> list[int]:
-    """Recompute P0 from B1 and the halving record (checks the cache is
-    genuinely derived state)."""
+    """Recompute P0 from B1 and the halving record by splitting the list
+    of B1's zeros, independently of `_window`'s index arithmetic."""
     p0 = [i for i in range(state.n) if not (state.b1 >> i) & 1]
     for bit in bin(state.record)[3:]:  # the outcome bits below the leading 1
         half = (len(p0) + 1) // 2
@@ -276,7 +276,7 @@ def _check_memlog_whitebox(n):
         steps = [e for e in events if e[0] == "step"]
         assert len(steps) == len(spy.snapshots)
         progress = []
-        for (b1, record, halving, p0_mask, p0_size), step in zip(spy.snapshots, steps):
+        for (b1, record, halving), step in zip(spy.snapshots, steps):
             _, inc, off, outcome, accepted = step
             current = off if accepted else inc
             f = lo_value(inst, current)
@@ -285,15 +285,16 @@ def _check_memlog_whitebox(n):
             # B2 record stays within its declared bound
             assert record.bit_length() - 1 <= clog
             if halving:
-                # the cached candidate set is derived state and never empty
+                # B2's index window into zeros(B1) is the candidate set,
+                # which holds two positions or more
                 halved += 1
                 state = MemlogState(n)
                 state.b1 = b1
                 state.record = record
-                derived = candidate_positions(state)
-                assert derived == set_bits(p0_mask)
-                assert p0_size == len(derived) and p0_size >= 2
-                assert p0_mask & b1 == 0
+                zeros = set_bits(((1 << n) - 1) ^ b1)
+                lo, hi = _window(len(zeros), record)
+                assert zeros[lo:hi] == candidate_positions(state)
+                assert hi - lo >= 2
             progress.append(f + b1.bit_count())
         # every clog+1 consecutive queries strictly increase f + |B1|
         window = clog + 1
@@ -313,18 +314,20 @@ def test_memlog_state_packing_within_budget():
         run_one_plus_one(spy, inst, seed=n + 1)
         assert len({b1 for b1, *_ in spy.snapshots}) > 2  # B1 changes during the run
         state = MemlogState(n)
-        for b1, record, halving, p0_mask, p0_size in spy.snapshots:
+        for b1, record, halving in spy.snapshots:
             state.b1 = b1
             state.record = record
-            state.p0_size = p0_size
+            state.halving = halving
             packed = strategy.pack_state(state)
-            assert len(packed) * 8 <= budget_bits + 7
+            assert packed.bit_length() <= budget_bits
             assert unpack_state(n, packed) == (b1, record, halving)
 
 
-# sha256 of the `pack_state` bytes after every protocol step of the runs in
-# `test_memlog_pack_state_pin`, concatenated; recorded when `MemlogState`
-# kept its phase flag in a field of its own, so any changed byte shows here
+# sha256 of the `pack_state` ints after every protocol step of the runs in
+# `test_memlog_pack_state_pin`, each written as (n + len(B2) + 9) >> 3
+# little-endian bytes and concatenated; recorded when `MemlogState` kept
+# its phase flag in a field of its own and packed to those bytes, so any
+# changed bit shows here
 PACK_STATE_DIGEST = "05713db2c2cb789089a367a4efcd8c2e91bb374456bbab5a44152a879e9357d9"
 
 
@@ -335,20 +338,20 @@ def test_memlog_pack_state_pin():
         spy = SpyMemlog()
         run_one_plus_one(spy, random_instance(n, random.Random(n)), seed=n + 1)
         steps += len(spy.packed)
-        digest.update(b"".join(spy.packed))
+        digest.update(b"".join(packed.to_bytes((n + record.bit_length() + 9) >> 3, "little")
+                               for packed, (_, record, _) in zip(spy.packed, spy.snapshots)))
     assert steps == 13268
     assert digest.hexdigest() == PACK_STATE_DIGEST
 
 
 def unpack_state(n, packed):
-    """B1, B2 and the phase flag read back from memlog's packed bytes: B1 is
+    """B1, B2 and the phase flag read back from memlog's packed int: B1 is
     the low n bits, and above it sits B2's leading 1 outside halving, or B2
     under a set phase flag while halving."""
-    word = int.from_bytes(packed, "little")
-    rest = word >> n
+    rest = packed >> n
     halving = rest != 1
     record = rest ^ (1 << (rest.bit_length() - 1)) if halving else 1
-    return word & ((1 << n) - 1), record, halving
+    return packed & ((1 << n) - 1), record, halving
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), *range(1024, 1032)])
@@ -359,7 +362,7 @@ def test_memlog_pack_state_after_every_b1_write(n):
     # flag within the declared budget.
     rng = random.Random(7000 + n)
     strategy = Memlog()
-    max_bits = strategy.state_budget_bits(n) + 7  # a packed state may pad to whole bytes
+    budget_bits = strategy.state_budget_bits(n)
     full = (1 << n) - 1
     writes = {"halving": 0, "probe": 0}
     for trial in range(3 if n < 1024 else 1):
@@ -368,7 +371,7 @@ def test_memlog_pack_state_after_every_b1_write(n):
         assert unpack_state(n, strategy.pack_state(state)) == (0, 1, False)
         while state.b1 != full:
             y = strategy.step(x, state, rng)
-            was_halving, b1 = state.p0_size != 0, state.b1
+            was_halving, b1 = state.halving, state.b1
             if was_halving:
                 outcome = rng.choices((LESS, EQUAL, GREATER), (9, 9, 2))[0]
             else:
@@ -379,8 +382,8 @@ def test_memlog_pack_state_after_every_b1_write(n):
             if state.b1 != b1:
                 writes["halving" if was_halving else "probe"] += 1
             packed = strategy.pack_state(state)
-            assert len(packed) * 8 <= max_bits
-            assert unpack_state(n, packed) == (state.b1, state.record, state.p0_size != 0)
+            assert packed.bit_length() <= budget_bits
+            assert unpack_state(n, packed) == (state.b1, state.record, state.halving)
             if outcome == GREATER:
                 x = y
         with pytest.raises(RuntimeError):  # every position is marked
