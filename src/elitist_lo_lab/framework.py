@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import random
+import sys
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -71,7 +72,10 @@ class Strategy(Protocol):
     prefix's unmarked positions.  From n = `_SKIP_FROM[cls]` on, the rls
     and (1+1) EA bodies charge each fitness level's queries at once from
     words drawn in bulk by a numpy MT19937 set to the run's rng state,
-    which takes the generator's state back at the end.  A subclass always
+    which takes the generator's state back at the end: rls reads the
+    position-space diff word through each chunk's flipped positions as one
+    str (`_skip_rls`), the (1+1) EA a diff array in rank order
+    (`_skip_levels`).  A subclass always
     runs the protocol loop and its own methods.
     """
 
@@ -243,11 +247,12 @@ def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
     position i, drawn by `randrange(n)`'s `getrandbits` rejection loop,
     whose significance rank r = sigma^-1(i) decides the outcome: r < f
     breaks the prefix (LESS), r == f repairs position sigma[f] (GREATER)
-    and ends the level, r > f is EQUAL.  From n = `_SKIP_FROM[Rls]` on,
-    `_skip_levels` runs the queries instead."""
+    and ends the level, r > f is EQUAL.  From n = `_SKIP_FROM[Rls]` to
+    n = 0x110000, past which a position is no str character, `_skip_rls`
+    runs the queries instead."""
     n, sigma = inst.n, inst.sigma
-    if n >= _SKIP_FROM[Rls]:
-        return _skip_levels(True, inst, rng, d, f, counts, stop)
+    if _SKIP_FROM[Rls] <= n <= sys.maxunicode + 1:
+        return _skip_rls(inst, rng, d, f, counts, stop)
     rank = [0] * n
     for r, pos in enumerate(sigma):
         rank[pos] = r
@@ -287,7 +292,7 @@ def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
             counts[0], queries, f = 1, 2, 1
         return queries, f
     if n >= _SKIP_FROM[OneEa]:
-        return _skip_levels(False, inst, rng, d, f, counts, stop)
+        return _skip_levels(inst, rng, d, f, counts, stop)
     sigma = inst.sigma
     draw, log, floor = rng.random, math.log, math.floor
     log_keep, below = _log_keep(n), _stop_below(n)
@@ -445,18 +450,20 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
-# per-query loop (a level at a time) against `_skip_levels`, interleaved,
-# 20 runs per cell, best of 5, three passes (2-core VM, the engine drawing
-# from numpy's MT19937).  rls read 0.30 against 0.41 ms at n = 48, 0.37
-# against 0.49 at 56, 0.62 against 0.55 at 64 and 1.17 against 0.80 at 96
-# in the first pass; the loop won every pass to 56, the two split at 60
-# and 63, and the engine won every pass from 64 on.  oea: the loop won
+# per-query loop (a level at a time) against `_skip_rls` or `_skip_levels`,
+# interleaved, 20 runs per cell, best of 5, three passes or more (2-core
+# VM, the engine drawing from numpy's MT19937).  rls read 0.055 against
+# 0.090 ms at n = 24, 0.109 against 0.109 at 32, 0.133 against 0.117 at
+# 40 and 0.350 against 0.180 at 64 in the first pass; the loop won every
+# pass to 31 and five of six at 32, the two split at 33 to 37 over six
+# passes, and the engine won all six from 38 on.  oea: the loop won
 # every pass at n = 32 to 34 (0.63 against 0.88 ms at 32 in the first)
 # and at 36 (0.87 against 0.96 in the first, by 0.3% in the third), the
 # two split at 35, and the engine won every pass at 37 and from 38 on
 # (1.02 against 0.96 at 38, 1.53 against 1.24 at 48).  At n <= 16 the
-# engine's fixed numpy cost makes a run 3-22 times slower.
-_SKIP_FROM = {Rls: 64, OneEa: 37}
+# engine's fixed numpy cost makes a run 2.5-7 (rls) and 3-22 (oea)
+# times slower.
+_SKIP_FROM = {Rls: 38, OneEa: 37}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
 _CHUNK = 2048
@@ -523,22 +530,6 @@ def _oea_steps(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(s, n).astype(np.int64)
 
 
-def _rls_chunks(bg: np.random.MT19937, n: int, rank: np.ndarray):
-    """Chunks of rls queries for `_skip_levels`, drawn from `bg`: a word w
-    is the position w >> (32 - k), rejected when it is n or more, as in
-    `randrange`.  A query flips one position, so its minimum rank is that
-    position's."""
-    k = n.bit_length()
-
-    def chunk(count):
-        pos = bg.random_raw((count << k) // n) >> (32 - k)
-        at = (pos < n).nonzero()[0]
-        r = rank[pos[at]]
-        return r, r, r, np.arange(len(r) + 1), at + 1
-
-    return chunk
-
-
 def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
     """Chunks of (1+1) EA queries for `_skip_levels`: each double of the
     Generator `gen`, two words, is a `random()` draw and each draw an
@@ -589,9 +580,67 @@ def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
     return chunk
 
 
-def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int,
+def _skip_rls(inst: LoInstance, rng: random.Random, d: int, f: int,
+              counts: list[int], stop: float) -> tuple[int, int]:
+    """The rest of a fused rls run, a level at a time, on positions.
+
+    Takes and returns what `_skip_levels` does.  Each chunk draws up to
+    `_CHUNK` queries' worth of words from `_mt_source`'s MT19937; a word w
+    is the position w >> (32 - k), rejected when it is n or more, as in
+    `randrange`.  The accepted positions, one per query, become the
+    characters of one str s (UTF-32 with "surrogatepass" decodes every
+    position below 0x110000 to its own character, surrogates included).
+
+    At level f the next GREATER query is the next sigma[f] in s, found by
+    `str.find`, and the stretch up to it is charged to f at once.  An rls
+    query flips one position and is rejected iff its rank is below f, and
+    f never falls, so no later level reads that position: a stretch takes
+    every flip, unfiltered.  So after the chunk's first p queries position
+    i reads bit i of d, as the chunk opened, XOR the parity of
+    `s.count(chr(i), 0, p)`, and the new f is the first rank above the old
+    one whose position reads 1.  d takes the parity of the chunk's flips
+    once, when the chunk is used up.  The rng's final state is handed back
+    as in `_skip_levels`, after the word of the last charged query.
+    """
+    n, sigma = inst.n, inst.sigma
+    k = n.bit_length()
+    bg, _, view, hand_back = _mt_source(rng)
+    mark = view.copy(), 0
+    queries = 1  # the start point
+    while f < n and queries < stop:
+        state = view.copy()
+        pos = bg.random_raw((min(_CHUNK, stop - queries) << k) // n) >> (32 - k)
+        at = (pos < n).nonzero()[0]
+        flips = pos[at]
+        s = flips.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+        p, end = 0, len(s)
+        while p < end and f < n and queries < stop:
+            last = s.find(chr(sigma[f]), p)
+            greater = last >= 0
+            if not greater:
+                last = end - 1
+            if last - p >= stop - queries:
+                last, greater = p + stop - queries - 1, False
+            counts[f] += last + 1 - p
+            queries += last + 1 - p
+            mark = state, int(at[last]) + 1
+            p = last + 1
+            if greater:
+                f += 1
+                while f < n and not (d >> sigma[f] ^ s.count(chr(sigma[f]), 0, p)) & 1:
+                    f += 1
+        if p == end:  # the chunk is used up
+            # packbits runs 4-5 times faster on uint8 than on int64 at n = 65,537
+            parity = np.packbits(np.bincount(flips, minlength=n).astype(np.uint8) & 1,
+                                 bitorder="little")
+            d ^= int.from_bytes(parity.tobytes(), "little")
+    hand_back(*mark)
+    return queries, f
+
+
+def _skip_levels(inst: LoInstance, rng: random.Random, d: int, f: int,
                  counts: list[int], stop: float) -> tuple[int, int]:
-    """The rest of a fused rls or (1+1) EA run, a level at a time.
+    """The rest of a fused (1+1) EA run, a level at a time.
 
     Takes the diff word d and fitness f after the start point and returns
     (queries, f) at the end, with `counts` charged as the per-query loop
@@ -601,21 +650,18 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
     EQUAL.  So the whole stretch up to the next query of minimum rank f is
     charged to level f at once, and the accepted queries in it (minimum
     rank >= f) XOR the parity of their flips into `diff`, the diff word in
-    rank order; the new f is its lowest set bit above the old f.  An rls
-    query flips one rank and is rejected iff that rank is below f, and f
-    never falls, so nothing reads those bits again: an rls stretch XORs
-    every flip, unfiltered.  An EA mask rejected for a rank below f may
-    flip ranks above f too, so the EA keeps the filter.  A chunk gives,
-    per query, its minimum rank and the words it used, and per draw the
-    rank it flips (n for none) and its query's minimum rank.
+    rank order; the new f is its lowest set bit above the old f.  A mask
+    rejected for a rank below f may flip ranks above f too, so unlike
+    `_skip_rls` the stretch keeps only its accepted masks' flips.  A chunk
+    gives, per query, its minimum rank and the words it used, and per draw
+    the rank it flips (n for none) and its query's minimum rank.
 
     The rng hands its state once to this thread's numpy MT19937
-    (`_mt_source`), which draws every chunk: the EA's doubles straight
-    from the Generator, rls's words raw.  A copy of the generator's state
-    struct opens each chunk.  At the end the generator is set back to the
-    copy before the chunk that holds the last charged query's last draw,
-    redraws up to there and hands its state back to the rng, so the final
-    rng state is the per-query loop's.
+    (`_mt_source`), whose Generator draws every chunk's doubles.  A copy
+    of the generator's state struct opens each chunk.  At the end the
+    generator is set back to the copy before the chunk that holds the last
+    charged query's last draw, redraws up to there and hands its state
+    back to the rng, so the final rng state is the per-query loop's.
     """
     n = inst.n
     sigma = np.array(inst.sigma)
@@ -625,8 +671,8 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
                          bitorder="little")
     # diff[n] takes the EA's rank n; a level search that reaches it gives n either way
     diff = np.append(bits[sigma], 0).astype(np.int64)
-    bg, gen, view, hand_back = _mt_source(rng)
-    chunk = _rls_chunks(bg, n, rank) if rls else _oea_chunks(gen, n, rank)
+    _, gen, view, hand_back = _mt_source(rng)
+    chunk = _oea_chunks(gen, n, rank)
     mark = view.copy(), 0
     queries = 1  # the start point
     while f < n and queries < stop:
@@ -644,7 +690,7 @@ def _skip_levels(rls: bool, inst: LoInstance, rng: random.Random, d: int, f: int
             queries += last + 1 - p
             mark = state, int(words[last])
             a, b = bounds[p], bounds[last + 1]
-            flipped = flip_rank[a:b] if rls else flip_rank[a:b][flip_min[a:b] >= f]
+            flipped = flip_rank[a:b][flip_min[a:b] >= f]
             diff ^= np.bincount(flipped, minlength=n + 1) & 1
             p = last + 1
             if greater:

@@ -34,7 +34,11 @@ on, rls and EA runs skip levels over bulk-drawn words; that engine is
 checked against the protocol loop with tiny chunks, its numpy steps
 against `math.log` near every step boundary, and its crossover through
 harness runs on either side; diff bits below the level, which an rls
-stretch sets at will, must not change what it does.  The gate tests make
+stretch sets at will, must not change what it does.  The rls engine,
+which keeps each chunk's positions as the characters of one str, is also
+checked at n = 65,537, where they include surrogates and pass U+FFFF, and
+at n = 0x110001, where positions stop being characters and a run keeps
+the per-query loop.  The gate tests make
 `step`, `learn` and memlog's `pack_state` and `state_budget_bits` raise,
 so a default harness run that falls back to the protocol loop fails here,
 and so does an excluded case that stops calling them.
@@ -245,6 +249,11 @@ def test_skip_levels_matches_protocol(n, chunk, skip_everywhere, run_rngs):
         assert cut > 0  # some runs really were cut mid-way
 
 
+def _engine(rls):
+    """The level-skipping body of rls (True) or of the (1+1) EA (False)."""
+    return framework._skip_rls if rls else framework._skip_levels
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("rls", [True, False])
 def test_skip_levels_reads_no_rank_below_f(rls, chunk, monkeypatch):
@@ -268,7 +277,7 @@ def test_skip_levels_reads_no_rank_below_f(rls, chunk, monkeypatch):
                 for d in (clean, clean | below):
                     counts = [0] * (n + 1)
                     run_rng = random.Random(seed)
-                    out = framework._skip_levels(rls, inst, run_rng, d, f, counts, stop)
+                    out = _engine(rls)(inst, run_rng, d, f, counts, stop)
                     runs.append((out, counts, run_rng.getstate()))
                 assert runs[0] == runs[1]
 
@@ -305,19 +314,57 @@ def test_harness_runs_skip_levels_from_the_crossover(cls, monkeypatch, tmp_path)
     cross = framework._SKIP_FROM[cls]
     argv = ["run", "--algo", cls.name, "--n", f"{cross - 1},{cross}", "--reps", "3",
             "--seed", "5", "--format", "json"]
-    real, skipped = framework._skip_levels, []
+    name = "_skip_rls" if cls is Rls else "_skip_levels"
+    real, skipped = getattr(framework, name), []
 
-    def spy(rls, inst, *args):
+    def spy(inst, *args):
         skipped.append(inst.n)
-        return real(rls, inst, *args)
+        return real(inst, *args)
 
-    monkeypatch.setattr(framework, "_skip_levels", spy)
+    monkeypatch.setattr(framework, name, spy)
     assert _run_cli(argv + ["--out", str(tmp_path / "skip.json")]) == 0
     assert skipped == [cross] * 3  # and never below the crossover
     monkeypatch.setitem(framework._SKIP_FROM, cls, cross + 1)
     assert _run_cli(argv + ["--out", str(tmp_path / "loop.json")]) == 0
     assert skipped == [cross] * 3
     assert (tmp_path / "skip.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
+
+def test_rls_engine_matches_protocol_past_two_to_the_sixteen(run_rngs):
+    # the chunk's str holds positions in the surrogate block U+D800-U+DFFF
+    # (55296-57343) and at 2^16 as characters.  Those positions lead sigma
+    # in the order the run first flips them, and z sets a random half of
+    # them wrong, so that levels end and climbs read such positions within
+    # 20 000 queries.  A second budget cuts the run inside its first chunk.
+    n, seed = 65_537, 42
+    rng = random.Random(seed)
+    start = rng.getrandbits(n)
+    words = [rng.getrandbits(32) >> 15 for _ in range(50_000)]  # randrange(n)'s words
+    flips = [i for i in words if i < n]
+    first_chunk = sum(i < n for i in words[:(framework._CHUNK << 17) // n])  # a full chunk's
+    lead = list(dict.fromkeys(i for i in flips[:20_000] if 55_296 <= i < 57_344 or i >> 16))
+    assert 1 << 16 in lead and first_chunk > framework._CHUNK + 1
+    rest = set(range(n)) - set(lead)
+    wrong = sum(1 << i for i in lead[1:] if rng.getrandbits(1)) | 1 << lead[0]
+    inst = LoInstance(n, BitString(n, start ^ wrong), tuple(lead + sorted(rest)))
+    rec = _run_both(Rls, inst, seed, 20_000, run_rngs)
+    assert rec.total_queries == 20_000 and len(rec.per_level) > 100
+    rec = _run_both(Rls, inst, seed, framework._CHUNK + 2, run_rngs)
+    assert rec.total_queries == framework._CHUNK + 2 and len(rec.per_level) > 10
+
+
+def test_rls_engine_stops_where_positions_stop_being_characters(run_rngs):
+    # position 0x110000 is no str character; at n = 0x110001 a fused rls
+    # run takes the per-query loop, and here its first level waits on that
+    # position, the only one that differs from z
+    n = 0x110001
+    sigma = list(range(n))
+    sigma[0], sigma[-1] = sigma[-1], sigma[0]
+    z = random.Random(5).getrandbits(n) ^ 1 << 0x110000
+    inst = LoInstance(n, BitString(n, z), tuple(sigma))
+    for budget in (3, 100):
+        rec = _run_both(Rls, inst, 5, budget, run_rngs)
+        assert rec.per_level == [(-1, 1), (0, budget - 1)]
 
 
 # -- the engine's MT19937 handover ----------------------------------------------------
@@ -384,7 +431,7 @@ def _skip_job(rls, inst, seed, stop):
     run_rng = random.Random(seed)
     d = run_rng.getrandbits(inst.n) | 1 << inst.sigma[0]
     counts = [0] * (inst.n + 1)
-    out = framework._skip_levels(rls, inst, run_rng, d, 0, counts, stop)
+    out = _engine(rls)(inst, run_rng, d, 0, counts, stop)
     return out, counts, run_rng.getstate()
 
 
