@@ -367,6 +367,24 @@ def test_rls_engine_stops_where_positions_stop_being_characters(run_rngs):
         assert rec.per_level == [(-1, 1), (0, budget - 1)]
 
 
+
+def test_engines_bincount_only_what_casts_safely_to_intp(monkeypatch, run_rngs):
+    # older numpy's bincount casts its input to intp by the "safe" rule and
+    # raises TypeError on uint64; hold both engines to that rule here, on
+    # runs that use up many chunks
+    bincount = np.bincount
+
+    def safe_bincount(x, *args, **kwargs):
+        if not np.can_cast(np.asarray(x).dtype, np.intp, "safe"):
+            raise TypeError(f"bincount of {np.asarray(x).dtype}")
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", safe_bincount)
+    inst = random_instance(256, random.Random(3600))
+    for cls in (Rls, OneEa):
+        rec = _run_both(cls, inst, 36, None, run_rngs)
+        assert rec.total_queries > 4 * framework._CHUNK
+
 # -- the engine's MT19937 handover ----------------------------------------------------
 
 
