@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lo_core import BitString, set_bits
+from .lo_core import EQUAL, GREATER, LESS, Ordering, set_bits
 
 
 def enumerate_k_configurations(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,21 +129,16 @@ class LevelSecret:
             raise ValueError("next significant position lies inside the configuration")
 
 
-DROP = "drop"
-STAY = "equal"
-LEAVE = "leave"
-
-
-def _outcome_of_flips(flipped: int, pmask: int, next_bit: int) -> str:
+def _outcome_of_flips(flipped: int, pmask: int, next_bit: int) -> Ordering:
     if flipped & pmask:
-        return DROP
+        return LESS
     if (flipped >> next_bit) & 1:
-        return LEAVE
-    return STAY
+        return GREATER
+    return EQUAL
 
 
 @functools.cache
-def _one_flip_secrets(n: int, k: int) -> tuple[dict[str, int], ...]:
+def _one_flip_secrets(n: int, k: int) -> tuple[dict[Ordering, int], ...]:
     """Per position q, the index masks of the level secrets under which
     flipping q alone gives each outcome.  A secret is a k-set P and a next
     significant position b outside it (the start fixes the values on P),
@@ -156,26 +151,26 @@ def _one_flip_secrets(n: int, k: int) -> tuple[dict[str, int], ...]:
         # one binary digit per secret, the last secret's the most significant
         outcomes = [_outcome_of_flips(1 << q, pmask, b) for pmask, b in reversed(secrets)]
         table.append({o: int("".join("1" if x == o else "0" for x in outcomes), 2)
-                      for o in (DROP, STAY, LEAVE)})
+                      for o in Ordering})
     return tuple(table)
 
 
-def _narrowed(known: int, one_flip: Sequence[dict[str, int]], positions: list[int],
-              outcome: str) -> int:
+def _narrowed(known: int, one_flip: Sequence[dict[Ordering, int]], positions: list[int],
+              outcome: Ordering) -> int:
     """The secrets of `known` under which flipping all of `positions` at
-    once gives `outcome`, DROP or STAY: several flips drop iff one of them
+    once gives `outcome`, LESS or EQUAL: several flips drop iff one of them
     drops and stay iff every one stays."""
-    if outcome == DROP:
-        return known & functools.reduce(operator.or_, (one_flip[q][DROP] for q in positions), 0)
-    return functools.reduce(operator.and_, (one_flip[q][STAY] for q in positions), known)
+    if outcome == LESS:
+        return known & functools.reduce(operator.or_, (one_flip[q][LESS] for q in positions), 0)
+    return functools.reduce(operator.and_, (one_flip[q][EQUAL] for q in positions), known)
 
 
 @dataclass
 class OneBitSimulation:
     """Result of replaying a multi-bit level trace through one-bit flips."""
 
-    queries: list[BitString]
-    outcomes: list[str]
+    queries: list[int]
+    outcomes: list[Ordering]
     steps_processed: int
     length_bound: int
     length_ok: bool
@@ -183,12 +178,13 @@ class OneBitSimulation:
 
 
 def onebit_simulation(
-    start: BitString,
-    queries: Sequence[BitString],
+    n: int,
+    start: int,
+    queries: Sequence[int],
     secret: LevelSecret,
 ) -> OneBitSimulation:
-    """Replay a deterministic level trace using only one-bit flips of the
-    level-entry point.
+    """Replay a deterministic level trace of n-bit points using only
+    one-bit flips of the level-entry point.
 
     For each multi-bit query the replay flips the differing positions one at
     a time from `start`, skipping strings it already queried on this level,
@@ -200,7 +196,6 @@ def onebit_simulation(
     dominance).  The secret table has binom(n, k)(n - k) entries per mask,
     so n is limited to 14, as in `level_entry_information_check`.
     """
-    n = start.n
     if n > 14:
         raise ValueError("exhaustive enumeration is limited to n <= 14")
     pmask = secret.mask
@@ -210,40 +205,42 @@ def onebit_simulation(
     if pmask >> n or not 0 <= next_bit < n:
         raise ValueError(f"secret outside [0, {n}): configuration positions "
                          f"{set_bits(pmask)}, next significant position {next_bit}")
+    if start < 0 or start >> n:
+        raise ValueError(f"start point outside [0, 2^{n})")
     # start must sit exactly on level k: agree with the configuration,
     # disagree with the target at the next significant position
-    if bad := (start.word ^ secret.word) & pmask:
+    if bad := (start ^ secret.word) & pmask:
         raise ValueError("trace does not start at fitness k: start point disagrees "
                          f"with the configuration at {(bad & -bad).bit_length() - 1}")
 
     one_flip = _one_flip_secrets(n, k)
     replay_secrets = trace_secrets = (1 << math.comb(n, k) * m) - 1
-    out_queries: list[BitString] = []
-    out_outcomes: list[str] = []
+    out_queries: list[int] = []
+    out_outcomes: list[Ordering] = []
     asked: set[int] = set()
     dominance_ok = True
     steps_processed = 0
 
     for y in queries:
-        if y.n != n:
-            raise ValueError("trace point has the wrong length")
+        if y < 0 or y >> n:
+            raise ValueError(f"trace point outside [0, 2^{n})")
         steps_processed += 1
-        flipped = y.word ^ start.word
+        flipped = y ^ start
         positions = set_bits(flipped)
-        replay_outcome = STAY
+        replay_outcome = EQUAL
         for q in positions:
             if q in asked:
                 continue
             asked.add(q)
             replay_outcome = _outcome_of_flips(1 << q, pmask, next_bit)
-            out_queries.append(start.flip(q))
+            out_queries.append(start ^ 1 << q)
             out_outcomes.append(replay_outcome)
             replay_secrets &= one_flip[q][replay_outcome]
-            if replay_outcome != STAY:
+            if replay_outcome != EQUAL:
                 break
 
         original_outcome = _outcome_of_flips(flipped, pmask, next_bit)
-        if LEAVE in (original_outcome, replay_outcome):
+        if GREATER in (original_outcome, replay_outcome):
             break
         # dominance matters only while the level is still active: it is
         # what lets the replay determine the trace's next query
@@ -383,6 +380,20 @@ class LevelGameSolver:
     by the same float operations from the values of isomorphic children, and
     `min` does not depend on the order of the positions.  A solver instance
     is confined to one thread.
+
+    Dominance lemma: in exact arithmetic a state of C distinct k-sets over
+    u positions, m = u - k >= 1, has value V >= PhiSolver's
+    Phi_hat(k, m, C).  Proof, by induction on u.  A query q that nd of the
+    C members contain costs 1 + (nd/C) V(drops) + ((C-nd)/C) ((m-1)/m)
+    V(keeps), where the drops are nd distinct (k-1)-sets and the keeps
+    c = C - nd distinct k-sets, both over the u - 1 other positions, so
+    c lies in Phi_hat's range [max(0, C - binom(u-1, m)),
+    min(C, binom(u-1, m-1))] and the children are states of (k-1, m) and
+    (k, m-1).  With V >= Phi_hat on them and non-negative weights, q costs
+    at least Phi_hat's term at c, hence at least Phi_hat(k, m, C); a
+    zero-weight branch (nd = 0, or m = 1 for the keeps) drops out on both
+    sides, and skipping the q with nd = C can only raise the min.  Base:
+    u = 1 is k = 0, m = 1, where V = 1 = Phi_hat(0, 1, 1).
     """
 
     MAX_POSITIONS = 7

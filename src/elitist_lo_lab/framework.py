@@ -232,7 +232,7 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     rng = random.Random(seed)
     if budget is not None and budget < 1:
         return RunRecord(algo, n, seed, 0, False, True, [])
-    d = rng.getrandbits(n) ^ inst.z.word  # the draw BitString.random(n, rng) makes
+    d = rng.getrandbits(n) ^ inst.z  # the draw BitString.random(n, rng) makes
     f, prefix = _climb(d, 0, 0, inst.sigma)
     counts = [0] * (n + 1)
     stop = math.inf if budget is None else budget

@@ -87,19 +87,21 @@ class BitString:
 
 @dataclass(frozen=True)
 class LoInstance:
-    """Target string z plus significance order sigma.
+    """Target z, an n-bit int (bit i is position i), and significance order sigma.
 
     sigma[j] (0-based) is the position whose agreement with z is checked
     j+1-th; fitness values live in [0..n].
     """
 
     n: int
-    z: BitString
+    z: int
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        if self.z.n != self.n:
-            raise ValueError("target string length does not match n")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.z < 0 or self.z >> self.n:
+            raise ValueError("target has bits outside the string length")
         if len(self.sigma) != self.n:
             raise ValueError("sigma length does not match n")
         if set(self.sigma) != set(range(self.n)):
@@ -114,9 +116,9 @@ def lo_value(inst: LoInstance, x: BitString) -> int:
     """
     if x.n != inst.n:
         raise ValueError(f"point has length {x.n}, instance has n={inst.n}")
-    zw, xw = inst.z.word, x.word
+    d = inst.z ^ x.word
     for j, pos in enumerate(inst.sigma):
-        if ((zw >> pos) ^ (xw >> pos)) & 1:
+        if d >> pos & 1:
             return j
     return inst.n
 
@@ -132,7 +134,7 @@ def random_instance(n: int, rng: random.Random) -> LoInstance:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z = BitString.random(n, rng)
+    z = rng.getrandbits(n)
     sigma = list(range(n))
     getrandbits = rng.getrandbits
     for i in range(n - 1, 0, -1):
@@ -190,7 +192,7 @@ class CountingOracle:
         self.per_level_counts: dict[int, int] = {}
         self.optimum_found = False
         self._n = instance.n
-        self._z = instance.z.word
+        self._z = instance.z
         self._sigma = instance.sigma
         self._incumbent = (None, 0, 0)
 

@@ -27,7 +27,7 @@ from elitist_lo_lab.framework import (
 )
 from elitist_lo_lab.harness import ExperimentConfig, fit_power_law, run_experiment
 from elitist_lo_lab.heuristics import Memlog, OneEa, Rls, make_strategy, memlog_query_bound
-from elitist_lo_lab.lo_core import BitString, lo_value, random_instance
+from elitist_lo_lab.lo_core import lo_value, random_instance
 
 from test_heuristics import run_coupled
 
@@ -204,8 +204,8 @@ def test_criterion_8_onebit_simulation_certificate():
     m = n - k
     # XOR-translating start and secrets together preserves the construction,
     # so the start point is fixed to the all-zero string w.l.o.g.
-    start = BitString(n, 0)
-    points = [BitString(n, w) for w in range(1, 2**n)]
+    start = 0
+    points = range(1, 2**n)
     secrets = [
         LevelSecret(mask, 0, b)
         for mask in range(1 << n) if mask.bit_count() == k
@@ -217,7 +217,7 @@ def test_criterion_8_onebit_simulation_certificate():
     count = 0
     for trace in itertools.permutations(points, 3):
         for secret in secrets:
-            sim = onebit_simulation(start, trace, secret)
+            sim = onebit_simulation(n, start, trace, secret)
             count += 1
             overhead = len(sim.queries) - sim.steps_processed
             worst = max(worst, overhead)

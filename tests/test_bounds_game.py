@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -242,3 +243,41 @@ def test_game_values_pinned_over_the_sweep():
                 digest.update(solver.value(total, k, fam).hex().encode())
     assert digest.hexdigest() == GAME_SWEEP_DIGEST
     assert solver.memo_states == 4104
+
+
+def _without(P: int, q: int) -> int:
+    """P with position q removed and the positions above it moved down."""
+    return sum(1 << (p - (p > q)) for p in range(P.bit_length()) if P >> p & 1 and p != q)
+
+
+def test_game_memo_states_meet_the_dominance_premises():
+    # the premises of the dominance lemma in LevelGameSolver's docstring,
+    # on every state the k + m <= 6 sweep solves
+    solver = LevelGameSolver()
+    for total in range(2, 7):
+        for k in range(total):
+            for fam in canonical_families(total, k):
+                solver.value(total, k, fam)
+    memo = solver._memo
+    branches = 0
+    for u, masks in memo:
+        C, k = len(masks), masks[0].bit_count()
+        m = u - k
+        assert m >= 1 and len(set(masks)) == C
+        assert all(P.bit_count() == k and not P >> u for P in masks)
+        for q in range(u):
+            drops = tuple(_without(P, q) for P in masks if P >> q & 1)
+            keeps = tuple(_without(P, q) for P in masks if not P >> q & 1)
+            nd = len(drops)
+            if nd == C:
+                continue  # the game skips q
+            branches += 1
+            assert len(set(drops)) == nd and len(set(keeps)) == C - nd
+            assert all(P.bit_count() == k - 1 and not P >> (u - 1) for P in drops)
+            assert all(P.bit_count() == k and not P >> (u - 1) for P in keeps)
+            c = C - nd
+            assert max(0, C - math.comb(u - 1, m)) <= c <= min(C, math.comb(u - 1, m - 1))
+            # the children the induction needs were solved, so the walk covers them
+            assert nd == 0 or (u - 1, tuple(sorted(drops))) in memo
+            assert m == 1 or (u - 1, tuple(sorted(keeps))) in memo
+    assert (len(memo), branches) == (4104, 22403)

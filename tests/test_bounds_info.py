@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from elitist_lo_lab import bounds
 from elitist_lo_lab.bounds import (
-    DROP,
     ENTRY_MAPS,
-    LEAVE,
-    STAY,
     LevelSecret,
     enumerate_k_configurations,
     entry_map_constant,
     level_entry_information_check,
     onebit_simulation,
 )
-from elitist_lo_lab.lo_core import BitString, LoInstance, lo_value, set_bits
+from elitist_lo_lab.lo_core import (
+    EQUAL,
+    GREATER,
+    LESS,
+    BitString,
+    LoInstance,
+    lo_value,
+    set_bits,
+)
 
 
 # -- level-entry information ------------------------------------------------------
@@ -255,10 +260,10 @@ def test_level_secret_validates_its_fields():
 def test_onebit_fixed_point():
     # a trace that already uses one-bit flips replays as itself
     n = 5
-    start = BitString(n, 0)
+    start = 0
     secret = _secret(n, (0, 1), 0, 3)
-    queries = [start.flip(4), start.flip(2), start.flip(3)]
-    sim = onebit_simulation(start, queries, secret)
+    queries = [start ^ 1 << 4, start ^ 1 << 2, start ^ 1 << 3]
+    sim = onebit_simulation(n, start, queries, secret)
     assert sim.queries == queries
     assert sim.length_ok
     assert len(sim.queries) == len(queries)
@@ -269,36 +274,36 @@ def test_onebit_all_insignificant_flip():
     # one query flipping all m insignificant bits costs m one-bit queries
     # when the next significant bit comes last in position order
     n, k = 6, 3
-    start = BitString(n, 0)
+    start = 0
     positions = (0, 1, 2)
     m = n - k
     secret = _secret(n, positions, 0, next_significant=5)
-    query = BitString(n, 0b111000)  # flips positions 3, 4, 5
-    sim = onebit_simulation(start, [query], secret)
+    query = 0b111000  # flips positions 3, 4, 5
+    sim = onebit_simulation(n, start, [query], secret)
     assert len(sim.queries) == m
-    assert sim.outcomes == ["equal", "equal", "leave"]
+    assert sim.outcomes == [EQUAL, EQUAL, GREATER]
     assert sim.length_ok  # overhead m - 1 <= m
     assert sim.info_dominance_ok
 
 
 def test_onebit_drop_stops_step_early():
     n = 5
-    start = BitString(n, 0)
+    start = 0
     secret = _secret(n, (0, 1), 0, 4)
-    query = BitString(n, 0b00011)  # flips two significant positions
-    sim = onebit_simulation(start, [query], secret)
-    assert sim.outcomes == ["drop"]
+    query = 0b00011  # flips two significant positions
+    sim = onebit_simulation(n, start, [query], secret)
+    assert sim.outcomes == [LESS]
     assert len(sim.queries) == 1
     assert sim.info_dominance_ok
 
 
 def test_onebit_skips_previously_queried_strings():
     n = 5
-    start = BitString(n, 0)
+    start = 0
     secret = _secret(n, (0, 1), 0, 4)
-    queries = [start.flip(2), BitString(n, 0b01100)]  # 2 repeats inside step 2
-    sim = onebit_simulation(start, queries, secret)
-    assert sim.queries == [start.flip(2), start.flip(3)]
+    queries = [start ^ 1 << 2, 0b01100]  # 2 repeats inside step 2
+    sim = onebit_simulation(n, start, queries, secret)
+    assert sim.queries == [start ^ 1 << 2, start ^ 1 << 3]
     assert sim.info_dominance_ok
 
 
@@ -308,29 +313,36 @@ def test_onebit_rejects_bad_start():
     secret = _secret(n, (0, 1, 3), 0b01011, 4)
     for word, pos in ((0, 0), (0b00001, 1), (0b00011, 3), (0b01001, 1), (0b11010, 0)):
         with pytest.raises(ValueError, match=f"with the configuration at {pos}$"):
-            onebit_simulation(BitString(n, word), [BitString(n, 1)], secret)
-    assert onebit_simulation(BitString(n, 0b01011), [], secret).queries == []
+            onebit_simulation(n, word, [1], secret)
+    assert onebit_simulation(n, 0b01011, [], secret).queries == []
+    # a start or a trace point with bit n set, or negative, is no n-bit point
+    for start in (0b01011 | 1 << n, -1):
+        with pytest.raises(ValueError, match=r"^start point outside \[0, 2\^5\)$"):
+            onebit_simulation(n, start, [], secret)
+    for y in (0b01011 | 1 << n, -1):
+        with pytest.raises(ValueError, match=r"^trace point outside \[0, 2\^5\)$"):
+            onebit_simulation(n, 0b01011, [0b01111, y], secret)
 
 
 def test_onebit_length_certificate_random_traces():
     rng = random.Random(40)
     n, k = 6, 3
     m = n - k
-    start = BitString(n, rng.getrandbits(n))
+    start = rng.getrandbits(n)
     for _ in range(200):
         positions = tuple(sorted(rng.sample(range(n), k)))
         free = [p for p in range(n) if p not in positions]
         next_bit = rng.choice(free)
-        secret = _secret(n, positions, start.word, next_bit)
+        secret = _secret(n, positions, start, next_bit)
         s = rng.randrange(1, 5)
         queries = []
-        seen = {start.word}
+        seen = {start}
         while len(queries) < s:
             w = rng.getrandbits(n)
             if w not in seen:
                 seen.add(w)
-                queries.append(BitString(n, w))
-        sim = onebit_simulation(start, queries, secret)
+                queries.append(w)
+        sim = onebit_simulation(n, start, queries, secret)
         assert len(sim.queries) <= sim.steps_processed + m
         assert sim.length_ok
         assert sim.info_dominance_ok
@@ -338,21 +350,21 @@ def test_onebit_length_certificate_random_traces():
 
 def test_onebit_rejects_secret_outside_the_string():
     n = 5
-    start = BitString(n, 0)
+    start = 0
     for secret in (LevelSecret(0b1000000010, 0, 3),
                    _secret(n, (0, 1), 0, 7),
                    _secret(n, (0, 1), 0, -1)):
         with pytest.raises(ValueError, match=r"^secret outside \[0, 5\)"):
-            onebit_simulation(start, [BitString(n, 0b00100)], secret)
+            onebit_simulation(n, start, [0b00100], secret)
 
 
 def test_onebit_rejects_large_n_before_building_the_table():
     n = 15
-    start = BitString(n, 0)
+    start = 0
     secret = _secret(n, (0, 1), 0, 2)
     cached = bounds._one_flip_secrets.cache_info().currsize
     with pytest.raises(ValueError, match=r"^exhaustive enumeration is limited to n <= 14$"):
-        onebit_simulation(start, [BitString(n, 0b100)], secret)
+        onebit_simulation(n, start, [0b100], secret)
     assert bounds._one_flip_secrets.cache_info().currsize == cached
 
 
@@ -367,18 +379,18 @@ def test_secret_masks_match_lo_value():
             expected = defaultdict(int)
             for i, (ps, b) in enumerate(secrets):
                 order = ps + (b,) + tuple(p for p in range(n) if p not in ps and p != b)
-                inst = LoInstance(n, BitString(n, 1 << b), order)
+                inst = LoInstance(n, 1 << b, order)
                 for flipped in range(1 << n):
                     value = lo_value(inst, BitString(n, flipped))
-                    outcome = DROP if value < k else STAY if value == k else LEAVE
+                    outcome = LESS if value < k else EQUAL if value == k else GREATER
                     expected[flipped, outcome] |= 1 << i
             one_flip = bounds._one_flip_secrets(n, k)
             every = (1 << len(secrets)) - 1
             for q in range(n):
-                for outcome in (DROP, STAY, LEAVE):
+                for outcome in (LESS, EQUAL, GREATER):
                     assert one_flip[q][outcome] == expected[1 << q, outcome]
             for flipped in range(1 << n):
-                for outcome in (DROP, STAY):
+                for outcome in (LESS, EQUAL):
                     assert (bounds._narrowed(every, one_flip, set_bits(flipped), outcome)
                             == expected[flipped, outcome])
 
@@ -387,13 +399,13 @@ def test_onebit_dominance_fails_on_wrong_one_bit_outcomes(monkeypatch):
     # told that every one-bit flip keeps the fitness, the replay keeps
     # secrets the trace's drop has ruled out, and the certificate fails
     n, k = 5, 2
-    start = BitString(n, 0)
+    start = 0
     secret = _secret(n, (0, 1), 0, 4)
     bounds._one_flip_secrets(n, k)  # the table is built from true outcomes
     true_outcome = bounds._outcome_of_flips
     monkeypatch.setattr(bounds, "_outcome_of_flips", lambda flipped, pmask, next_bit: (
-        STAY if flipped.bit_count() == 1 else true_outcome(flipped, pmask, next_bit)))
-    sim = onebit_simulation(start, [BitString(n, 0b00101)], secret)
-    assert sim.outcomes == [STAY, STAY]
+        EQUAL if flipped.bit_count() == 1 else true_outcome(flipped, pmask, next_bit)))
+    sim = onebit_simulation(n, start, [0b00101], secret)
+    assert sim.outcomes == [EQUAL, EQUAL]
     assert sim.length_ok
     assert not sim.info_dominance_ok

@@ -113,9 +113,9 @@ def test_cheat_strategy_needs_two_queries():
     rng = random.Random(0)
     for seed in range(30):
         inst = random_instance(6, rng)
-        rec = run_one_plus_one(CheatStrategy(inst.z), inst, seed)
+        rec = run_one_plus_one(CheatStrategy(BitString(6, inst.z)), inst, seed)
         init = BitString.random(6, random.Random(seed))
-        expected = 1 if init == inst.z else 2
+        expected = 1 if init.word == inst.z else 2
         assert rec.total_queries == expected
         assert rec.hit_optimum
 

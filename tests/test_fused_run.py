@@ -209,7 +209,7 @@ def test_oracle_memory_is_linear_in_n():
     tracemalloc.start()
     try:
         oracle = CountingOracle(inst)
-        assert oracle.submit(inst.z) == n
+        assert oracle.submit(BitString(n, inst.z)) == n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,7 +346,7 @@ def test_rls_engine_matches_protocol_past_two_to_the_sixteen(run_rngs):
     assert 1 << 16 in lead and first_chunk > framework._CHUNK + 1
     rest = set(range(n)) - set(lead)
     wrong = sum(1 << i for i in lead[1:] if rng.getrandbits(1)) | 1 << lead[0]
-    inst = LoInstance(n, BitString(n, start ^ wrong), tuple(lead + sorted(rest)))
+    inst = LoInstance(n, start ^ wrong, tuple(lead + sorted(rest)))
     rec = _run_both(Rls, inst, seed, 20_000, run_rngs)
     assert rec.total_queries == 20_000 and len(rec.per_level) > 100
     rec = _run_both(Rls, inst, seed, framework._CHUNK + 2, run_rngs)
@@ -361,7 +361,7 @@ def test_rls_engine_stops_where_positions_stop_being_characters(run_rngs):
     sigma = list(range(n))
     sigma[0], sigma[-1] = sigma[-1], sigma[0]
     z = random.Random(5).getrandbits(n) ^ 1 << 0x110000
-    inst = LoInstance(n, BitString(n, z), tuple(sigma))
+    inst = LoInstance(n, z, tuple(sigma))
     for budget in (3, 100):
         rec = _run_both(Rls, inst, 5, budget, run_rngs)
         assert rec.per_level == [(-1, 1), (0, budget - 1)]
@@ -841,7 +841,7 @@ def test_fused_memlog_matches_protocol_on_every_tiny_case(n, run_rngs):
     outcomes = set()
     for z in range(1 << n):
         for sigma in itertools.permutations(range(n)):
-            inst = LoInstance(n, BitString(n, z), sigma)
+            inst = LoInstance(n, z, sigma)
             for seed in starts.values():
                 searches = _searches(inst, seed)
                 run_rngs.clear()
@@ -891,7 +891,7 @@ def test_fused_memlog_checks_its_invariant():
     # stops at 3, on the marked position 0, which the level's XORs leave
     # wrong whether or not they skip marked positions
     inst = object.__new__(LoInstance)
-    for name, value in (("n", 6), ("z", BitString(6, 0)), ("sigma", (0, 3, 5, 0, 4, 2))):
+    for name, value in (("n", 6), ("z", 0), ("sigma", (0, 3, 5, 0, 4, 2))):
         object.__setattr__(inst, name, value)
     counts = [0] * 7
     with pytest.raises(RuntimeError, match="memlog invariant violated"):

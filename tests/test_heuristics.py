@@ -139,7 +139,7 @@ def _agreement_word(x: BitString, inst: LoInstance) -> int:
     position: the coupling bijection onto the identity instance."""
     word = 0
     for j, pos in enumerate(inst.sigma):
-        word |= (1 ^ ((x.word >> pos) ^ (inst.z.word >> pos)) & 1) << j
+        word |= (1 ^ ((x.word >> pos) ^ (inst.z >> pos)) & 1) << j
     return word
 
 
@@ -172,7 +172,7 @@ def run_coupled(strategy_cls, inst: LoInstance, seed: int):
     # it exactly at the ranks where init agrees with inst's target
     start = random.Random(0).getrandbits(n)
     agree = _agreement_word(init, inst)
-    ident = LoInstance(n, BitString(n, start ^ agree ^ ((1 << n) - 1)), tuple(range(n)))
+    ident = LoInstance(n, start ^ agree ^ ((1 << n) - 1), tuple(range(n)))
     events2 = []
     rec2 = run_one_plus_one(ScriptedMaskStrategy(masks), ident, seed=0,
                             observer=events2.append)
@@ -209,7 +209,7 @@ def test_memlog_n1():
 def test_memlog_n2_all_instances():
     for zw in range(4):
         for sigma in ((0, 1), (1, 0)):
-            inst = LoInstance(2, BitString(2, zw), sigma)
+            inst = LoInstance(2, zw, sigma)
             for seed in range(8):
                 rec = run_one_plus_one(Memlog(), inst, seed)
                 assert rec.hit_optimum

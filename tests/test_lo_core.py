@@ -24,7 +24,12 @@ def bits(s: str) -> BitString:
 
 
 def make_instance(z: str, sigma_1based) -> LoInstance:
-    return LoInstance(len(z), bits(z), tuple(p - 1 for p in sigma_1based))
+    return LoInstance(len(z), bits(z).word, tuple(p - 1 for p in sigma_1based))
+
+
+def target(inst: LoInstance) -> BitString:
+    """The target z as a point."""
+    return BitString(inst.n, inst.z)
 
 
 def expected_order(inst: LoInstance, x: BitString, y: BitString):
@@ -69,7 +74,7 @@ def test_lo_value_optimum_is_n():
     rng = random.Random(5)
     for _ in range(20):
         inst = random_instance(rng.randrange(1, 12), rng)
-        assert lo_value(inst, inst.z) == inst.n
+        assert lo_value(inst, target(inst)) == inst.n
 
 
 def test_lo_value_permuted_order():
@@ -93,7 +98,7 @@ def test_lo_value_bounds_and_optimum_unique(data):
     x = BitString(n, data.draw(st.integers(0, 2**n - 1)))
     v = lo_value(inst, x)
     assert 0 <= v <= n
-    assert (v == n) == (x == inst.z)
+    assert (v == n) == (x.word == inst.z)
 
 
 @given(st.data())
@@ -104,7 +109,7 @@ def test_lo_value_prefix_agreement(data):
     inst = random_instance(n, rng)
     x = BitString(n, data.draw(st.integers(0, 2**n - 1)))
     k = data.draw(st.integers(0, n))
-    agrees = all(not ((x.word ^ inst.z.word) >> pos) & 1 for pos in inst.sigma[:k])
+    agrees = all(not ((x.word ^ inst.z) >> pos) & 1 for pos in inst.sigma[:k])
     assert (lo_value(inst, x) >= k) == agrees
 
 
@@ -114,7 +119,7 @@ def test_lo_value_prefix_agreement_exhaustive_n4():
     n = 4
     for zw in range(2**n):
         for sigma in itertools.permutations(range(n)):
-            inst = LoInstance(n, BitString(n, zw), sigma)
+            inst = LoInstance(n, zw, sigma)
             for xw in range(2**n):
                 x = BitString(n, xw)
                 v = lo_value(inst, x)
@@ -146,8 +151,8 @@ def test_oracle_fast_path_at_word_boundaries():
     for n in (96, 130):
         inst = random_instance(n, rng)
         oracle = CountingOracle(inst)
-        x = inst.z.flip_mask(sum(1 << i for i in rng.sample(range(n), n // 3)))
-        assert (x.word ^ inst.z.word ^ ((1 << n) - 1)).bit_count() >= 48
+        x = target(inst).flip_mask(sum(1 << i for i in rng.sample(range(n), n // 3)))
+        assert (x.word ^ inst.z ^ ((1 << n) - 1)).bit_count() >= 48
         assert oracle.submit(x) == lo_value(inst, x)
         for width in (47, 48) * 15:
             y = x.flip_mask(sum(1 << i for i in rng.sample(range(n), width)))
@@ -164,11 +169,12 @@ def test_oracle_incumbent_at_optimum():
         inst = random_instance(n, rng)
         oracle = CountingOracle(inst)
         ref = ReferenceCounters(inst)
-        assert oracle.submit(inst.z) == n
-        ref.charge(inst.z)
-        offspring = [inst.z] + [inst.z.flip(i) for i in rng.sample(range(n), min(n, 8))]
+        z = target(inst)
+        assert oracle.submit(z) == n
+        ref.charge(z)
+        offspring = [z] + [z.flip(i) for i in rng.sample(range(n), min(n, 8))]
         for y in offspring:
-            assert oracle.compare(inst.z, y) == (EQUAL if y == inst.z else LESS)
+            assert oracle.compare(z, y) == (EQUAL if y == z else LESS)
             ref.charge(y)
             ref.assert_matches(oracle)
 
@@ -181,10 +187,10 @@ def test_oracle_n1():
         assert oracle.submit(other) == 0
         assert oracle.compare(other, other) == EQUAL
         assert not oracle.optimum_found
-        assert oracle.compare(other, inst.z) == GREATER
-        assert oracle.compare(inst.z, other) == LESS
-        assert oracle.compare(inst.z, inst.z) == EQUAL
-        assert oracle.submit(inst.z) == 1
+        assert oracle.compare(other, bits(z)) == GREATER
+        assert oracle.compare(bits(z), other) == LESS
+        assert oracle.compare(bits(z), bits(z)) == EQUAL
+        assert oracle.submit(bits(z)) == 1
         assert oracle.best_fitness_seen == 1 and oracle.optimum_found
         assert oracle.per_level_counts == {INIT_LEVEL: 1, 0: 2, 1: 3}
 
@@ -207,7 +213,7 @@ def test_random_instance_deterministic():
 
 
 def test_random_instance_n1():
-    seen = {random_instance(1, random.Random(s)).z.word for s in range(64)}
+    seen = {random_instance(1, random.Random(s)).z for s in range(64)}
     assert seen == {0, 1}
 
 
@@ -231,7 +237,7 @@ def test_random_instance_replicates_stdlib_shuffle(n):
     for seed in range(20):
         rng = random.Random(seed)
         inst = random_instance(n, rng)
-        assert (inst.z.word, inst.sigma, rng.getstate()) == stdlib_instance(n, seed)
+        assert (inst.z, inst.sigma, rng.getstate()) == stdlib_instance(n, seed)
 
 
 def test_random_instance_uniform_chi_square():
@@ -241,7 +247,7 @@ def test_random_instance_uniform_chi_square():
     counts = {}
     for _ in range(draws):
         inst = random_instance(3, rng)
-        key = (inst.z.word, inst.sigma)
+        key = (inst.z, inst.sigma)
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 48
     expected = draws / 48
@@ -268,8 +274,8 @@ def test_compare_optimum_dominates():
         oracle = CountingOracle(inst)
         x = BitString.random(6, rng)
         oracle.submit(x)
-        expected = EQUAL if x == inst.z else GREATER
-        assert oracle.compare(x, inst.z) == expected
+        expected = EQUAL if x.word == inst.z else GREATER
+        assert oracle.compare(x, target(inst)) == expected
 
 
 def test_compare_less_example():
@@ -334,7 +340,7 @@ def test_compare_raises_before_any_submit():
     inst = make_instance("1011", (1, 2, 3, 4))
     oracle = CountingOracle(inst)
     with pytest.raises(ValueError, match="incumbent"):
-        oracle.compare(bits("0011"), inst.z)
+        oracle.compare(bits("0011"), target(inst))
     assert oracle.query_count == 0 and oracle.best_fitness_seen is None
 
 
@@ -363,7 +369,7 @@ def test_oracle_counters_and_charging():
     assert oracle.best_fitness_seen == 3
     assert oracle.per_level_counts == {INIT_LEVEL: 1, 2: 2}
     assert not oracle.optimum_found
-    oracle.compare(bits("1110"), inst.z)
+    oracle.compare(bits("1110"), target(inst))
     assert oracle.optimum_found
     assert oracle.per_level_counts == {INIT_LEVEL: 1, 2: 2, 3: 1}
     assert oracle.query_count == sum(oracle.per_level_counts.values())
@@ -430,30 +436,33 @@ def test_bitstring_rejects_bad_input():
         bits("101").flip(3)
 
 
-@pytest.mark.parametrize("z, sigma", [
-    ("10", (1, 2, 0)),
-    ("101", (1, 0)),
-    ("101", (1, 1, 0)),
-    ("101", (0, 1, 3)),
-    ("101", (2, 3, 1)),
-    ("101", (0, "1", 2)),
-], ids=["z-length", "sigma-length", "repeated", "out-of-range", "one-based", "str-entry"])
-def test_lo_instance_rejects_bad_fields(z, sigma):
+@pytest.mark.parametrize("n, z, sigma", [
+    (0, 0, ()),
+    (3, 8, (0, 1, 2)),
+    (3, -1, (0, 1, 2)),
+    (3, 5, (1, 0)),
+    (3, 5, (1, 1, 0)),
+    (3, 5, (0, 1, 3)),
+    (3, 5, (2, 3, 1)),
+    (3, 5, (0, "1", 2)),
+], ids=["n-zero", "z-length", "z-negative", "sigma-length", "repeated", "out-of-range",
+        "one-based", "str-entry"])
+def test_lo_instance_rejects_bad_fields(n, z, sigma):
     with pytest.raises(ValueError):
-        LoInstance(3, bits(z), sigma)
+        LoInstance(n, z, sigma)
 
 
 def test_lo_instance_accepts_shuffled_permutation():
     n = 4096
     sigma = list(range(n))
     random.Random(4096).shuffle(sigma)
-    assert LoInstance(n, BitString(n), tuple(sigma)).sigma == tuple(sigma)
+    assert LoInstance(n, 0, tuple(sigma)).sigma == tuple(sigma)
 
 
 def test_identity_instance():
     # the all-ones target in the identity order is classic LeadingOnes
     n = 5
-    inst = LoInstance(n, BitString(n, (1 << n) - 1), tuple(range(n)))
+    inst = LoInstance(n, (1 << n) - 1, tuple(range(n)))
     for xw in range(1 << n):
         x01 = format(xw, f"0{n}b")[::-1]  # position 1 first
         assert lo_value(inst, BitString(n, xw)) == (x01 + "0").index("0")
