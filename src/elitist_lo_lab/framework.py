@@ -286,15 +286,15 @@ def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
     except on the draw that ends it: a draw u below `_stop_below(n)[i]` at
     position i, whose step would reach n, ends the mask on one list read
     and one compare (a u of 0.0, on which `oea_mask` stops at once, is
-    below every threshold).  From n = `_SKIP_FROM[OneEa]` on,
-    `_skip_levels` runs the queries instead."""
+    below every threshold).  From n = `_SKIP_FROM[OneEa]` to
+    sys.maxunicode, `_skip_levels` runs the queries instead."""
     n = inst.n
     queries = 1
     if n == 1:  # oea_mask(1, rng) is 1 and draws nothing: one query repairs the bit
         if f == 0 and queries < stop:
             counts[0], queries, f = 1, 2, 1
         return queries, f
-    if n >= _SKIP_FROM[OneEa]:
+    if _SKIP_FROM[OneEa] <= n <= sys.maxunicode:
         return _skip_levels(inst, rng, d, f, counts, stop)
     sigma = inst.sigma
     draw, log, floor = rng.random, math.log, math.floor
@@ -459,17 +459,27 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 # 0.090 ms at n = 24, 0.109 against 0.109 at 32, 0.133 against 0.117 at
 # 40 and 0.350 against 0.180 at 64 in the first pass; the loop won every
 # pass to 31 and five of six at 32, the two split at 33 to 37 over six
-# passes, and the engine won all six from 38 on.  oea: the loop won
-# every pass at n = 32 to 34 (0.63 against 0.88 ms at 32 in the first)
-# and at 36 (0.87 against 0.96 in the first, by 0.3% in the third), the
-# two split at 35, and the engine won every pass at 37 and from 38 on
-# (1.02 against 0.96 at 38, 1.53 against 1.24 at 48).  At n <= 16 the
-# engine's fixed numpy cost makes a run 2.5-7 (rls) and 3-22 (oea)
-# times slower.
-_SKIP_FROM = {Rls: 38, OneEa: 37}
+# passes, and the engine won all six from 38 on.  oea, on the engine with
+# per-flip chunks and the `str.find` level search: the loop won all six
+# passes at n = 31 and 33 (0.347 against 0.373 ms at 31 in the first)
+# and four of six at 32, and the engine won all six at 34 to 36 (0.405
+# against 0.387 ms at 34) and all three at 37 and 38 (0.500 against
+# 0.406 at 38).  At n <= 16 the engine's fixed numpy cost makes a run
+# 2.5-7 (rls) and 3-22 (oea) times slower.
+_SKIP_FROM = {Rls: 38, OneEa: 34}
 # Queries' worth of words drawn at once: 4096 raised a process's peak RSS
 # by about 0.8 MB over runs to n = 256, 2048 by about 0.25 MB.
 _CHUNK = 2048
+# From this n on, the (1+1) EA draws twice `_CHUNK` queries' worth per
+# chunk.  Whole `_skip_levels` runs, 2048 against 4096 queries per chunk,
+# measured as `_SKIP_FROM` is: 4096 won every pass from n = 120 on (3 of
+# 3 at 120 and 144, 9 of 9 at 128, 3 of 3 at 160 to 512, by 0.7-20%:
+# 2.238 against 2.182 ms at 128 and 7.523 against 6.704 at 256 in the
+# first), the two split below (7 of 9 at 96, 2 of 3 at 104, 4 of 6 at
+# 112 for 4096, 2 of 6 at 64) and 2048 won all 3 at 80.  A long chunk
+# pays each chunk's fixed numpy cost half as often, but a run's last
+# chunk is drawn in full and used only partway.
+_LONG_CHUNKS_FROM = 120
 
 
 _MT = threading.local()
@@ -542,11 +552,19 @@ def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
     starts at draw a ends on the first draw j with base[j + 1] - base[a]
     > n, and a step of n ends any mask.  So a run of steps below n whose
     s + 1 sum to at most n, with the step of n after it, is one mask; the
-    longer runs are cut by a few rounds of `searchsorted`.  The steps of a
-    mask that the chunk leaves unfinished open the next chunk.
+    longer runs are cut by a few rounds of `searchsorted`, six numpy calls
+    each.  Ends are cleared in `flips`, one bool per draw that is not an
+    end, closed at `size` so that the unfinished mask ends there.  The
+    steps of a mask that the chunk leaves unfinished open the next chunk.
+
+    Each mask has exactly one end draw, which flips nothing, so the draws
+    that flip are the others and mask m's flips lie between the mask
+    bounds less m.  A chunk is returned as its masks' minimum ranks (n for
+    an empty mask) decoded as one str, a character each (UTF-32 with
+    "surrogatepass", as in `_skip_rls`, so n is at most sys.maxunicode),
+    then per flip its rank and its mask's minimum rank, the flip bounds,
+    and per mask the words drawn up to its end.
     """
-    # a draw whose position passes n - 1 (at most 2n) ends its mask and flips nothing: rank n
-    rank_n = np.append(rank, np.full(n + 1, n))
     carry = np.zeros(0, np.int64)
 
     def chunk(count):
@@ -555,30 +573,37 @@ def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
         s = np.concatenate((carry, _oea_steps(u, n)))
         size = len(s)
         base = np.zeros(size + 1, np.int64)
-        np.cumsum(s + 1, out=base[1:])
-        is_end = s >= n
-        hard = is_end.nonzero()[0]
-        cuts = np.empty(len(hard) + 2, np.int64)  # -1, the hard ends, size
-        cuts[0], cuts[1:-1], cuts[-1] = -1, hard, size
-        a, top = cuts[:-1] + 1, base[cuts[1:]]
-        while len(a):  # a mask from a whose steps pass n before top ends softly
-            lim = base[a] + n
+        high = base[1:]  # high[j] = base[j + 1]
+        np.cumsum(s + 1, out=high)
+        after = high + n  # the limit of a mask that opens after draw j
+        flips = np.empty(size + 1, bool)
+        np.less(s, n, out=flips[:size])
+        flips[size] = False
+        hard = (~flips).nonzero()[0]  # the hard ends, then size
+        lim, top = np.empty(len(hard), np.int64), base[hard]
+        lim[0], lim[1:] = n, after[hard[:-1]]
+        long = lim < top  # a mask from lim - n whose steps pass n before top ends softly
+        lim, top = lim[long], top[long]
+        while len(lim):
+            j = high.searchsorted(lim, "right")
+            flips[j] = False
+            lim = after[j]
             long = lim < top
-            top = top[long]
-            a = np.searchsorted(base, lim[long], side="right")
-            is_end[a - 1] = True
-        ends = is_end.nonzero()[0]
-        bounds = np.zeros(len(ends) + 1, np.int64)  # 0, then each mask's end + 1
-        np.add(ends, 1, out=bounds[1:])
+            lim, top = lim[long], top[long]
+        ends = (~flips).nonzero()[0]  # each mask's end, then size
+        masks = len(ends) - 1
+        bounds = np.zeros(masks + 1, np.int64)  # 0, then each mask's end + 1
+        np.add(ends[:-1], 1, out=bounds[1:])
         used = bounds[-1]
         carry = s[used:]
-        starts = bounds[:-1]
-        mask_of = np.repeat(np.arange(len(ends)), bounds[1:] - starts)
-        r = rank_n[base[1:used + 1] - 1 - base[starts][mask_of]]
-        min_rank = np.full(len(ends), n)
+        flip_bounds = bounds - np.arange(masks + 1)
+        mask_of = np.repeat(np.arange(masks), np.diff(flip_bounds))
+        r = rank.take(high[:used][flips[:used]] - 1 - base[bounds[:-1]][mask_of])
+        min_rank = np.full(masks, n)
         np.minimum.at(min_rank, mask_of, r)
+        ranks = min_rank.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
         words = 2 * (bounds[1:] - (size - len(u)))
-        return min_rank, r, min_rank[mask_of], bounds, words
+        return ranks, r, min_rank[mask_of], flip_bounds, words
 
     return chunk
 
@@ -658,8 +683,15 @@ def _skip_levels(inst: LoInstance, rng: random.Random, d: int, f: int,
     rank order; the new f is its lowest set bit above the old f.  A mask
     rejected for a rank below f may flip ranks above f too, so unlike
     `_skip_rls` the stretch keeps only its accepted masks' flips.  A chunk
-    gives, per query, its minimum rank and the words it used, and per draw
-    the rank it flips (n for none) and its query's minimum rank.
+    (`_oea_chunks`) gives its queries' minimum ranks as the characters of
+    one str, in which the next query of minimum rank f is found by
+    `str.find`, so a level costs time in its own stretch only; per flip
+    the rank it flips and its query's minimum rank, with each query's
+    flip bounds; and per query the words it used.  A chunk holds up to
+    `_CHUNK` queries' worth of draws, twice that from n =
+    `_LONG_CHUNKS_FROM` on.  An empty mask's minimum rank n must be a
+    character, so `_oea_loop` takes this engine only up to n =
+    sys.maxunicode.
 
     The rng hands its state once to this thread's numpy MT19937
     (`_mt_source`), whose Generator draws every chunk's doubles.  A copy
@@ -674,19 +706,20 @@ def _skip_levels(inst: LoInstance, rng: random.Random, d: int, f: int,
     rank[sigma] = np.arange(n)
     bits = np.unpackbits(np.frombuffer(d.to_bytes((n + 7) >> 3, "little"), np.uint8),
                          bitorder="little")
-    # diff[n] takes the EA's rank n; a level search that reaches it gives n either way
+    # diff[n] stays 0, so a level search from f = n - 1 gives n
     diff = np.append(bits[sigma], 0).astype(np.int64)
     _, gen, view, hand_back = _mt_source(rng)
     chunk = _oea_chunks(gen, n, rank)
+    size = _CHUNK << (n >= _LONG_CHUNKS_FROM)
     mark = view.copy(), 0
     queries = 1  # the start point
     while f < n and queries < stop:
         state = view.copy()
-        min_rank, flip_rank, flip_min, bounds, words = chunk(min(_CHUNK, stop - queries))
-        p, end = 0, len(min_rank)
+        ranks, flip_rank, flip_min, bounds, words = chunk(min(size, stop - queries))
+        p, end = 0, len(ranks)
         while p < end:
-            last = p + int((min_rank[p:] == f).argmax())
-            greater = min_rank[last] == f
+            last = ranks.find(chr(f), p)
+            greater = last >= 0
             if not greater:
                 last = end - 1
             if last - p >= stop - queries:

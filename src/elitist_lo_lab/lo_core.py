@@ -15,6 +15,8 @@ from enum import IntEnum
 
 def set_bits(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative int, ascending."""
+    if mask < 0:  # mask & -mask never clears a negative mask
+        raise ValueError("set_bits of a negative int")
     out: list[int] = []
     while mask:
         low = mask & -mask

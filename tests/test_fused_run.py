@@ -38,7 +38,11 @@ stretch sets at will, must not change what it does.  The rls engine,
 which keeps each chunk's positions as the characters of one str, is also
 checked at n = 65,537, where they include surrogates and pass U+FFFF, and
 at n = 0x110001, where positions stop being characters and a run keeps
-the per-query loop.  The gate tests make
+the per-query loop.  So is the EA engine, which keeps each chunk's
+minimum ranks as the characters of one str: at n = 65,537 from levels in
+the surrogate block, against the per-query loop, and at n = 0x110000,
+where an empty mask's rank stops being a character.  Its chunks double
+from `_LONG_CHUNKS_FROM` on, checked on either side.  The gate tests make
 `step`, `learn` and memlog's `pack_state` and `state_budget_bits` raise,
 so a default harness run that falls back to the protocol loop fails here,
 and so does an excluded case that stops calling them.
@@ -76,6 +80,7 @@ from elitist_lo_lab.heuristics import (
     Rls,
     _log_keep,
     _stop_below,
+    oea_mask,
 )
 from elitist_lo_lab.lo_core import (
     EQUAL,
@@ -85,6 +90,7 @@ from elitist_lo_lab.lo_core import (
     CountingOracle,
     LoInstance,
     random_instance,
+    set_bits,
 )
 
 from test_harness_cli import BUDGET_DIGESTS, RUN_DIGESTS, _run_cli
@@ -367,6 +373,84 @@ def test_rls_engine_stops_where_positions_stop_being_characters(run_rngs):
         assert rec.per_level == [(-1, 1), (0, budget - 1)]
 
 
+
+def _bits_int(n, positions):
+    """The n-bit int with the given positions set."""
+    bits = np.zeros(n, np.uint8)
+    bits[list(positions)] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def test_ea_engine_matches_the_loop_on_surrogate_levels(monkeypatch):
+    # the EA chunk's str holds each query's minimum rank as a character, and
+    # here the levels are U+D800-U+DFFF (55296-57343): ranks from f0 go to
+    # the positions of the masks the run accepts, in order, d is 1 at every
+    # rank from f0 on, and no mask flips a rank below f0, so each nonempty
+    # mask that flips no earlier accepted position ends a level, and the
+    # others are LESS.  _skip_levels, called from (d, f0), must match the
+    # per-query loop from the same point, cut in the first chunk and at its
+    # end, plus or minus 1
+    n, seed, f0 = 65_537, 1, 0xD800 + 3
+    size = framework._CHUNK << (n >= framework._LONG_CHUNKS_FROM)
+    rng = random.Random(seed)
+    masks = [set_bits(oea_mask(n, rng)) for _ in range(size + 200)]
+    draws = list(itertools.accumulate(len(m) + 1 for m in masks))
+    first_chunk = bisect.bisect_right(draws, 2 * size)  # the queries a full chunk holds
+    assert first_chunk > size + 1
+    lead, used, flipped = [], set(), set()
+    for m in masks:
+        if used.isdisjoint(m):
+            lead += m
+            used.update(m)
+        flipped.update(m)
+    low = [i for i in range(n) if i not in flipped][:f0]
+    taken = used | set(low)
+    sigma = tuple(low + lead + [i for i in range(n) if i not in taken])
+    inst = LoInstance(n, 0, sigma)
+    d, prefix = _bits_int(n, sigma[f0:]), _bits_int(n, sigma[:f0])
+    monkeypatch.setitem(framework._SKIP_FROM, OneEa, n + 1)  # _oea_loop runs per query
+    for stop in (1000, first_chunk, first_chunk + 1, first_chunk + 2):
+        runs = []
+        for engine in (framework._skip_levels, framework._oea_loop):
+            counts, run_rng = [0] * (n + 1), random.Random(seed)
+            args = (d, f0, prefix) if engine is framework._oea_loop else (d, f0)
+            out = engine(inst, run_rng, *args, counts, stop)
+            runs.append((out, counts, run_rng.getstate()))
+        assert runs[0] == runs[1]
+        (queries, f), counts, _ = runs[0]
+        assert queries == stop and f > f0 + 300
+        assert sum(c > 0 for c in counts[0xD800:0xE000]) > 300
+
+
+def test_ea_engine_stops_where_ranks_stop_being_characters(run_rngs):
+    # an empty mask's minimum rank n is no str character at n = 0x110000,
+    # so a fused EA run there takes the per-query loop; here the start point
+    # differs from z only at position 0, the first level's
+    n = 0x110000
+    assert n == sys.maxunicode + 1
+    inst = LoInstance(n, random.Random(6).getrandbits(n) ^ 1, tuple(range(n)))
+    for budget in (3, 100):
+        rec = _run_both(OneEa, inst, 6, budget, run_rngs)
+        assert rec.per_level == [(-1, 1), (0, budget - 1)]
+
+
+@pytest.mark.parametrize("long", [False, True])
+def test_ea_chunks_double_from_their_switch(long, skip_everywhere, run_rngs, monkeypatch):
+    # chunks of 7 queries' worth below _LONG_CHUNKS_FROM and 14 from it on,
+    # each side checked against the protocol loop
+    skip_everywhere(7)
+    n = framework._LONG_CHUNKS_FROM - (not long)
+    real, counts = framework._oea_chunks, []
+
+    def spy(*args):
+        chunk = real(*args)
+        return lambda count: counts.append(count) or chunk(count)
+
+    monkeypatch.setattr(framework, "_oea_chunks", spy)
+    inst = random_instance(n, random.Random(3800 + n))
+    for budget in (None, 3 * n, 11 * 14 + 4):
+        _run_both(OneEa, inst, 3800 + n + (budget or 0), budget, run_rngs)
+    assert max(counts) == 7 << long
 
 def test_engines_bincount_only_what_casts_safely_to_intp(monkeypatch, run_rngs):
     # older numpy's bincount casts its input to intp by the "safe" rule and

@@ -203,6 +203,13 @@ def test_set_bits_matches_naive_scan():
         assert set_bits(mask) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+@pytest.mark.parametrize("mask", [-1, -5, -(1 << 70)])
+def test_set_bits_rejects_a_negative_int(mask):
+    # mask & -mask never clears a negative mask, so the scan would not end
+    with pytest.raises(ValueError, match="negative"):
+        set_bits(mask)
+
+
 # -- random_instance ------------------------------------------------------------
 
 
