@@ -66,17 +66,17 @@ class Strategy(Protocol):
     runs a fitness level at a time, and memlog's declared state budget
     holds by construction, so nothing checks it.  These classes have
     empty `__slots__`, so a plain instance cannot override a method or
-    the budget.  Such a run builds no `CountingOracle`: the rls and
-    (1+1) EA bodies keep the incumbent's prefix mask as one int and extend
-    it with `_climb`, as the oracle does, and memlog's keeps a heap of the
-    prefix's unmarked positions.  From n = `_SKIP_FROM[cls]` on, the rls
-    and (1+1) EA bodies charge each fitness level's queries at once from
-    words drawn in bulk by a numpy MT19937 set to the run's rng state,
-    which takes the generator's state back at the end: rls reads the
-    position-space diff word through each chunk's flipped positions as one
-    str (`_skip_rls`), the (1+1) EA a diff array in rank order
-    (`_skip_levels`).  A subclass always
-    runs the protocol loop and its own methods.
+    the budget.  Such a run builds no `CountingOracle`: the rls body
+    decides each query by its position's rank, the (1+1) EA body keeps the
+    incumbent's prefix mask as one int and extends it with `_climb`, as the
+    oracle does, and memlog's keeps a heap of the prefix's unmarked
+    positions.  From n = `_SKIP_FROM[cls]` on, the rls and (1+1) EA bodies
+    hand the run to `_skip_levels`, one engine that charges each fitness
+    level's queries at once from words drawn in bulk by a numpy MT19937
+    set to the run's rng state, which takes the generator's state back at
+    the end; its chunks come from `_rls_chunks` (flipped positions) or
+    `_oea_chunks` (masks' minimum ranks).  A subclass always runs the
+    protocol loop and its own methods.
     """
 
     name: str
@@ -212,50 +212,49 @@ def _run_fused(strategy: Rls | OneEa | Memlog, inst: LoInstance, seed: int,
     by `_climb`, a scan over sigma; the body `_LOOPS[type(strategy)]` runs
     the queries after it and returns (queries, f).  A body keeps the diff
     word d = x ^ z of the incumbent x (memlog's on its unmarked positions
-    only), its fitness f and the per-level counts; the rls and (1+1) EA
-    bodies also keep the mask prefix = prefix[f] of the positions
-    sigma[:f].  The incumbent is always the best point charged so far, so
-    each query is charged to level f and decided as
-    `CountingOracle.compare` decides it: LESS iff it meets prefix, else
-    GREATER iff it clears sigma[f].  f never falls, so after a GREATER
-    query `_climb`, the oracle's own climb, ORs into prefix each position
-    that f passes, and a run takes O(n) memory.
+    only), its fitness f and the per-level counts.  The incumbent is
+    always the best point charged so far, so each query is charged to
+    level f and decided as `CountingOracle.compare` decides it: LESS iff
+    it flips a position of rank below f, else GREATER iff it clears
+    sigma[f].  f never falls, so after a GREATER query f climbs past each
+    position sigma[f] that d clears, and a run takes O(n) memory.
 
     Each body runs a level per outer iteration: an inner loop runs level
     f's queries up to the GREATER one that ends it or the budget's last,
     counting them locally, and the outer loop charges counts[f] and
-    `queries` once.  The rls and (1+1) EA bodies then call `_climb`, which
-    moves f only if sigma[f] was cleared, so a GREATER query that uses up
-    the budget still climbs, as the oracle does.
+    `queries` once.  The rls and (1+1) EA bodies then climb, which moves
+    f only if sigma[f] was cleared, so a GREATER query that uses up the
+    budget still climbs, as the oracle does.
     """
     algo, n = strategy.name, inst.n
     rng = random.Random(seed)
     if budget is not None and budget < 1:
         return RunRecord(algo, n, seed, 0, False, True, [])
     d = rng.getrandbits(n) ^ inst.z  # the draw BitString.random(n, rng) makes
-    f, prefix = _climb(d, 0, 0, inst.sigma)
+    f = _climb(d, 0, 0, inst.sigma)[0]
     counts = [0] * (n + 1)
     stop = math.inf if budget is None else budget
-    queries, f = _LOOPS[type(strategy)](inst, rng, d, f, prefix, counts, stop)
+    queries, f = _LOOPS[type(strategy)](inst, rng, d, f, counts, stop)
     per_level = [(INIT_LEVEL, 1)] + [(level, c) for level, c in enumerate(counts) if c]
     return RunRecord(algo, n, seed, queries, f == n, f < n, per_level)
 
 
-def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
+def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int,
               counts: list[int], stop: float) -> tuple[int, int]:
     """rls after the start point, a level at a time.  Each query flips
     position i, drawn by `randrange(n)`'s `getrandbits` rejection loop,
     whose significance rank r = sigma^-1(i) decides the outcome: r < f
     breaks the prefix (LESS), r == f repairs position sigma[f] (GREATER)
     and ends the level, r > f is EQUAL.  From n = `_SKIP_FROM[Rls]` to
-    n = 0x110000, past which a position is no str character, `_skip_rls`
-    runs the queries instead.  Past that bound each accepted query pays
-    an XOR of the n-bit d: at n = 0x110001 a run of 200,000 queries takes
-    about 2.2 s, some six times what level skipping over a rank-order
-    numpy diff array took (2.1 GHz Xeon, 2-core VM)."""
+    n = 0x110000, past which a position is no str character,
+    `_skip_levels` runs the queries instead, on `_rls_chunks`.  Past that
+    bound each accepted query pays an XOR of the n-bit d: at n = 0x110001
+    a run of 200,000 queries takes about 2.2 s, some six times what level
+    skipping over a rank-order numpy diff array took (2.1 GHz Xeon, 2-core
+    VM)."""
     n, sigma = inst.n, inst.sigma
     if _SKIP_FROM[Rls] <= n <= sys.maxunicode + 1:
-        return _skip_rls(inst, rng, d, f, counts, stop)
+        return _skip_levels(inst, rng, d, f, counts, stop, _rls_chunks)
     rank = [0] * n
     for r, pos in enumerate(sigma):
         rank[pos] = r
@@ -275,11 +274,12 @@ def _rls_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
                     break
         counts[f] += c
         queries += c
-        f, prefix = _climb(d, f, prefix, sigma)
+        while f < n and not d >> sigma[f] & 1:
+            f += 1
     return queries, f
 
 
-def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
+def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int,
               counts: list[int], stop: float) -> tuple[int, int]:
     """The (1+1) EA after the start point, a level at a time.  Each query
     XORs into d the mask of `oea_mask`'s geometric-skip loop, inlined,
@@ -287,7 +287,8 @@ def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
     position i, whose step would reach n, ends the mask on one list read
     and one compare (a u of 0.0, on which `oea_mask` stops at once, is
     below every threshold).  From n = `_SKIP_FROM[OneEa]` to
-    sys.maxunicode, `_skip_levels` runs the queries instead."""
+    sys.maxunicode, `_skip_levels` runs the queries instead, on
+    `_oea_chunks`."""
     n = inst.n
     queries = 1
     if n == 1:  # oea_mask(1, rng) is 1 and draws nothing: one query repairs the bit
@@ -295,8 +296,9 @@ def _oea_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
             counts[0], queries, f = 1, 2, 1
         return queries, f
     if _SKIP_FROM[OneEa] <= n <= sys.maxunicode:
-        return _skip_levels(inst, rng, d, f, counts, stop)
+        return _skip_levels(inst, rng, d, f, counts, stop, _oea_chunks)
     sigma = inst.sigma
+    prefix = sum(1 << i for i in sigma[:f])  # the mask of the positions sigma[:f]
     draw, log, floor = rng.random, math.log, math.floor
     log_keep, below = _log_keep(n), _stop_below(n)
     while f < n and queries < stop:
@@ -337,7 +339,7 @@ def _leaf_codes(n: int) -> tuple[int, ...]:
     return tuple(sorted(_bit_reversals((n - 1).bit_length())[:n]))
 
 
-def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: int,
+def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int,
                  counts: list[int], stop: float) -> tuple[int, int]:
     """memlog after the start point, a fitness level at a time; it draws
     nothing more from the rng.
@@ -453,7 +455,7 @@ def _memlog_loop(inst: LoInstance, rng: random.Random, d: int, f: int, prefix: i
 
 
 # From these n on, a plain rls or (1+1) EA run skips levels.  Whole runs,
-# per-query loop (a level at a time) against `_skip_rls` or `_skip_levels`,
+# per-query loop (a level at a time) against `_skip_levels`,
 # interleaved, 20 runs per cell, best of 5, three passes or more (2-core
 # VM, the engine drawing from numpy's MT19937).  rls read 0.055 against
 # 0.090 ms at n = 24, 0.109 against 0.109 at 32, 0.133 against 0.117 at
@@ -543,10 +545,56 @@ def _oea_steps(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(s, n).astype(np.int64)
 
 
-def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
-    """Chunks of (1+1) EA queries for `_skip_levels`: each double of the
-    Generator `gen`, two words, is a `random()` draw and each draw an
-    `oea_mask` step s.
+def _rls_chunks(inst: LoInstance, d: int, bg: np.random.MT19937, gen: np.random.Generator):
+    """rls's chunks for `_skip_levels`: each draws up to `_CHUNK` queries'
+    worth of words from `bg`; a word w is the position w >> (32 - k),
+    rejected when it is n or more, as in `randrange`.  The accepted
+    positions, one per query, are the characters of the chunk's str s
+    (UTF-32 with "surrogatepass" decodes every position below 0x110000,
+    surrogates included), and level f's key is chr(sigma[f]).
+
+    A query is rejected iff its one position's rank is below f, and f
+    never falls, so no later level reads that position: a stretch takes
+    every flip, unfiltered.  So after the chunk's first p queries position
+    i reads bit i of d, as the chunk opened, XOR the parity of
+    `s.count(chr(i), 0, p)`, and the new f is the first rank above the old
+    one whose position reads 1.  d takes a chunk's flip parity when the
+    next chunk is drawn, which is only after that one is used up.
+    """
+    n, sigma = inst.n, inst.sigma
+    k = n.bit_length()
+    keys = [chr(i) for i in sigma]
+    s, flips = "", np.zeros(0, np.uint64)
+
+    def chunk(left):
+        nonlocal d, s, flips
+        if len(flips):  # the last chunk is used up
+            # flips is uint64, which older numpy's bincount refuses (it casts only
+            # safely to intp); packbits runs 4-5 times faster on uint8 than on
+            # int64 at n = 65,537
+            parity = np.bincount(flips.astype(np.intp), minlength=n).astype(np.uint8) & 1
+            parity = np.packbits(parity, bitorder="little")
+            d ^= int.from_bytes(parity.tobytes(), "little")
+        pos = bg.random_raw((min(_CHUNK, left) << k) // n) >> (32 - k)
+        at = (pos < n).nonzero()[0]
+        flips = pos[at]
+        s = flips.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+        return s, at
+
+    def level(p, last, f, greater):
+        if greater:
+            f += 1
+            while f < n and not (d >> sigma[f] ^ s.count(keys[f], 0, last + 1)) & 1:
+                f += 1
+        return f
+
+    return keys, chunk, level
+
+
+def _oea_chunks(inst: LoInstance, d: int, bg: np.random.MT19937, gen: np.random.Generator):
+    """The (1+1) EA's chunks for `_skip_levels`, in rank order: each
+    double of the Generator `gen`, two words, is a `random()` draw and
+    each draw an `oea_mask` step s.
 
     With base[j] the sum of s + 1 over the draws before j, a mask that
     starts at draw a ends on the first draw j with base[j + 1] - base[a]
@@ -556,20 +604,34 @@ def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
     each.  Ends are cleared in `flips`, one bool per draw that is not an
     end, closed at `size` so that the unfinished mask ends there.  The
     steps of a mask that the chunk leaves unfinished open the next chunk.
+    A chunk holds up to `_CHUNK` queries' worth of draws, twice that from
+    n = `_LONG_CHUNKS_FROM` on.
 
-    Each mask has exactly one end draw, which flips nothing, so the draws
-    that flip are the others and mask m's flips lie between the mask
-    bounds less m.  A chunk is returned as its masks' minimum ranks (n for
-    an empty mask) decoded as one str, a character each (UTF-32 with
-    "surrogatepass", as in `_skip_rls`, so n is at most sys.maxunicode),
-    then per flip its rank and its mask's minimum rank, the flip bounds,
-    and per mask the words drawn up to its end.
+    Each mask has exactly one end draw, which flips nothing, so mask m's
+    flips lie between the mask bounds less m.  A query at level f is LESS,
+    GREATER or EQUAL as the minimum rank r of its flips (n for an empty
+    mask) is below, at or above f, so the chunk's str holds the masks' r
+    (UTF-32 with "surrogatepass", so n is at most sys.maxunicode), and
+    level f's key is chr(f).  A stretch XORs the flips of its accepted
+    masks (r >= f) into `diff`, the diff word in rank order, and the new
+    f is its lowest set bit above the old one; unlike rls's, it must
+    filter, since a rejected mask may flip ranks above f too.
     """
+    n = inst.n
+    sigma = np.array(inst.sigma)
+    rank = np.empty(n, np.int64)
+    rank[sigma] = np.arange(n)
+    bits = np.unpackbits(np.frombuffer(d.to_bytes((n + 7) >> 3, "little"), np.uint8),
+                         bitorder="little")
+    # diff[n] stays 0, so a level search from f = n - 1 gives n
+    diff = np.append(bits[sigma], 0).astype(np.int64)
+    limit = _CHUNK << (n >= _LONG_CHUNKS_FROM)
     carry = np.zeros(0, np.int64)
+    flip_rank = flip_min = flip_bounds = None
 
-    def chunk(count):
-        nonlocal carry
-        u = gen.random(2 * count)
+    def chunk(left):
+        nonlocal carry, flip_rank, flip_min, flip_bounds
+        u = gen.random(2 * min(limit, left))
         s = np.concatenate((carry, _oea_steps(u, n)))
         size = len(s)
         base = np.zeros(size + 1, np.int64)
@@ -598,127 +660,62 @@ def _oea_chunks(gen: np.random.Generator, n: int, rank: np.ndarray):
         carry = s[used:]
         flip_bounds = bounds - np.arange(masks + 1)
         mask_of = np.repeat(np.arange(masks), np.diff(flip_bounds))
-        r = rank.take(high[:used][flips[:used]] - 1 - base[bounds[:-1]][mask_of])
+        flip_rank = rank.take(high[:used][flips[:used]] - 1 - base[bounds[:-1]][mask_of])
         min_rank = np.full(masks, n)
-        np.minimum.at(min_rank, mask_of, r)
+        np.minimum.at(min_rank, mask_of, flip_rank)
+        flip_min = min_rank[mask_of]
         ranks = min_rank.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
-        words = 2 * (bounds[1:] - (size - len(u)))
-        return ranks, r, min_rank[mask_of], flip_bounds, words
+        return ranks, 2 * bounds[1:] - (2 * (size - len(u)) + 1)  # each mask's last word
 
-    return chunk
+    def level(p, last, f, greater):
+        nonlocal diff
+        a, b = flip_bounds[p], flip_bounds[last + 1]
+        flipped = flip_rank[a:b][flip_min[a:b] >= f]
+        diff ^= np.bincount(flipped, minlength=n + 1) & 1
+        if greater:
+            above = diff[f + 1:]
+            i = int(above.argmax())
+            f = f + 1 + i if above[i] else n
+        return f
 
-
-def _skip_rls(inst: LoInstance, rng: random.Random, d: int, f: int,
-              counts: list[int], stop: float) -> tuple[int, int]:
-    """The rest of a fused rls run, a level at a time, on positions.
-
-    Takes and returns what `_skip_levels` does.  Each chunk draws up to
-    `_CHUNK` queries' worth of words from `_mt_source`'s MT19937; a word w
-    is the position w >> (32 - k), rejected when it is n or more, as in
-    `randrange`.  The accepted positions, one per query, become the
-    characters of one str s (UTF-32 with "surrogatepass" decodes every
-    position below 0x110000 to its own character, surrogates included).
-
-    At level f the next GREATER query is the next sigma[f] in s, found by
-    `str.find`, and the stretch up to it is charged to f at once.  An rls
-    query flips one position and is rejected iff its rank is below f, and
-    f never falls, so no later level reads that position: a stretch takes
-    every flip, unfiltered.  So after the chunk's first p queries position
-    i reads bit i of d, as the chunk opened, XOR the parity of
-    `s.count(chr(i), 0, p)`, and the new f is the first rank above the old
-    one whose position reads 1.  d takes the parity of the chunk's flips
-    once, when the chunk is used up.  The rng's final state is handed back
-    as in `_skip_levels`, after the word of the last charged query.
-    """
-    n, sigma = inst.n, inst.sigma
-    k = n.bit_length()
-    bg, _, view, hand_back = _mt_source(rng)
-    mark = view.copy(), 0
-    queries = 1  # the start point
-    while f < n and queries < stop:
-        state = view.copy()
-        pos = bg.random_raw((min(_CHUNK, stop - queries) << k) // n) >> (32 - k)
-        at = (pos < n).nonzero()[0]
-        flips = pos[at]
-        s = flips.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
-        p, end = 0, len(s)
-        while p < end and f < n and queries < stop:
-            last = s.find(chr(sigma[f]), p)
-            greater = last >= 0
-            if not greater:
-                last = end - 1
-            if last - p >= stop - queries:
-                last, greater = p + stop - queries - 1, False
-            counts[f] += last + 1 - p
-            queries += last + 1 - p
-            mark = state, int(at[last]) + 1
-            p = last + 1
-            if greater:
-                f += 1
-                while f < n and not (d >> sigma[f] ^ s.count(chr(sigma[f]), 0, p)) & 1:
-                    f += 1
-        if p == end:  # the chunk is used up
-            # flips is uint64, which older numpy's bincount refuses (it casts only
-            # safely to intp); packbits runs 4-5 times faster on uint8 than on
-            # int64 at n = 65,537
-            parity = np.bincount(flips.astype(np.intp), minlength=n).astype(np.uint8) & 1
-            parity = np.packbits(parity, bitorder="little")
-            d ^= int.from_bytes(parity.tobytes(), "little")
-    hand_back(*mark)
-    return queries, f
+    return [chr(r) for r in range(n)], chunk, level
 
 
 def _skip_levels(inst: LoInstance, rng: random.Random, d: int, f: int,
-                 counts: list[int], stop: float) -> tuple[int, int]:
-    """The rest of a fused (1+1) EA run, a level at a time.
+                 counts: list[int], stop: float, source: Callable) -> tuple[int, int]:
+    """The rest of a fused rls or (1+1) EA run, a level at a time.
 
     Takes the diff word d and fitness f after the start point and returns
     (queries, f) at the end, with `counts` charged as the per-query loop
-    charges it.  The queries are drawn in chunks from the rng's own words.
-    A query's outcome at level f follows from the minimum rank r of its
-    flips (n for an empty mask): r < f is LESS, r == f GREATER, r > f
-    EQUAL.  So the whole stretch up to the next query of minimum rank f is
-    charged to level f at once, and the accepted queries in it (minimum
-    rank >= f) XOR the parity of their flips into `diff`, the diff word in
-    rank order; the new f is its lowest set bit above the old f.  A mask
-    rejected for a rank below f may flip ranks above f too, so unlike
-    `_skip_rls` the stretch keeps only its accepted masks' flips.  A chunk
-    (`_oea_chunks`) gives its queries' minimum ranks as the characters of
-    one str, in which the next query of minimum rank f is found by
-    `str.find`, so a level costs time in its own stretch only; per flip
-    the rank it flips and its query's minimum rank, with each query's
-    flip bounds; and per query the words it used.  A chunk holds up to
-    `_CHUNK` queries' worth of draws, twice that from n =
-    `_LONG_CHUNKS_FROM` on.  An empty mask's minimum rank n must be a
-    character, so `_oea_loop` takes this engine only up to n =
-    sys.maxunicode.
+    charges it.  `source`, `_rls_chunks` or `_oea_chunks`, called as
+    source(inst, d, bg, gen) on `_mt_source`'s generator, returns (keys,
+    chunk, level).  chunk(left) draws up to `left` queries from the rng's
+    own words as one str, a character per query, and `words`, words[j]
+    the index of query j's last word among the chunk's words.  Each
+    query of level f before its first GREATER one, whose character is
+    keys[f], is LESS or EQUAL, so the whole stretch up to the next
+    keys[f], found by `str.find`, or to the chunk's end or the budget's
+    last query, is charged to level f at once: a level costs time in its
+    own stretch only.  level(p, last, f, greater) applies the stretch
+    p..last to the source's diff and returns the new f.
 
     The rng hands its state once to this thread's numpy MT19937
-    (`_mt_source`), whose Generator draws every chunk's doubles.  A copy
-    of the generator's state struct opens each chunk.  At the end the
-    generator is set back to the copy before the chunk that holds the last
-    charged query's last draw, redraws up to there and hands its state
-    back to the rng, so the final rng state is the per-query loop's.
+    (`_mt_source`).  A copy of its state struct opens each chunk, and each
+    stretch marks (copy, words, last).  At the end the generator is set
+    back to the marked copy, draws up to word words[last] and hands its
+    state back to the rng, so the final rng state is the per-query loop's.
     """
     n = inst.n
-    sigma = np.array(inst.sigma)
-    rank = np.empty(n, np.int64)
-    rank[sigma] = np.arange(n)
-    bits = np.unpackbits(np.frombuffer(d.to_bytes((n + 7) >> 3, "little"), np.uint8),
-                         bitorder="little")
-    # diff[n] stays 0, so a level search from f = n - 1 gives n
-    diff = np.append(bits[sigma], 0).astype(np.int64)
-    _, gen, view, hand_back = _mt_source(rng)
-    chunk = _oea_chunks(gen, n, rank)
-    size = _CHUNK << (n >= _LONG_CHUNKS_FROM)
-    mark = view.copy(), 0
+    bg, gen, view, hand_back = _mt_source(rng)
+    keys, chunk, level = source(inst, d, bg, gen)
+    mark = view.copy(), [-1], 0  # no word drawn
     queries = 1  # the start point
     while f < n and queries < stop:
         state = view.copy()
-        ranks, flip_rank, flip_min, bounds, words = chunk(min(size, stop - queries))
-        p, end = 0, len(ranks)
-        while p < end:
-            last = ranks.find(chr(f), p)
+        s, words = chunk(stop - queries)
+        p, end = 0, len(s)
+        while p < end and f < n and queries < stop:
+            last = s.find(keys[f], p)
             greater = last >= 0
             if not greater:
                 last = end - 1
@@ -726,18 +723,11 @@ def _skip_levels(inst: LoInstance, rng: random.Random, d: int, f: int,
                 last, greater = p + stop - queries - 1, False
             counts[f] += last + 1 - p
             queries += last + 1 - p
-            mark = state, int(words[last])
-            a, b = bounds[p], bounds[last + 1]
-            flipped = flip_rank[a:b][flip_min[a:b] >= f]
-            diff ^= np.bincount(flipped, minlength=n + 1) & 1
+            mark = state, words, last
+            f = level(p, last, f, greater)
             p = last + 1
-            if greater:
-                above = diff[f + 1:]
-                i = int(above.argmax())
-                f = f + 1 + i if above[i] else n
-            if f == n or queries >= stop:
-                break
-    hand_back(*mark)
+    state, words, last = mark
+    hand_back(state, int(words[last]) + 1)
     return queries, f
 
 

@@ -20,9 +20,9 @@ The fused (1+1) EA body inlines `oea_mask` and ends each mask on a
 threshold from `_stop_below` rather than `oea_mask`'s last log and floor.
 From n = `framework._SKIP_FROM[cls]` on, the fused rls and (1+1) EA runs
 draw their rng words in bulk and compute the same positions and steps
-with numpy: rls reads its diff word through each chunk's positions as one
-str (`framework._skip_rls`), the EA a diff array in rank order
-(`framework._skip_levels`).  This module stays numpy-free.
+with numpy, in one level-skipping engine, `framework._skip_levels`, over
+chunks of rls's positions (`framework._rls_chunks`) or of the EA's masks
+(`framework._oea_chunks`).  This module stays numpy-free.
 """
 from __future__ import annotations
 

@@ -5,10 +5,10 @@ gate between them.
 or oracle) in a loop over ints that never calls the strategy's methods.
 A trivial subclass keeps the same draws on the protocol loop, which stays
 the reference: every record and the run's final rng state must agree.
-Only the protocol loop builds a `CountingOracle`; both it and the fused
-loops keep the incumbent's prefix mask as one int and extend it
-with `lo_core._climb` as f rises, so every fused run here runs with the
-oracle's constructor made to raise, one run per strategy and loop at
+Only the protocol loop builds a `CountingOracle`, so every fused run
+here runs with the oracle's constructor made to raise; the fused bodies
+take (inst, rng, d, f, counts, stop), and only the EA's per-query body
+keeps a prefix mask.  One run per strategy and loop at
 n = 4096 must stay under a traced-memory bound, and so must one oracle at
 n = 16384.  The fused memlog loop reads a whole halving search off the
 bit-reversed leaf codes of two indices into its list of unmarked
@@ -30,19 +30,23 @@ runs the protocol loop, which enforces it.  The fused EA loop ends each
 mask on a `_stop_below` threshold rather than `oea_mask`'s last step, so
 that table is checked against the step draw by draw near every
 threshold.  From a crossover n
-on, rls and EA runs skip levels over bulk-drawn words; that engine is
-checked against the protocol loop with tiny chunks, its numpy steps
-against `math.log` near every step boundary, and its crossover through
-harness runs on either side; diff bits below the level, which an rls
-stretch sets at will, must not change what it does.  The rls engine,
-which keeps each chunk's positions as the characters of one str, is also
-checked at n = 65,537, where they include surrogates and pass U+FFFF, and
-at n = 0x110001, where positions stop being characters and a run keeps
-the per-query loop.  So is the EA engine, which keeps each chunk's
-minimum ranks as the characters of one str: at n = 65,537 from levels in
-the surrogate block, against the per-query loop, and at n = 0x110000,
-where an empty mask's rank stops being a character.  Its chunks double
-from `_LONG_CHUNKS_FROM` on, checked on either side.  The gate tests make
+on, rls and EA runs skip levels over bulk-drawn words, in one engine,
+`_skip_levels`, fed by rls's or the EA's chunk source.  It is checked
+against the protocol loop with tiny
+chunks, the EA's numpy steps against `math.log` near every step
+boundary, and its crossover through harness runs on either side; diff
+bits below the level, which an rls stretch sets at will, must not change
+what it does.  Runs called straight on the engine stop at 50 n^2 queries
+at the most, far above what a run needs, and must reach the optimum, so
+an engine that misses a GREATER query fails rather than hangs.  The rls
+source, which gives each chunk's positions as the characters of one str,
+is also checked at n = 65,537, where they include surrogates and pass
+U+FFFF, and at n = 0x110001, where positions stop being characters and
+a run keeps the per-query loop.  So is the EA source, which gives each
+chunk's minimum ranks as the characters of one str: at n = 65,537 from
+levels in the surrogate block, against the per-query loop, and at
+n = 0x110000, where an empty mask's rank stops being a character.  Its
+chunks double from `_LONG_CHUNKS_FROM` on, checked on either side.  The gate tests make
 `step`, `learn` and memlog's `pack_state` and `state_budget_bits` raise,
 so a default harness run that falls back to the protocol loop fails here,
 and so does an excluded case that stops calling them.
@@ -256,8 +260,9 @@ def test_skip_levels_matches_protocol(n, chunk, skip_everywhere, run_rngs):
 
 
 def _engine(rls):
-    """The level-skipping body of rls (True) or of the (1+1) EA (False)."""
-    return framework._skip_rls if rls else framework._skip_levels
+    """The level-skipping engine on rls's (True) or the (1+1) EA's (False) chunks."""
+    source = framework._rls_chunks if rls else framework._oea_chunks
+    return lambda *args: framework._skip_levels(*args, source)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -265,7 +270,9 @@ def _engine(rls):
 def test_skip_levels_reads_no_rank_below_f(rls, chunk, monkeypatch):
     # an rls stretch XORs its rejected flips (ranks below f) into the diff
     # too, which is sound only if no level search or update reads a rank
-    # below f: set those bits at random and nothing may change
+    # below f: set those bits at random and nothing may change.  A run with
+    # a stop of 50 n^2, far above what any run needs, must end at the
+    # optimum, so an engine that misses a GREATER query fails here, not hangs
     monkeypatch.setattr(framework, "_CHUNK", chunk)
     rng = random.Random(f"below/{rls}/{chunk}")
     for n in (2, 3, 5, 9, 17, 64, 257):
@@ -278,7 +285,7 @@ def test_skip_levels_reads_no_rank_below_f(rls, chunk, monkeypatch):
             while not below:
                 below = sum(1 << inst.sigma[r] for r in range(f) if rng.getrandbits(1))
             seed = rng.getrandbits(64)
-            for stop in (3 * n, 11 * chunk + 4) if n > 64 else (math.inf, 3 * n):
+            for stop in (3 * n, 11 * chunk + 4) if n > 64 else (50 * n * n, 3 * n):
                 runs = []
                 for d in (clean, clean | below):
                     counts = [0] * (n + 1)
@@ -286,6 +293,7 @@ def test_skip_levels_reads_no_rank_below_f(rls, chunk, monkeypatch):
                     out = _engine(rls)(inst, run_rng, d, f, counts, stop)
                     runs.append((out, counts, run_rng.getstate()))
                 assert runs[0] == runs[1]
+                assert stop != 50 * n * n or runs[0][0][1] == n
 
 
 STEP_SIZES = list(range(2, 301)) + [1024, 4096]
@@ -320,14 +328,13 @@ def test_harness_runs_skip_levels_from_the_crossover(cls, monkeypatch, tmp_path)
     cross = framework._SKIP_FROM[cls]
     argv = ["run", "--algo", cls.name, "--n", f"{cross - 1},{cross}", "--reps", "3",
             "--seed", "5", "--format", "json"]
-    name = "_skip_rls" if cls is Rls else "_skip_levels"
-    real, skipped = getattr(framework, name), []
+    real, skipped = framework._skip_levels, []
 
     def spy(inst, *args):
         skipped.append(inst.n)
         return real(inst, *args)
 
-    monkeypatch.setattr(framework, name, spy)
+    monkeypatch.setattr(framework, "_skip_levels", spy)
     assert _run_cli(argv + ["--out", str(tmp_path / "skip.json")]) == 0
     assert skipped == [cross] * 3  # and never below the crossover
     monkeypatch.setitem(framework._SKIP_FROM, cls, cross + 1)
@@ -407,14 +414,13 @@ def test_ea_engine_matches_the_loop_on_surrogate_levels(monkeypatch):
     taken = used | set(low)
     sigma = tuple(low + lead + [i for i in range(n) if i not in taken])
     inst = LoInstance(n, 0, sigma)
-    d, prefix = _bits_int(n, sigma[f0:]), _bits_int(n, sigma[:f0])
+    d = _bits_int(n, sigma[f0:])
     monkeypatch.setitem(framework._SKIP_FROM, OneEa, n + 1)  # _oea_loop runs per query
     for stop in (1000, first_chunk, first_chunk + 1, first_chunk + 2):
         runs = []
-        for engine in (framework._skip_levels, framework._oea_loop):
+        for engine in (_engine(False), framework._oea_loop):
             counts, run_rng = [0] * (n + 1), random.Random(seed)
-            args = (d, f0, prefix) if engine is framework._oea_loop else (d, f0)
-            out = engine(inst, run_rng, *args, counts, stop)
+            out = engine(inst, run_rng, d, f0, counts, stop)
             runs.append((out, counts, run_rng.getstate()))
         assert runs[0] == runs[1]
         (queries, f), counts, _ = runs[0]
@@ -440,13 +446,13 @@ def test_ea_chunks_double_from_their_switch(long, skip_everywhere, run_rngs, mon
     # each side checked against the protocol loop
     skip_everywhere(7)
     n = framework._LONG_CHUNKS_FROM - (not long)
-    real, counts = framework._oea_chunks, []
+    real, counts = framework._oea_steps, []
 
-    def spy(*args):
-        chunk = real(*args)
-        return lambda count: counts.append(count) or chunk(count)
+    def spy(u, n):  # each chunk's steps, two words a draw
+        counts.append(len(u) // 2)
+        return real(u, n)
 
-    monkeypatch.setattr(framework, "_oea_chunks", spy)
+    monkeypatch.setattr(framework, "_oea_steps", spy)
     inst = random_instance(n, random.Random(3800 + n))
     for budget in (None, 3 * n, 11 * 14 + 4):
         _run_both(OneEa, inst, 3800 + n + (budget or 0), budget, run_rngs)
@@ -528,23 +534,33 @@ def test_mt_source_view_is_the_generator_state():
             assert view.tolist() == public(bg)
 
 
-def _skip_job(rls, inst, seed, stop):
-    """One `_skip_levels` run from f = 0: its result, counts and final rng state."""
+def _skip_job(rls, inst, seed, stop, body=None):
+    """One engine run from f = 0, or one on `body`: its result, counts and
+    final rng state."""
     run_rng = random.Random(seed)
     d = run_rng.getrandbits(inst.n) | 1 << inst.sigma[0]
     counts = [0] * (inst.n + 1)
-    out = _engine(rls)(inst, run_rng, d, 0, counts, stop)
+    out = (body or _engine(rls))(inst, run_rng, d, 0, counts, stop)
     return out, counts, run_rng.getstate()
 
 
 def test_skip_levels_in_two_threads_match_sequential_runs(monkeypatch):
     # chunks of 7 queries and a short switch interval, so that the threads
-    # take turns inside runs; each thread builds its own generator
+    # take turns inside runs; each thread builds its own generator.  Every
+    # other run has a stop of 50 n^2, far above what any run needs, and must
+    # end at the optimum, so an engine that misses a GREATER query fails here
+    # rather than hangs; the sequential runs must match the per-query loops
     monkeypatch.setattr(framework, "_CHUNK", 7)
     rng = random.Random("threads")
     jobs = [(rls, random_instance(n, rng), rng.getrandbits(64), stop)
-            for rls in (True, False) for n in (40, 64, 97) for stop in (math.inf, 3 * n)]
+            for rls in (True, False) for n in (40, 64, 97) for stop in (50 * n * n, 3 * n)]
     sequential = [_skip_job(*job) for job in jobs]
+    assert [f for (_, f), _, _ in sequential[::2]] == [inst.n for _, inst, _, _ in jobs[::2]]
+    with monkeypatch.context() as m:
+        m.setitem(framework._SKIP_FROM, Rls, math.inf)
+        m.setitem(framework._SKIP_FROM, OneEa, math.inf)
+        loops = {True: framework._rls_loop, False: framework._oea_loop}
+        assert [_skip_job(*job, loops[job[0]]) for job in jobs] == sequential
     results, sources = {}, {}
     start = threading.Barrier(2)
 
@@ -979,7 +995,7 @@ def test_fused_memlog_checks_its_invariant():
         object.__setattr__(inst, name, value)
     counts = [0] * 7
     with pytest.raises(RuntimeError, match="memlog invariant violated"):
-        framework._memlog_loop(inst, random.Random(0), 0b100001, 2, 0b1001, counts, math.inf)
+        framework._memlog_loop(inst, random.Random(0), 0b100001, 2, counts, math.inf)
     assert counts[2] == 8 and counts[3] == 0
 
 
