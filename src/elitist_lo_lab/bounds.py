@@ -364,6 +364,17 @@ class PhiSolver:
 # -- exact one-bit-flip level game ---------------------------------------------
 
 
+@functools.cache
+def _removals(u: int) -> tuple[tuple[int, ...], ...]:
+    """removed[q][P] for every position q < u and mask P < 2^u: P with
+    position q removed and the positions above it moved down one."""
+    tables = []
+    for q in range(u):
+        low = (1 << q) - 1
+        tables.append(tuple((P & low) | ((P >> 1) & ~low) for P in range(1 << u)))
+    return tuple(tables)
+
+
 class LevelGameSolver:
     """Exact optimal expected number of one-bit-flip queries to leave a
     fitness level, by exhaustive policy search.
@@ -446,18 +457,15 @@ class LevelGameSolver:
         keep_ratio = (mu - 1) / mu
         child = u - 1
         best = math.inf
-        for q in range(u):
+        for q, removed in enumerate(_removals(u)):
             qb = 1 << q
-            low = qb - 1
-            high = ~low
             drops = []
             keeps = []
             for P in masks:
-                # remove position q and close the index gap
                 if P & qb:
-                    drops.append((P & low) | ((P >> 1) & high))
+                    drops.append(removed[P])
                 else:
-                    keeps.append((P & low) | ((P >> 1) & high))
+                    keeps.append(removed[P])
             nd = len(drops)
             if nd == C:
                 continue  # known-significant position: querying it is pure waste

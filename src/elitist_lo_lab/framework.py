@@ -546,12 +546,14 @@ def _oea_steps(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rls_chunks(inst: LoInstance, d: int, bg: np.random.MT19937, gen: np.random.Generator):
-    """rls's chunks for `_skip_levels`: each draws up to `_CHUNK` queries'
-    worth of words from `bg`; a word w is the position w >> (32 - k),
-    rejected when it is n or more, as in `randrange`.  The accepted
-    positions, one per query, are the characters of the chunk's str s
-    (UTF-32 with "surrogatepass" decodes every position below 0x110000,
-    surrogates included), and level f's key is chr(sigma[f]).
+    """rls's chunks for `_skip_levels`: each draws up to max(`_CHUNK`,
+    n >> 5) queries' worth of words from `bg`, so that the O(n) parity
+    work at a chunk's end stays O(1) per query at large n; a word w is
+    the position w >> (32 - k), rejected when it is n or more, as in
+    `randrange`.  The accepted positions, one per query, are the
+    characters of the chunk's str s (UTF-32 with "surrogatepass" decodes
+    every position below 0x110000, surrogates included), and level f's
+    key is chr(sigma[f]).
 
     A query is rejected iff its one position's rank is below f, and f
     never falls, so no later level reads that position: a stretch takes
@@ -563,6 +565,7 @@ def _rls_chunks(inst: LoInstance, d: int, bg: np.random.MT19937, gen: np.random.
     """
     n, sigma = inst.n, inst.sigma
     k = n.bit_length()
+    size = max(_CHUNK, n >> 5)
     keys = [chr(i) for i in sigma]
     s, flips = "", np.zeros(0, np.uint64)
 
@@ -575,7 +578,7 @@ def _rls_chunks(inst: LoInstance, d: int, bg: np.random.MT19937, gen: np.random.
             parity = np.bincount(flips.astype(np.intp), minlength=n).astype(np.uint8) & 1
             parity = np.packbits(parity, bitorder="little")
             d ^= int.from_bytes(parity.tobytes(), "little")
-        pos = bg.random_raw((min(_CHUNK, left) << k) // n) >> (32 - k)
+        pos = bg.random_raw((min(size, left) << k) // n) >> (32 - k)
         at = (pos < n).nonzero()[0]
         flips = pos[at]
         s = flips.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")

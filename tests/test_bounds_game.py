@@ -54,18 +54,54 @@ def test_game_value_invariant_under_relabeling():
 
 
 def test_game_guards():
-    with pytest.raises(ValueError):
-        LevelGameSolver().value(8, 2, [(0, 1)])          # too many positions
-    with pytest.raises(ValueError):
-        LevelGameSolver().value(4, 2, [])                # empty family
-    with pytest.raises(ValueError):
-        LevelGameSolver().value(4, 2, [(0,)])            # wrong set size
-    with pytest.raises(ValueError):
-        LevelGameSolver().value(4, 4, [(0, 1, 2, 3)])    # m = 0
-    with pytest.raises(ValueError):
-        LevelGameSolver().value(4, 2, [(0, 1), (1, 0)])  # duplicate sets
-    with pytest.raises(ValueError):
-        LevelGameSolver().value(4, 2, [(0, 5)])          # position out of range
+    # each case as a sorted tuple, an unsorted one and a list, so that no
+    # shortcut for well-formed members lets one through; a member indexing a
+    # table by position would wrap at -1 and find a bit for 5 below 2^7
+    size = "every family member must have exactly k positions"
+    cases = [
+        (8, 2, [(0, 1)], "exceeds the game guard"),          # too many positions
+        (4, 2, [], "must be non-empty"),                     # empty family
+        (4, 2, [(0,)], size),                                # wrong set size
+        (4, 2, [(0, 1), (0, 1, 2)], size),
+        (4, 2, [(1, 1)], size),                              # position repeated in a member
+        (4, 4, [(0, 1, 2, 3)], r"m >= 1"),                   # m = 0
+        (4, 2, [(0, 1), (1, 0)], "must not repeat"),         # duplicate sets
+        (4, 2, [(0, 2), (1, 3), (0, 2)], "must not repeat"),
+        (4, 2, [(0, 5)], "position 5 out of range"),         # position >= n'
+        (4, 2, [(0, 4)], "position 4 out of range"),
+        (4, 2, [(-1, 0)], "position -1 out of range"),       # negative position
+        (4, 2, [(0, 1), (-1, 2)], "position -1 out of range"),
+    ]
+    for n_pos, k, fam, message in cases:
+        for form in (fam, [P[::-1] for P in fam], [list(P) for P in fam]):
+            with pytest.raises(ValueError, match=message):
+                LevelGameSolver().value(n_pos, k, form)
+    # a float position equal to an int is still no position: 1 << 0.0 raises
+    with pytest.raises(TypeError):
+        LevelGameSolver().value(4, 2, [(0.0, 1.0)])
+
+
+def test_game_members_in_any_form_give_one_state():
+    # lists, unsorted tuples, a shuffled family and a generator all meet the
+    # sorted tuples' memo state: one value, and not one state more
+    fam = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    solver = LevelGameSolver()
+    value = solver.value(4, 2, fam)
+    states = solver.memo_states
+    assert (4, (0b0011, 0b0101, 0b1010, 0b1100)) in solver._memo
+    forms = [
+        lambda: [list(P) for P in fam],
+        lambda: [P[::-1] for P in fam],
+        lambda: fam[::-1],
+        lambda: [list(P[::-1]) for P in fam[2:] + fam[:2]],
+        lambda: (P for P in fam),
+    ]
+    for form in forms:
+        assert solver.value(4, 2, form()) == value
+        assert solver.memo_states == states
+        fresh = LevelGameSolver()
+        assert fresh.value(4, 2, form()) == value
+        assert fresh._memo.keys() == solver._memo.keys()
 
 
 def test_game_matches_phi_at_extremes():

@@ -46,7 +46,9 @@ a run keeps the per-query loop.  So is the EA source, which gives each
 chunk's minimum ranks as the characters of one str: at n = 65,537 from
 levels in the surrogate block, against the per-query loop, and at
 n = 0x110000, where an empty mask's rank stops being a character.  Its
-chunks double from `_LONG_CHUNKS_FROM` on, checked on either side.  The gate tests make
+chunks double from `_LONG_CHUNKS_FROM` on, checked on either side, and an
+rls chunk holds n >> 5 queries' worth once that exceeds `_CHUNK`, checked
+with a small `_CHUNK`.  The gate tests make
 `step`, `learn` and memlog's `pack_state` and `state_budget_bits` raise,
 so a default harness run that falls back to the protocol loop fails here,
 and so does an excluded case that stops calling them.
@@ -457,6 +459,37 @@ def test_ea_chunks_double_from_their_switch(long, skip_everywhere, run_rngs, mon
     for budget in (None, 3 * n, 11 * 14 + 4):
         _run_both(OneEa, inst, 3800 + n + (budget or 0), budget, run_rngs)
     assert max(counts) == 7 << long
+
+
+@pytest.mark.parametrize("n, budgets", [
+    (255, (None, 3 * 255, 11 * 7 + 4)),     # n >> 5 = 7, the patched _CHUNK
+    (256, (None, 3 * 256, 11 * 8 + 4)),     # chunks of 8 queries' worth
+    (300, (None, 3 * 300, 11 * 9 + 4)),     # 9
+    (4000, (3 * 4000, 11 * 125 + 4)),       # 125
+])
+def test_rls_chunks_grow_with_n(n, budgets, skip_everywhere, run_rngs, monkeypatch):
+    # with _CHUNK patched to 7, an rls chunk holds max(7, n >> 5) queries'
+    # worth of words, each side checked against the protocol loop
+    skip_everywhere(7)
+    real, words = framework._mt_source, []
+
+    def spy(rng):  # the chunks' word counts; hand_back draws from bg itself
+        bg, gen, view, hand_back = real(rng)
+
+        def random_raw(size):
+            words.append(size)
+            return bg.random_raw(size)
+
+        return types.SimpleNamespace(random_raw=random_raw), gen, view, hand_back
+
+    monkeypatch.setattr(framework, "_mt_source", spy)
+    inst = random_instance(n, random.Random(4000 + n))
+    for budget in budgets:
+        seed = random.Random(f"grow/{n}/{budget}").getrandbits(64)
+        rec = _run_both(Rls, inst, seed, budget, run_rngs)
+        assert rec.hit_optimum if budget is None else rec.total_queries == budget
+    assert max(words) == (max(7, n >> 5) << n.bit_length()) // n
+
 
 def test_engines_bincount_only_what_casts_safely_to_intp(monkeypatch, run_rngs):
     # older numpy's bincount casts its input to intp by the "safe" rule and
